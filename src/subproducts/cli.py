@@ -17,6 +17,7 @@ go to the console only, never into the serialized output.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -409,12 +410,22 @@ def check_burgess_ratio(config: SweepConfig) -> CheckRecord:
     return _timed(rec, t0)
 
 
+# The random harnesses draw y <= HARNESS_Y_MAX and share one sieve.
+HARNESS_Y_MAX = 200
+_HARNESS_PRIMES = modcore.primes_up_to(HARNESS_Y_MAX)
+
+
+def _primes_to(y: int) -> list[int]:
+    """Primes <= y, for y <= HARNESS_Y_MAX."""
+    return _HARNESS_PRIMES[: bisect.bisect_right(_HARNESS_PRIMES, y)]
+
+
 def check_kway_random(config: SweepConfig, instances: int = 10_000) -> CheckRecord:
     t0 = time.perf_counter()
     rng = random.Random(config.seed + 2)
     failures = 0
     for _ in range(instances):
-        y = rng.randint(4, 200)
+        y = rng.randint(4, HARNESS_Y_MAX)
         k = rng.randint(1, 6)
         n = _random_friable(rng, y, y ** (k + 1))
         res = friable.greedy_k_factorization(n, y, k)
@@ -431,7 +442,7 @@ def check_kway_random(config: SweepConfig, instances: int = 10_000) -> CheckReco
 
 def _random_friable(rng: random.Random, y: int, n_sq_limit: int) -> int:
     """Random y-friable n with n^2 <= n_sq_limit (n = 1 possible)."""
-    primes = modcore.primes_up_to(y)
+    primes = _primes_to(y)
     n = 1
     while rng.random() < 0.9:
         q = rng.choice(primes)
@@ -444,12 +455,12 @@ def _random_friable(rng: random.Random, y: int, n_sq_limit: int) -> int:
 def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction]:
     """Instance satisfying the ranged-factorization hypotheses exactly."""
     while True:
-        y = rng.randint(8, 200)
+        y = rng.randint(8, HARNESS_Y_MAX)
         k = rng.randint(1, 6)
         num_max = math.ceil(100 / (k + 2)) - 1
         eps = Fraction(rng.randint(1, num_max), 100)
         a, b = eps.numerator, eps.denominator
-        usable = [q for q in modcore.primes_up_to(y) if q**b <= y ** (b - a)]
+        usable = [q for q in _primes_to(y) if q**b <= y ** (b - a)]
         if not usable:
             continue
         lower = y ** (k * b + 2 * a)

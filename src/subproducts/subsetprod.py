@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .characters import unit_roots
-from .modcore import PrimeContext, build_context, primes_up_to
+from .modcore import PrimeContext, build_context, is_prime
 
 
 class NotCoprimeError(ValueError):
@@ -39,7 +39,14 @@ class BadDifferenceError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Coverage (bitset over indices; multiplying by n rotates by ind(n))
+# One index-coordinate kernel.  With s = ind(n), multiplying by n rotates
+# Z/(p-1) by s.  Coverage holds a bitset over indices and ORs in its
+# rotation; counts hold one w-bit slot per index and ADD theirs.
+
+
+def _rotate(x: int, shift: int, bits: int, full: int) -> int:
+    """Rotate the bits-wide word x left by shift (full = 2^bits - 1)."""
+    return (x << shift | x >> (bits - shift)) & full
 
 
 @dataclass(frozen=True)
@@ -98,12 +105,8 @@ def coverage_consume(state: CoverageState, n: int) -> CoverageState:
     r = n % ctx.p
     if r == 0:
         raise NotCoprimeError(f"element {n} is divisible by {ctx.p}")
-    s = ctx.ind[r]
-    mask = state.mask
-    if s:
-        m = ctx.order
-        full = (1 << m) - 1
-        mask |= (mask << s | mask >> (m - s)) & full
+    m = ctx.order
+    mask = state.mask | _rotate(state.mask, ctx.ind[r], m, (1 << m) - 1)
     return CoverageState(ctx=ctx, mask=mask, consumed=state.consumed + 1)
 
 
@@ -125,9 +128,8 @@ def y_of_p(p: int) -> int:
 def prime_coverage_threshold(ctx: PrimeContext) -> int | None:
     """Least y' < p whose primes' subset products cover everything, else None."""
     state = initial_coverage(ctx)
-    prime_set = set(primes_up_to(ctx.p - 1))
     for yv in range(1, ctx.p):
-        if yv in prime_set:
+        if is_prime(yv):
             state = coverage_consume(state, yv)
         if state.covered:
             return yv
@@ -183,9 +185,6 @@ class SubsetProductCounts:
     y: int
     counts: tuple[int, ...]
 
-    def count_of(self, b: int) -> int:
-        return self.counts[b % self.p]
-
     def unit_mass(self) -> int:
         """Number of subsets whose product is coprime to p."""
         return sum(self.counts[1:])
@@ -195,38 +194,56 @@ class SubsetProductCounts:
         return [b for b in range(1, self.p) if self.counts[b] > 0]
 
 
-def _apply_element(counts: list[int], n: int, p: int) -> list[int]:
-    # take-or-skip: every subset either gains n or does not
-    r = n % p
-    if r == 1:
-        return [c + c for c in counts]
-    new = list(counts)
-    if r == 0:
-        # "take" sends every product to 0; "skip" leaves the rest alone
-        new[0] += sum(counts)
-        return new
-    new[0] += counts[0]  # 0 * r stays 0
-    rn = 0
-    for b in range(1, p):
-        rn += r
-        if rn >= p:
-            rn -= p
-        new[rn] += counts[b]
-    return new
+def _widen(c: int, m: int, wb: int, wb2: int) -> int:
+    """Repack m slots of wb bytes into slots of wb2 >= wb bytes."""
+    raw, out = c.to_bytes(m * wb, "little"), bytearray(m * wb2)
+    for j in range(wb):  # byte j of every slot in one strided copy
+        out[j::wb2] = raw[j::wb]
+    return int.from_bytes(out, "little")
+
+
+def _slots(c: int, m: int, wb: int) -> list[int]:
+    """The m slots of wb bytes in c, lowest first."""
+    raw = c.to_bytes(m * wb, "little")
+    return [int.from_bytes(raw[i : i + wb], "little") for i in range(0, m * wb, wb)]
+
+
+def _count_dp(ctx: PrimeContext, elements: Iterable[int]) -> list[int]:
+    """Take-or-skip counts over the elements, indexed by residue mod p.
+
+    Slot i of c counts the subsets with product g^i; taking n adds c
+    rotated by ind(n) slots.  Counts stay <= 2^k after k elements, so
+    slots widen 8 bytes at a time to exceed k bits.  `zero` tallies the
+    products divisible by p.
+    """
+    p, m, ind = ctx.p, ctx.order, ctx.ind
+    c, zero, wb = 1, 0, 8  # the empty subset: count 1 at g^0 = 1
+    bits, full = 64 * m, (1 << 64 * m) - 1
+    for k, n in enumerate(elements, 1):
+        if k >= 8 * wb:
+            c, wb = _widen(c, m, wb, wb + 8), wb + 8
+            bits, full = 8 * wb * m, (1 << 8 * wb * m) - 1
+        r = n % p
+        if r == 0:
+            # "take" sends every product to 0; "skip" leaves the rest alone
+            zero += zero + sum(_slots(c, m, wb))
+            continue
+        zero += zero  # 0 * r stays 0
+        c += _rotate(c, 8 * wb * ind[r], bits, full)
+    slots = _slots(c, m, wb)
+    return [zero] + [slots[ind[b]] for b in range(1, p)]
 
 
 def subset_product_counts(p: int, y: int) -> SubsetProductCounts:
     """Exact S_y(b) for all b, by take-or-skip dynamic programming.
 
     Starts from count 1 at residue 1 (the empty subset) and folds in
-    n = 1..y; arbitrary-precision integers throughout.
+    n = 1..y in the index coordinate; arbitrary-precision integers
+    throughout.  p must be prime.
     """
     if y < 1:
         raise YOutOfRangeError(f"y={y} must be >= 1")
-    counts = [0] * p
-    counts[1 % p] = 1
-    for n in range(1, y + 1):
-        counts = _apply_element(counts, n, p)
+    counts = _count_dp(build_context(p), range(1, y + 1))
     return SubsetProductCounts(p=p, y=y, counts=tuple(counts))
 
 
@@ -271,18 +288,10 @@ def progression_subset_counts(p: int, a: int, d: int, y: int) -> ProgressionCoun
     """Exact subset-product counts along a progression of length y."""
     if y < 1:
         raise YOutOfRangeError(f"y={y} must be >= 1")
-    counts = [0] * p
-    counts[1 % p] = 1
-    zero_terms = 0
-    for j in range(y):
-        term = a + j * d
-        if term % p == 0:
-            zero_terms += 1
-            continue
-        counts = _apply_element(counts, term, p)
-    return ProgressionCounts(
-        p=p, a=a, d=d, y=y, zero_terms=zero_terms, counts=tuple(counts)
-    )
+    ctx = build_context(p)
+    units = [t for t in (a + j * d for j in range(y)) if t % p != 0]
+    counts = tuple(_count_dp(ctx, units))
+    return ProgressionCounts(p, a, d, y, zero_terms=y - len(units), counts=counts)
 
 
 # Above this, 1 ulp of relative drift in the complex products could rival
@@ -359,16 +368,6 @@ def error_report(p: int, y: int) -> ErrorReport:
         max_abs_error=max_err,
         normalized_ratio=float(ratio),
     )
-
-
-def mass_total(p: int, y: int) -> int:
-    """Total subset count 2^y, for mass-conservation checks."""
-    return 1 << y
-
-
-def chain_holds(n2: int, big_g: int, g: int, y: int) -> bool:
-    """The spectrum chain: n2 <= G <= g and n2 <= G <= y."""
-    return n2 <= big_g <= g and big_g <= y
 
 
 def theorem_y(p: int, exponent: float = 0.6) -> int:

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import subproducts
 from subproducts.cli import (
     InvalidRangeError,
     SweepConfig,
@@ -108,6 +110,14 @@ def test_counts_cli(tmp_path):
     assert payload["counts"] == {"1": "4", "2": "2", "3": "2", "4": "0"}
 
 
+@pytest.mark.parametrize("p", ["0", "1", "9"])
+def test_counts_cli_rejects_non_prime(p, capsys):
+    assert run_cli("counts", "--p", p, "--y", "3") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {p} is not prime\n"
+
+
 def test_coverage_cli(tmp_path):
     out = tmp_path / "cov.csv"
     assert run_cli(
@@ -188,10 +198,14 @@ def test_cli_usage_error_exit_2():
 
 
 def test_console_script_runs():
+    # the child imports the same package as this test, installed or not
+    src = os.path.dirname(os.path.dirname(subproducts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "subproducts.cli", "counts", "--p", "3", "--y", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "b,count\n1,2\n2,2\n"

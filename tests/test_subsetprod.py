@@ -3,8 +3,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subproducts.modcore import build_context, primes_up_to
+from subproducts.modcore import NotPrimeError, build_context, primes_up_to
 from subproducts.subsetprod import (
     BadDifferenceError,
     NotCoprimeError,
@@ -36,6 +38,18 @@ def brute_reachable(p, elements):
                 prod = prod * v % p
             reached.add(prod)
     return reached
+
+
+def residue_walk_counts(p, elements):
+    """Oracle: take-or-skip over residues, one Python int per residue."""
+    counts = [0] * p
+    counts[1 % p] = 1
+    for n in elements:
+        new = list(counts)  # skip n ...
+        for b, c in enumerate(counts):
+            new[b * n % p] += c  # ... or take it
+        counts = new
+    return tuple(counts)
 
 
 # --- coverage ---------------------------------------------------------------
@@ -170,6 +184,76 @@ def test_counts_match_enumeration():
     for p in (3, 5, 7, 11, 13):
         for y in range(1, 15):
             assert subset_product_counts(p, y).counts == enumerate_subset_counts(p, y)
+
+
+def test_counts_match_residue_walk_random():
+    rng = random.Random(11)
+    ps = primes_up_to(1009)
+    for _ in range(40):
+        p = rng.choice(ps)
+        y = rng.randint(1, p - 1)
+        assert subset_product_counts(p, y).counts == residue_walk_counts(
+            p, range(1, y + 1)
+        ), (p, y)
+    # long runs cross several slot widenings
+    for y in (300, 1007):
+        assert subset_product_counts(1009, y).counts == residue_walk_counts(
+            1009, range(1, y + 1)
+        )
+
+
+def test_counts_match_residue_walk_beyond_p():
+    # y >= p puts multiples of p in the ground set: the zero slot fills
+    for p in (2, 3, 5, 7, 11, 13):
+        for y in range(p, 3 * p + 40):
+            expected = residue_walk_counts(p, range(1, y + 1))
+            assert subset_product_counts(p, y).counts == expected, (p, y)
+    counts = subset_product_counts(13, 200).counts
+    assert counts == residue_walk_counts(13, range(1, 201))
+    assert sum(counts) == 2**200
+
+
+def test_counts_reject_non_prime_modulus():
+    for p in (-7, 0, 1, 9, 1001):
+        with pytest.raises(NotPrimeError):
+            subset_product_counts(p, 3)
+        with pytest.raises(NotPrimeError):
+            progression_subset_counts(p, 1, 1, 3)
+
+
+def test_progression_counts_match_residue_walk():
+    for p, a, d, y in ((7, 2, 3, 12), (11, 5, 11, 9), (101, 3, 7, 90), (13, 13, 1, 30)):
+        pc = progression_subset_counts(p, a, d, y)
+        units = [t for t in (a + j * d for j in range(y)) if t % p]
+        assert pc.zero_terms == y - len(units)
+        assert pc.counts == residue_walk_counts(p, units)
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=st.sampled_from(primes_up_to(211)), data=st.data())
+def test_counts_reached_equals_coverage(p, data):
+    y = data.draw(st.integers(min_value=1, max_value=2 * p + 5))
+    state = initial_coverage(build_context(p))
+    for n in range(1, y + 1):
+        if n % p:  # multiples of p only add products divisible by p
+            state = coverage_consume(state, n)
+    assert subset_product_counts(p, y).reached() == state.residues()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from(primes_up_to(211)),
+    a=st.integers(min_value=-1000, max_value=1000),
+    d=st.integers(min_value=-1000, max_value=1000),
+    y=st.integers(min_value=1, max_value=60),
+)
+def test_progression_counts_positive_exactly_on_coverage(p, a, d, y):
+    state = initial_coverage(build_context(p))
+    for j in range(y):
+        if (a + j * d) % p:
+            state = coverage_consume(state, a + j * d)
+    counts = progression_subset_counts(p, a, d, y).counts
+    assert [b for b in range(1, p) if counts[b]] == state.residues()
 
 
 def test_counts_mass_conservation():
