@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .friable import largest_prime_factor
-from .modcore import PrimeContext
+from .modcore import PrimeContext, divisors
 
 
 class InvalidDeltaError(ValueError):
@@ -270,18 +270,7 @@ def build_A_chi(
     for n in range(math.floor(x) + 1, t + 1):
         if largest_prime_factor(n) > y:
             continue
-        ok = True
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                for c in (d, n // d):
-                    if c > z and not divisor_near_one(c):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            d += 1
-        if ok:
+        if all(c <= z or divisor_near_one(c) for c in divisors(n)):
             members.append(n)
     return AChiSet(
         p=p,

@@ -13,6 +13,8 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .modcore import divisors, prime_factors_desc
+
 
 class NotFriableError(ValueError):
     """Raised when n has a prime factor above the required smoothness bound."""
@@ -38,36 +40,7 @@ class RangeViolationError(ValueError):
 
 def largest_prime_factor(n: int) -> int:
     """P(n), with the convention P(1) = 1."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    best = 1
-    m = n
-    while m % 2 == 0:
-        best = 2
-        m //= 2
-    d = 3
-    while d * d <= m:
-        while m % d == 0:
-            best = d
-            m //= d
-        d += 2
-    return m if m > 1 else best
-
-
-def prime_factors_desc(n: int) -> list[int]:
-    """Prime factors of n with multiplicity, largest first."""
-    out = []
-    m = n
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out.append(d)
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
-    out.sort(reverse=True)
-    return out
+    return max(prime_factors_desc(n), default=1)
 
 
 def largest_prime_factor_sieve(limit: int) -> array:
@@ -104,18 +77,6 @@ def psi_asymptotic(t: int, y: int) -> float:
     if not y <= t <= y * y:
         raise RangeViolationError(f"need y <= t <= y^2, got t={t}, y={y}")
     return t * (1.0 - math.log(math.log(t) / math.log(y)))
-
-
-def power_le(v: int, base: int, exponent: Fraction) -> bool:
-    """Exact test v <= base**exponent for v, base >= 1 and exponent > 0."""
-    a, b = exponent.numerator, exponent.denominator
-    return v**b <= base**a
-
-
-def power_lt(v: int, base: int, exponent: Fraction) -> bool:
-    """Exact test v < base**exponent."""
-    a, b = exponent.numerator, exponent.denominator
-    return v**b < base**a
 
 
 @dataclass(frozen=True)
@@ -178,12 +139,13 @@ def greedy_k_factorization(
     """
     if n < 1 or y < 2 or k < 1:
         raise ValueError("need n >= 1, y >= 2, k >= 1")
-    if largest_prime_factor(n) > y:
+    primes = prime_factors_desc(n)
+    if primes and primes[0] > y:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
     in_hyp = n * n <= y ** (k + 1)
     if not in_hyp and not best_effort:
         raise BoundViolatedError(f"n={n} exceeds y^((k+1)/2) for y={y}, k={k}")
-    buckets = _greedy_fill(prime_factors_desc(n), k, lambda v, q: v * q <= y)
+    buckets = _greedy_fill(primes, k, lambda v, q: v * q <= y)
     if buckets is None:
         raise BoundViolatedError(
             f"greedy assignment stuck for n={n}, y={y}, k={k} (out of hypothesis)"
@@ -225,7 +187,8 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
         )
     if n < 1 or y < 2 or k < 1:
         raise ValueError("need n >= 1, y >= 2, k >= 1")
-    if largest_prime_factor(n) > y:
+    primes = prime_factors_desc(n)
+    if primes and primes[0] > y:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
     a, b = eps.numerator, eps.denominator
     if not (n ** (2 * b) > y ** (k * b + 2 * a) and n * n < y ** (k + 1)):
@@ -235,7 +198,6 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
 
     work_bound = y ** (b - a)  # v <= y^(1-eps)  <=>  v^b <= work_bound
     small_bound = y**a  # v <= y^eps  <=>  v^b <= small_bound
-    primes = prime_factors_desc(n)
     bigs = [q for q in primes if q**b > work_bound]
     smalls = [q for q in primes if q**b <= work_bound]
     m = len(bigs)
@@ -297,19 +259,6 @@ def three_way_factorization(n: int, y: int, epsilon) -> FactorizationResult:
     )
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    out.sort()
-    return out
-
-
 def kway_feasible(n: int, y: int, k: int) -> bool:
     """Exhaustive check: can n be written as a product of k factors <= y?
 
@@ -318,7 +267,7 @@ def kway_feasible(n: int, y: int, k: int) -> bool:
     """
     if k == 0:
         return n == 1
-    divs = [d for d in _divisors(n) if d <= y]
+    divs = [d for d in divisors(n) if d <= y]
 
     def rec(m: int, slots: int, lo: int) -> bool:
         if slots == 1:
@@ -339,7 +288,7 @@ def ranged_feasible(n: int, y: int, k: int, epsilon) -> bool:
     eps = Fraction(epsilon)
     a, b = eps.numerator, eps.denominator
     small_bound = y**a
-    good = [d for d in _divisors(n) if d <= y and d**b > small_bound]
+    good = [d for d in divisors(n) if d <= y and d**b > small_bound]
 
     def rec(m: int, used: int, lo: int) -> bool:
         if m == 1:

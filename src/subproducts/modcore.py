@@ -1,9 +1,10 @@
 """Prime and multiplicative-group primitives.
 
-Primality, least primitive roots, full discrete-log (index) tables,
-Legendre symbols, and the classical small-generator statistics for a
-prime p: the least quadratic nonresidue, the least primitive root, and
-the least G such that {1..G} generates the whole multiplicative group.
+Primality, trial-division factorization and divisors, least primitive
+roots, full discrete-log (index) tables, Legendre symbols, and the
+classical small-generator statistics for a prime p: the least quadratic
+nonresidue, the least primitive root, and the least G such that {1..G}
+generates the whole multiplicative group.
 """
 
 from __future__ import annotations
@@ -67,20 +68,36 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
-def distinct_prime_factors(n: int) -> list[int]:
-    """Sorted distinct prime factors of n >= 1 (trial division)."""
+def prime_factors_desc(n: int) -> list[int]:
+    """Prime factors of n >= 1 with multiplicity, largest first (trial division)."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
     out = []
-    m = n
     d = 2
-    while d * d <= m:
-        if m % d == 0:
+    while d * d <= n:
+        while n % d == 0:
             out.append(d)
-            while m % d == 0:
-                m //= d
+            n //= d
         d += 1 if d == 2 else 2
-    if m > 1:
-        out.append(m)
+    if n > 1:
+        out.append(n)
+    out.reverse()
     return out
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending (trial division to sqrt n)."""
+    if n < 1:
+        raise ValueError(f"n={n} must be >= 1")
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def least_primitive_root(p: int) -> int:
@@ -88,7 +105,7 @@ def least_primitive_root(p: int) -> int:
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     order = p - 1
-    order_factors = distinct_prime_factors(order)
+    order_factors = set(prime_factors_desc(order))
     for g in range(1, p):
         if all(pow(g, order // q, p) != 1 for q in order_factors):
             return g

@@ -1,16 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines and timings.  Every tolerance and bound is pinned here; the checks
-mirror the `verify` CLI subcommand but assert directly.
+lines and timings.  Criteria 1-11 run the `verify` subcommand's own check
+functions from `subproducts.cli`, with the seeds and sizes pinned here, and
+assert on the records they return.  Every tolerance and bound is pinned here.
 """
 
-import math
-import random
 import time
-from fractions import Fraction
 
-from subproducts import characters, friable, modcore, subsetprod
+from subproducts import cli
 from subproducts.cli import (
     SweepConfig,
     run_spectrum_sweep,
@@ -29,253 +27,117 @@ def _criterion(num, name, ok, elapsed, cap, detail=""):
     assert elapsed < cap, f"criterion {num} ({name}) exceeded {cap}s: {elapsed:.2f}s"
 
 
+def _passed(*records):
+    return all(rec.status == "PASS" for rec in records)
+
+
 def test_criterion_01_oracle_equivalence():
     t0 = time.perf_counter()
-    mismatches = 0
-    for p in (3, 5, 7, 11, 13):
-        for y in range(1, 17):
-            dp = subsetprod.subset_product_counts(p, y).counts
-            brute = subsetprod.enumerate_subset_counts(p, y)
-            if dp != brute:
-                mismatches += 1
-    _criterion(
-        1, "oracle-equivalence", mismatches == 0, time.perf_counter() - t0, 30,
-        f"mismatches={mismatches}",
-    )
+    rec = cli.check_dp_vs_enumeration()
+    ok = _passed(rec) and rec.metrics == {"cases": 80, "mismatches": 0}
+    _criterion(1, "oracle-equivalence", ok, time.perf_counter() - t0, 30, rec.metrics)
 
 
 def test_criterion_02_character_crosscheck():
     t0 = time.perf_counter()
-    failures = 0
-    worst = 0.0
-    for p in modcore.primes_up_to(31):
-        if p < 3:
-            continue
-        ctx = modcore.build_context(p)
-        for y in range(1, 31):
-            exact = subsetprod.subset_product_counts(p, y).counts
-            approx = subsetprod.counts_via_characters(ctx, y)
-            tol = 1e-6 * 2**y / (p - 1) + 1e-6
-            dev = max(abs(exact[b] - approx[b]) for b in range(1, p))
-            worst = max(worst, dev)
-            if dev > tol:
-                failures += 1
-    _criterion(
-        2, "character-crosscheck", failures == 0, time.perf_counter() - t0, 60,
-        f"failures={failures} worst_abs_dev={worst:.2e}",
-    )
+    rec = cli.check_dp_vs_characters(31)
+    ok = _passed(rec) and rec.params["p_max"] == 31 and rec.metrics["failures"] == 0
+    _criterion(2, "character-crosscheck", ok, time.perf_counter() - t0, 60, rec.metrics)
 
 
 def test_criterion_03_mass_conservation():
+    # also requires counts[0] == 0 (no product of units is divisible by p)
     t0 = time.perf_counter()
-    rng = random.Random(2024)
-    ps = [p for p in modcore.primes_up_to(1009) if p >= 3]
-    failures = 0
-    for _ in range(1000):
-        p = rng.choice(ps)
-        y = rng.randint(1, p - 1)
-        if subsetprod.subset_product_counts(p, y).unit_mass() != 2**y:
-            failures += 1
+    rec = cli.check_mass_conservation(seed=2024, p_cap=1009, pairs=1000)
+    ok = (
+        _passed(rec)
+        and rec.params == {"pairs": 1000, "p_max": 1009, "seed": 2024}
+        and rec.metrics["failures"] == 0
+    )
     _criterion(
-        3, "mass-conservation", failures == 0, time.perf_counter() - t0,
-        600, f"failures={failures} (1000 pairs, p <= 1009)",
+        3, "mass-conservation", ok, time.perf_counter() - t0, 600,
+        f"{rec.metrics} (1000 pairs, p <= 1009)",
     )
 
 
 def test_criterion_04_spectrum_chain():
+    # also requires y' >= y on every row where y' exists
     t0 = time.perf_counter()
-    violations = 0
-    rows = 0
-    for p in modcore.primes_up_to(10_000):
-        if p < 3:
-            continue
-        ctx = modcore.build_context(p)
-        n2 = modcore.least_nonresidue(p)
-        big_g = modcore.group_generation_bound(ctx)
-        g = ctx.g
-        y = subsetprod.coverage_threshold(ctx)
-        rows += 1
-        if not (n2 <= big_g <= g and n2 <= big_g <= y):
-            violations += 1
+    rec = cli.check_spectrum_chain(3, 10_000, workers=1)
+    ok = _passed(rec) and rec.metrics == {"primes": 1228, "violation": ""}
     _criterion(
-        4, "spectrum-chain", violations == 0, time.perf_counter() - t0, 300,
-        f"primes={rows} violations={violations} (single-threaded)",
+        4, "spectrum-chain", ok, time.perf_counter() - t0, 300,
+        f"{rec.metrics} (single-threaded)",
     )
 
 
 def test_criterion_05_theorem_error_reports():
     t0 = time.perf_counter()
-    ok = True
-    details = []
-    for p in (101, 211, 401, 1009):
-        y = subsetprod.theorem_y(p, 0.6)
-        y_small = subsetprod.theorem_y(p, 0.25)
-        first = subsetprod.error_report(p, y).normalized_ratio
-        again = subsetprod.error_report(p, y).normalized_ratio
-        small = subsetprod.error_report(p, y_small).normalized_ratio
-        details.append(f"p={p}: ratio(y={y})={first:.3e} ratio(y={y_small})={small:.3e}")
-        ok &= math.isfinite(first)
-        ok &= first == again  # bit-for-bit reproducible
-        ok &= first < small  # error shrinks as y grows
+    report, shrinks = cli.check_theorem_error("p^0.6", 1009)
+    again, _ = cli.check_theorem_error("p^0.6", 1009)
+    ok = (
+        report.to_json() == again.to_json()  # bit-for-bit reproducible
+        and _passed(shrinks)  # finite, and the error shrinks as y grows
+        and shrinks.params["primes"] == [101, 211, 401, 1009]
+    )
     _criterion(
-        5, "theorem-error-report", ok, time.perf_counter() - t0, 300,
-        "; ".join(details),
+        5, "theorem-error-report", ok, time.perf_counter() - t0, 300, report.metrics,
     )
 
 
 def test_criterion_06_kway_property_suite():
+    # sharpness: q^(k+1) for the least prime q > sqrt(y) admits no k-way
+    # split, and the greedy refuses it with BoundViolatedError
     t0 = time.perf_counter()
-    rng = random.Random(4096)
-    failures = 0
-    primes_cache = {}
-    for _ in range(10_000):
-        y = rng.randint(4, 200)
-        k = rng.randint(1, 6)
-        if y not in primes_cache:
-            primes_cache[y] = modcore.primes_up_to(y)
-        n = 1
-        limit = y ** (k + 1)
-        while rng.random() < 0.9:
-            q = rng.choice(primes_cache[y])
-            if (n * q) ** 2 > limit:
-                break
-            n *= q
-        res = friable.greedy_k_factorization(n, y, k)
-        prod = 1
-        for f in res.factors:
-            prod *= f
-        if len(res.factors) != k or prod != n or any(f > y for f in res.factors):
-            failures += 1
-    # sharpness: q^(k+1) for the least prime q > sqrt(y) admits no k-way split
-    witness_bad = 0
-    for y in range(4, 101):
-        root = math.isqrt(y)
-        q = next(v for v in modcore.primes_up_to(y) if v > root)
-        for k in (1, 2, 3):
-            if friable.kway_feasible(q ** (k + 1), y, k):
-                witness_bad += 1
+    harness = cli.check_kway_random(seed=4096, instances=10_000)
+    sharp = cli.check_kway_sharpness(y_values=range(4, 101))
+    ok = (
+        _passed(harness, sharp)
+        and harness.params == {"instances": 10_000, "seed": 4096}
+        and sharp.metrics == {"cases": 291, "infeasible_confirmed": 291}
+    )
     _criterion(
-        6, "kway-property-suite", failures == 0 and witness_bad == 0,
-        time.perf_counter() - t0, 120,
-        f"failures={failures} infeasible_witnesses_broken={witness_bad}",
+        6, "kway-property-suite", ok, time.perf_counter() - t0, 120,
+        f"{harness.metrics} {sharp.metrics}",
     )
 
 
 def test_criterion_07_ranged_property_suite():
     t0 = time.perf_counter()
-    rng = random.Random(8192)
-    failures = 0
-    contradictions = 0
-    for _ in range(10_000):
-        while True:
-            y = rng.randint(8, 200)
-            k = rng.randint(1, 6)
-            num_max = math.ceil(100 / (k + 2)) - 1
-            eps = Fraction(rng.randint(1, num_max), 100)
-            a, b = eps.numerator, eps.denominator
-            usable = [q for q in modcore.primes_up_to(y) if q**b <= y ** (b - a)]
-            if not usable:
-                continue
-            lower = y ** (k * b + 2 * a)
-            n = None
-            for _ in range(50):
-                trial = 1
-                while trial ** (2 * b) <= lower:
-                    trial *= rng.choice(usable)
-                if trial * trial < y ** (k + 1):
-                    n = trial
-                    break
-            if n is not None:
-                break
-        try:
-            res = friable.ranged_factorization(n, y, k, eps)
-        except friable.InternalContradictionError:
-            contradictions += 1
-            continue
-        ell = len(res.factors)
-        prod = 1
-        for f in res.factors:
-            prod *= f
-        if not (
-            2 * ell > k
-            and ell <= k
-            and prod == n
-            and all(f <= y and f**b > y**a for f in res.factors)
-        ):
-            failures += 1
-    # sharpness witness: q * (k/2 primes in (y/2, y)), 2^(k/2) < q < y^eps
-    witness_ok = True
-    for y, k, eps, q, halves in (
-        (100, 2, Fraction(24, 100), 3, (53,)),
-        (15_700, 4, Fraction(1666, 10_000), 5, (7853, 7877)),
-    ):
-        n = q
-        for h in halves:
-            n *= h
-        try:
-            friable.ranged_factorization(n, y, k, eps)
-            witness_ok = False
-        except friable.HypothesisViolatedError:
-            pass
-        if friable.ranged_feasible(n, y, k, eps):
-            witness_ok = False
+    harness = cli.check_ranged_random(seed=8192, instances=10_000)
+    sharp = cli.check_ranged_sharpness()
+    ok = (
+        _passed(harness, sharp)
+        and harness.params == {"instances": 10_000, "seed": 8192}
+        and sharp.metrics == {"confirmed_infeasible": 2}
+    )
     _criterion(
-        7, "ranged-property-suite",
-        failures == 0 and contradictions == 0 and witness_ok,
-        time.perf_counter() - t0, 120,
-        f"failures={failures} contradictions={contradictions}",
+        7, "ranged-property-suite", ok, time.perf_counter() - t0, 120,
+        f"{harness.metrics} {sharp.metrics}",
     )
 
 
 def test_criterion_08_z_lemma_grid():
     t0 = time.perf_counter()
-    violations = 0
-    angles = 1000
-    deltas = 100
-    for i in range(angles):
-        angle = None if i == 0 else Fraction(i, angles)
-        for j in range(1, deltas + 1):
-            if not characters.z_lemma_check(angle, 2.0 * j / (deltas + 1)):
-                violations += 1
-    _criterion(
-        8, "z-lemma-grid", violations == 0, time.perf_counter() - t0, 10,
-        f"pairs={angles * deltas} violations={violations}",
-    )
+    rec = cli.check_lemma_z_grid(angles=1000, deltas=100)
+    ok = _passed(rec) and rec.metrics == {"pairs": 100_000, "failures": 0}
+    _criterion(8, "z-lemma-grid", ok, time.perf_counter() - t0, 10, rec.metrics)
 
 
 def test_criterion_09_near_one_scan():
     t0 = time.perf_counter()
-    violations = 0
-    hits = 0
-    for p in modcore.primes_up_to(311):
-        if p < 3:
-            continue
-        ctx = modcore.build_context(p)
-        y = max(1, math.floor(p**0.7))
-        threshold = y * math.log(2) - 2 * math.log(p)
-        limit = 16 * math.log(p) ** 3
-        for k in range(1, p - 1):
-            if characters.log_product_one_plus_chi(ctx, k, y) > threshold:
-                hits += 1
-                count, _ = characters.near_one_exceptions(ctx, k, y, 1 / math.log(p))
-                if count >= limit:
-                    violations += 1
-    _criterion(
-        9, "near-one-scan", violations == 0, time.perf_counter() - t0, 120,
-        f"hypothesis_hits={hits} violations={violations}",
-    )
+    rec = cli.check_lemma_near_one(311)
+    ok = _passed(rec) and rec.params["p_max"] == 311 and rec.metrics["violations"] == 0
+    _criterion(9, "near-one-scan", ok, time.perf_counter() - t0, 120, rec.metrics)
 
 
 def test_criterion_10_polya_vinogradov():
     t0 = time.perf_counter()
-    violations = 0
-    for p in modcore.primes_up_to(311):
-        if p < 3:
-            continue
-        violations += characters.polya_vinogradov_scan(modcore.build_context(p)).violations
+    rec = cli.check_polya_vinogradov(311)
+    ok = _passed(rec) and rec.params["p_max"] == 311 and rec.metrics["violations"] == 0
     _criterion(
-        10, "polya-vinogradov", violations == 0, time.perf_counter() - t0, 120,
-        f"violations={violations} (all p <= 311, all k != 0, all t <= p)",
+        10, "polya-vinogradov", ok, time.perf_counter() - t0, 120,
+        f"{rec.metrics} (all p <= 311, all k != 0, all t <= p)",
     )
 
 
@@ -286,13 +148,8 @@ PSI_DISCREPANCY_CONSTANT = 1.0
 
 def test_criterion_11_friable_count():
     t0 = time.perf_counter()
-    worst = 0.0
-    for y in (50, 100, 200):
-        for i in range(20):
-            t = y + round(i * (y * y - y) / 19)
-            exact = friable.psi_exact(t, y)
-            approx = friable.psi_asymptotic(t, y)
-            worst = max(worst, abs(exact - approx) / (t / math.log(t)))
+    rec = cli.check_friable_count()
+    worst = rec.metrics["max_normalized_discrepancy"]
     _criterion(
         11, "friable-count", worst < PSI_DISCREPANCY_CONSTANT,
         time.perf_counter() - t0, 60,

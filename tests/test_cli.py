@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import subproducts
+from subproducts import cli
 from subproducts.cli import (
     InvalidRangeError,
     SweepConfig,
@@ -48,6 +49,14 @@ def test_sweep_config_validation():
         SweepConfig(epsilon=Fraction(1, 5)).validate()
     with pytest.raises(InvalidRangeError):
         SweepConfig(checks=("nonsense",)).validate()
+    # a y-rule must parse and evaluate up to pmax; with the theorem check it
+    # must also put y above ceil(p^0.25) at every theorem prime <= pmax
+    for rule in ("p^abc", "p^inf", "p^nan", "p^1e308", "0", "p^0.25"):
+        with pytest.raises(InvalidRangeError):
+            SweepConfig(y_rule=rule).validate()
+    SweepConfig(y_rule="0", checks=("spectrum", "lemmas")).validate()
+    SweepConfig(y_rule="0", p_max=100).validate()  # no theorem prime <= 100
+    SweepConfig(y_rule="p^2").validate()  # clamped to p - 1
 
 
 def test_spectrum_rows_small_range():
@@ -110,14 +119,6 @@ def test_counts_cli(tmp_path):
     assert payload["counts"] == {"1": "4", "2": "2", "3": "2", "4": "0"}
 
 
-@pytest.mark.parametrize("p", ["0", "1", "9"])
-def test_counts_cli_rejects_non_prime(p, capsys):
-    assert run_cli("counts", "--p", p, "--y", "3") == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {p} is not prime\n"
-
-
 def test_coverage_cli(tmp_path):
     out = tmp_path / "cov.csv"
     assert run_cli(
@@ -143,11 +144,6 @@ def test_factorize_cli(tmp_path):
     payload = json.loads(read(out))
     assert payload["factors"] == [5, 6, 2]
     assert payload["mode"] == "RANGED"
-
-    # hypothesis failures surface as usage-style errors (exit 2)
-    assert run_cli(
-        "factorize", "--n", "125", "--y", "10", "--k", "2", "--mode", "kway"
-    ) == 2
 
 
 def test_charsum_cli(tmp_path):
@@ -193,8 +189,80 @@ def test_verify_cli_exit_code(tmp_path):
     assert payload["records"][0]["status"] == "REPORT"
 
 
-def test_cli_usage_error_exit_2():
-    assert run_cli("spectrum", "--pmin", "7", "--pmax", "3") == 2
+# Bad input to each subcommand: exit 2, nothing on stdout, one error line.
+BAD_INPUTS = [
+    pytest.param(["spectrum", "--pmin", "7", "--pmax", "3"], "need 3 <= pmin <= pmax",
+                 id="spectrum-pmin-above-pmax"),
+    pytest.param(["spectrum", "--pmin", "2"], "need 3 <= pmin", id="spectrum-pmin-2"),
+    pytest.param(["spectrum", "--epsilon", "1/5"], "outside (0, 1/5)",
+                 id="spectrum-epsilon"),
+    pytest.param(["spectrum", "--workers", "0"], "workers must be >= 1",
+                 id="spectrum-workers-0"),
+    pytest.param(["spectrum", "--y-rule", "p^abc"], "bad y-rule", id="spectrum-y-rule-abc"),
+    pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "p^inf"],
+                 "bad y-rule", id="verify-y-rule-inf"),
+    pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "p^1e308"],
+                 "bad y-rule", id="verify-y-rule-overflow"),
+    pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "0"],
+                 "theorem check needs y above", id="verify-y-rule-below-comparison"),
+    pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
+    pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
+    pytest.param(["verify", "--epsilon", "0"], "outside (0, 1/5)", id="verify-epsilon"),
+    pytest.param(["counts", "--p", "0", "--y", "3"], "error: 0 is not prime\n",
+                 id="counts-p-0"),
+    pytest.param(["counts", "--p", "1", "--y", "3"], "error: 1 is not prime\n",
+                 id="counts-p-1"),
+    pytest.param(["counts", "--p", "9", "--y", "3"], "error: 9 is not prime\n",
+                 id="counts-p-9"),
+    pytest.param(["coverage", "--p", "9", "--a", "2", "--d", "3", "--ymax", "20"],
+                 "9 is not prime", id="coverage-p-9"),
+    pytest.param(["factorize", "--n", "125", "--y", "10", "--k", "2", "--mode", "kway"],
+                 "exceeds y^((k+1)/2)", id="factorize-kway-bound"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/5"],
+                 "outside (0, 1/5)", id="factorize-epsilon"),
+    pytest.param(["charsum", "--p", "9", "--k", "1", "--t", "4"], "9 is not prime",
+                 id="charsum-p-9"),
+    pytest.param(["charsum", "--p", "7", "--k", "1", "--t", "0"], "t must be >= 1",
+                 id="charsum-t-0"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BAD_INPUTS)
+def test_bad_input_exits_2(argv, message, capsys):
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
+    # a stand-in pool records its size and maps in-process: no worker starts
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    serial = run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=1))
+    assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
+    assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=7, workers=64)) == serial[:3]
+    run_spectrum_sweep(SweepConfig(p_min=3, p_max=3, workers=8))  # one prime: serial
+    assert sizes == [4, 3]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8))
+    assert sizes == [4, 3]
 
 
 def test_console_script_runs():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from subproducts.cli import _kway_witness, _random_kway_instance, _random_ranged_instance
 from subproducts.friable import (
     BoundViolatedError,
     HypothesisViolatedError,
@@ -15,16 +16,13 @@ from subproducts.friable import (
     kway_feasible,
     largest_prime_factor,
     largest_prime_factor_sieve,
-    power_le,
-    power_lt,
-    prime_factors_desc,
     psi_asymptotic,
     psi_exact,
     ranged_factorization,
     ranged_feasible,
     three_way_factorization,
 )
-from subproducts.modcore import primes_up_to
+from subproducts.modcore import prime_factors_desc
 
 
 def test_largest_prime_factor_examples():
@@ -69,34 +67,6 @@ def test_psi_asymptotic_examples():
         psi_asymptotic(10_001, 100)
 
 
-def test_power_comparisons():
-    third = Fraction(1, 3)
-    assert power_le(4, 64, third)  # 4 <= 64^(1/3)
-    assert not power_lt(4, 64, third)
-    assert power_lt(3, 64, third)
-    assert not power_le(5, 64, third)
-
-
-def test_exponent_comparisons_agree_with_logs_outside_guard_band():
-    # boundary-adjacent inputs: exact integer verdicts must match the
-    # floating log route whenever the log gap clears a guard band
-    rng = random.Random(5)
-    checked = 0
-    while checked < 1000:
-        y = rng.randint(4, 500)
-        num = rng.randint(1, 40)
-        den = rng.randint(num + 1, 50)
-        exponent = Fraction(num, den)
-        center = y ** (num / den)
-        v = max(1, int(center) + rng.randint(-2, 2))
-        gap = math.log(v) - exponent * math.log(y)
-        if abs(gap) <= 1e-9:
-            continue  # too close for the log route to call
-        assert power_le(v, y, exponent) == (gap < 0)
-        assert power_lt(v, y, exponent) == (gap < 0)
-        checked += 1
-
-
 # --- greedy k-way factorization ----------------------------------------------
 
 
@@ -129,19 +99,8 @@ def test_greedy_best_effort_flagged():
 
 def test_greedy_random_harness():
     rng = random.Random(17)
-    primes_cache = {}
     for _ in range(2000):
-        y = rng.randint(4, 200)
-        k = rng.randint(1, 6)
-        if y not in primes_cache:
-            primes_cache[y] = primes_up_to(y)
-        limit = y ** (k + 1)
-        n = 1
-        while rng.random() < 0.9:
-            q = rng.choice(primes_cache[y])
-            if (n * q) ** 2 > limit:
-                break
-            n *= q
+        n, y, k = _random_kway_instance(rng)
         res = greedy_k_factorization(n, y, k)
         assert len(res.factors) == k
         assert all(1 <= f <= y for f in res.factors)
@@ -155,10 +114,8 @@ def test_kway_sharpness_witness():
     # least prime q > sqrt(y), repeated k+1 times: y-friable, over the
     # bound, and no k-way split exists since q^2 > y
     for y in (10, 30, 100):
-        root = math.isqrt(y)
-        q = next(v for v in primes_up_to(y) if v > root)
         for k in (1, 2, 3):
-            witness = q ** (k + 1)
+            witness = _kway_witness(y, k)
             assert witness * witness > y ** (k + 1)
             with pytest.raises(BoundViolatedError):
                 greedy_k_factorization(witness, y, k)
@@ -255,26 +212,7 @@ def test_ranged_sharpness_witness_family():
 def test_ranged_random_harness():
     rng = random.Random(23)
     for _ in range(2000):
-        while True:
-            y = rng.randint(8, 200)
-            k = rng.randint(1, 6)
-            num_max = math.ceil(100 / (k + 2)) - 1
-            eps = Fraction(rng.randint(1, num_max), 100)
-            a, b = eps.numerator, eps.denominator
-            usable = [q for q in primes_up_to(y) if q**b <= y ** (b - a)]
-            if not usable:
-                continue
-            lower = y ** (k * b + 2 * a)
-            n = None
-            for _ in range(50):
-                trial = 1
-                while trial ** (2 * b) <= lower:
-                    trial *= rng.choice(usable)
-                if trial * trial < y ** (k + 1):
-                    n = trial
-                    break
-            if n is not None:
-                break
+        n, y, k, eps = _random_ranged_instance(rng)
         res = ranged_factorization(n, y, k, eps)
         check_ranged_invariants(res, n, y, k, eps)
 

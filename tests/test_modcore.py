@@ -1,18 +1,26 @@
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.functions.combinatorial.numbers import legendre_symbol
+from sympy.ntheory import discrete_log, primitive_root
 
 from subproducts.modcore import (
     MAX_TABLE_PRIME,
     NotPrimeError,
     TooLargeError,
     build_context,
+    divisors,
     group_generation_bound,
     is_prime,
     least_nonresidue,
     least_primitive_root,
     legendre,
+    prime_factors_desc,
     primes_up_to,
 )
 
@@ -176,3 +184,56 @@ def test_spectrum_chain_small():
         n2 = least_nonresidue(p)
         big_g = group_generation_bound(ctx)
         assert n2 <= big_g <= ctx.g
+
+
+# --- differential tests against sympy ----------------------------------------
+
+odd_primes = st.integers(3, 10**6).map(sympy.nextprime)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(-5, 10**6), st.integers(2, 2**63)))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=odd_primes)
+def test_least_primitive_root_matches_sympy(p):
+    assert least_primitive_root(p) == primitive_root(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(3, 20_000).map(sympy.nextprime), data=st.data())
+def test_index_matches_sympy_discrete_log(p, data):
+    ctx = build_context(p)
+    n = data.draw(st.integers(1, 10 * p).filter(lambda v: v % p))
+    assert ctx.index(n) == discrete_log(p, n % p, ctx.g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=odd_primes, a=st.integers(-(10**9), 10**9))
+def test_legendre_matches_sympy(p, a):
+    assert legendre(a, p) == legendre_symbol(a, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10**10))
+def test_prime_factors_match_sympy_factorint(n):
+    factors = prime_factors_desc(n)
+    assert factors == sorted(factors, reverse=True)
+    assert Counter(factors) == sympy.factorint(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 10**8))
+def test_divisors_match_sympy(n):
+    assert divisors(n) == sympy.divisors(n)
+
+
+def test_factorizer_rejects_nonpositive():
+    for n in (0, -6):
+        with pytest.raises(ValueError):
+            prime_factors_desc(n)
+        with pytest.raises(ValueError):
+            divisors(n)
