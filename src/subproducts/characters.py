@@ -66,7 +66,7 @@ def _value_table(ctx: PrimeContext, k: int) -> list[complex]:
     """chi_k(r) for every residue r in [0, p-1] (0 at r=0)."""
     m = ctx.order
     roots = unit_roots(m)
-    ind = ctx.ind
+    ind = ctx.table
     vals = [0j] * ctx.p
     for r in range(1, ctx.p):
         vals[r] = roots[k * ind[r] % m]
@@ -74,16 +74,21 @@ def _value_table(ctx: PrimeContext, k: int) -> list[complex]:
 
 
 def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
-    """Sum of chi_k(n) over 1 <= n <= t, terms taken in ascending n."""
+    """Sum of chi_k(n) over 1 <= n <= t.
+
+    Whole periods of p are summed in closed form, so the cost is O(p) for
+    any t; the remaining n <= t mod p are added in ascending order.
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
     if not 0 <= k < ctx.order:
         raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
     vals = _value_table(ctx, k)
-    p = ctx.p
-    total = 0j
-    for n in range(1, t + 1):
-        total += vals[n % p]
+    # a full period n = 1..p sums to p-1 for the principal character, else 0
+    periods, t0 = divmod(t, ctx.p)
+    total = complex(periods * ctx.order) if k == 0 else 0j
+    for n in range(1, t0 + 1):
+        total += vals[n]
     return total
 
 
@@ -164,7 +169,7 @@ def log_product_one_plus_chi(ctx: PrimeContext, k: int, y: int) -> float:
         raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
     m = ctx.order
     p = ctx.p
-    ind = ctx.ind
+    ind = ctx.table
     # term value per index-multiple; exact -inf at the half-turn angle
     table = [0.0] * m
     for t in range(m):
@@ -208,7 +213,7 @@ def near_one_exceptions(
         raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
     m = ctx.order
     p = ctx.p
-    ind = ctx.ind
+    ind = ctx.table
     thr = Fraction(near_one_threshold_turns(delta))
     members = []
     for n in range(1, y + 1):
@@ -255,7 +260,7 @@ def build_A_chi(
         raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
     m = ctx.order
     p = ctx.p
-    ind = ctx.ind
+    ind = ctx.table
     delta = 1.0 / math.log(p)
     thr = Fraction(near_one_threshold_turns(delta))
 

@@ -65,6 +65,11 @@ class SweepConfig:
             raise InvalidRangeError(
                 f"need 3 <= pmin <= pmax, got [{self.p_min}, {self.p_max}]"
             )
+        if self.p_max > modcore.MAX_TABLE_PRIME:
+            raise InvalidRangeError(
+                f"pmax={self.p_max} exceeds the index-table cap "
+                f"{modcore.MAX_TABLE_PRIME}"
+            )
         if not 0 < self.epsilon < Fraction(1, 5):
             raise InvalidRangeError(f"epsilon={self.epsilon} outside (0, 1/5)")
         unknown = set(self.checks) - set(ALL_CHECKS)
@@ -292,7 +297,7 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
         kchar = rng.randrange(1, m)
         pool = []
         for n in range(1, ctx.p):
-            t = kchar * ctx.ind[n] % m
+            t = kchar * ctx.table[n] % m
             if Fraction(min(t, m - t), m) <= thr:
                 pool.append(n)
         prod = 1
@@ -677,13 +682,26 @@ def emit_record(args: argparse.Namespace, fields: dict, rows: list[dict] | None 
 # argument parsing / subcommands
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors exit 2 through `main`, as one
+    `error:` line like every other usage error."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _add_output(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+    sub.add_argument("--out", default=None)
+
+
+def _add_sweep(sub: argparse.ArgumentParser) -> None:
+    """The flags of a `SweepConfig`: `spectrum` and `verify` only."""
     sub.add_argument("--pmin", type=int, default=3)
     sub.add_argument("--pmax", type=int, default=1009)
     sub.add_argument("--y-rule", default="p^0.6")
-    sub.add_argument("--epsilon", default="19/100")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
+    sub.add_argument("--epsilon", default=str(DEFAULT_EPSILON))
+    _add_output(sub)
     sub.add_argument("--workers", type=int, default=1)
     sub.add_argument("--seed", type=int, default=0)
 
@@ -780,24 +798,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subproducts",
         description="Subset-product coverage toolkit: sweeps and verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("spectrum", help="sweep (p, n2, g, G, y, yprime) rows")
-    _add_common(sp)
+    _add_sweep(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sc = subs.add_parser("counts", help="exact subset-product counts for one (p, y)")
-    _add_common(sc)
+    _add_output(sc)
     sc.add_argument("--p", type=int, required=True)
     sc.add_argument("--y", type=int, required=True)
     sc.set_defaults(func=_cmd_counts)
 
     sv = subs.add_parser("coverage", help="progression coverage threshold")
-    _add_common(sv)
+    _add_output(sv)
     sv.add_argument("--p", type=int, required=True)
     sv.add_argument("--a", type=int, required=True)
     sv.add_argument("--d", type=int, required=True)
@@ -805,7 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=_cmd_coverage)
 
     sf = subs.add_parser("factorize", help="bounded-part factorization")
-    _add_common(sf)
+    sf.add_argument("--epsilon", default=str(DEFAULT_EPSILON))
+    _add_output(sf)
     sf.add_argument("--n", type=int, required=True)
     sf.add_argument("--y", type=int, required=True)
     sf.add_argument("--k", type=int, default=3)
@@ -813,14 +832,14 @@ def build_parser() -> argparse.ArgumentParser:
     sf.set_defaults(func=_cmd_factorize)
 
     ss = subs.add_parser("charsum", help="one character partial sum")
-    _add_common(ss)
+    _add_output(ss)
     ss.add_argument("--p", type=int, required=True)
     ss.add_argument("--k", type=int, required=True)
     ss.add_argument("--t", type=int, required=True)
     ss.set_defaults(func=_cmd_charsum)
 
     sy = subs.add_parser("verify", help="run the verification suite")
-    _add_common(sy)
+    _add_sweep(sy)
     sy.add_argument("--checks", default=None,
                     help="comma-separated subset of: " + ",".join(ALL_CHECKS))
     sy.set_defaults(func=_cmd_verify)
@@ -829,9 +848,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InvalidRangeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

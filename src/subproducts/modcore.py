@@ -1,19 +1,20 @@
 """Prime and multiplicative-group primitives.
 
 Primality, trial-division factorization and divisors, least primitive
-roots, full discrete-log (index) tables, Legendre symbols, and the
-classical small-generator statistics for a prime p: the least quadratic
-nonresidue, the least primitive root, and the least G such that {1..G}
-generates the whole multiplicative group.
+roots, discrete logs (one residue at a time, or as a full index table),
+Legendre symbols, and the classical small-generator statistics for a
+prime p: the least quadratic nonresidue, the least primitive root, and
+the least G such that {1..G} generates the whole multiplicative group.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, isqrt
 
-# A full index table costs 4 bytes per residue ('i' array), so 2^24 keeps a
+# A dense index table costs 4 bytes per residue ('i' array), so 2^24 keeps a
 # single context under ~70 MB.  Sweeps in this package stay far below this.
 MAX_TABLE_PRIME = 1 << 24
 
@@ -112,19 +113,78 @@ def least_primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
+class SparseIndex(dict):
+    """Discrete logs to base g mod p, found one residue at a time and kept.
+
+    `ind[r]` for r in [1, p-1] is the least a >= 0 with g^a = r (mod p).
+    A miss runs baby-step giant-step (Shanks 1971) against one table of
+    B = min(p-1, 8 isqrt(p-1)) baby steps g^j -> j, built on the first
+    miss and shared by every later one; a giant step multiplies by g^-B,
+    so a miss costs at most (p-1)/B of them.  Hits are plain dict lookups.
+    """
+
+    __slots__ = ("p", "g", "_baby", "_giant")
+
+    def __init__(self, p: int, g: int) -> None:
+        super().__init__()
+        self.p, self.g = p, g
+        self._baby: dict[int, int] | None = None
+
+    def _build_baby_steps(self) -> None:
+        p, g, m = self.p, self.g, self.p - 1
+        baby, cur = {}, 1
+        for j in range(min(m, 8 * isqrt(m))):
+            baby[cur] = j
+            cur = cur * g % p
+        self._baby, self._giant = baby, pow(cur, -1, p)
+
+    def __missing__(self, r: int) -> int:
+        if not 0 < r < self.p:
+            raise IndexError(f"residue {r} outside [1, {self.p - 1}]")
+        if self._baby is None:
+            self._build_baby_steps()
+        baby, giant, p = self._baby, self._giant, self.p
+        x = r
+        for base in range(0, p - 1, len(baby)):
+            j = baby.get(x)
+            if j is not None:
+                self[r] = base + j
+                return base + j
+            x = x * giant % p
+        raise AssertionError("unreachable: g is a primitive root")
+
+
 @dataclass(frozen=True)
 class PrimeContext:
-    """Immutable multiplicative-group tables for a prime p.
+    """Multiplicative-group data for a prime p, g its least primitive root.
 
-    `ind` maps each residue n in [1, p-1] to the exponent a with
-    g^a = n (mod p), where g is the least primitive root.  Safe for
-    concurrent reads; construction is single-threaded per prime.
+    Two views of the same discrete logs, each made on first use:
+
+    - `ind[r]` (a `SparseIndex`) answers single residues by baby-step
+      giant-step, at O(sqrt p) set-up and no O(p) table;
+    - `table` is the dense `array('i')` of every log (`table[0] = -1`),
+      for consumers that sweep all residues.
+
+    Both give the same value for every r in [1, p-1].
     """
 
     p: int
     g: int
     order: int
-    ind: array = field(repr=False)
+
+    @cached_property
+    def ind(self) -> SparseIndex:
+        return SparseIndex(self.p, self.g)
+
+    @cached_property
+    def table(self) -> array:
+        """ind(r) for every residue r, by one walk over the powers of g."""
+        table = array("i", [-1]) * self.p
+        cur = 1
+        for a in range(self.order):
+            table[cur] = a
+            cur = cur * self.g % self.p
+        return table
 
     def index(self, n: int) -> int:
         """Discrete log of n to base g; n must be coprime to p."""
@@ -135,22 +195,15 @@ class PrimeContext:
 
 
 def build_context(p: int) -> PrimeContext:
-    """Build the full index table for p (least primitive root as base).
+    """Context for p with the least primitive root as base.
 
-    Supports p up to MAX_TABLE_PRIME = 2^24; larger p would need a
-    different discrete-log strategy than a flat table.
+    Supports p up to MAX_TABLE_PRIME = 2^24, the dense table's cap.
     """
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
     if p > MAX_TABLE_PRIME:
         raise TooLargeError(f"p={p} exceeds table limit {MAX_TABLE_PRIME}")
-    g = least_primitive_root(p)
-    ind = array("i", [-1]) * p
-    cur = 1
-    for a in range(p - 1):
-        ind[cur] = a
-        cur = cur * g % p
-    return PrimeContext(p=p, g=g, order=p - 1, ind=ind)
+    return PrimeContext(p=p, g=least_primitive_root(p), order=p - 1)
 
 
 def legendre(a: int, p: int) -> int:

@@ -79,7 +79,7 @@ class CoverageState:
 
     def residues(self) -> list[int]:
         """The reached residues, ascending."""
-        p, ind = self.ctx.p, self.ctx.ind
+        p, ind = self.ctx.p, self.ctx.table
         return [r for r in range(1, p) if self.mask >> ind[r] & 1]
 
 
@@ -216,7 +216,7 @@ def _count_dp(ctx: PrimeContext, elements: Iterable[int]) -> list[int]:
     slots widen 8 bytes at a time to exceed k bits.  `zero` tallies the
     products divisible by p.
     """
-    p, m, ind = ctx.p, ctx.order, ctx.ind
+    p, m, ind = ctx.p, ctx.order, ctx.table
     c, zero, wb = 1, 0, 8  # the empty subset: count 1 at g^0 = 1
     bits, full = 64 * m, (1 << 64 * m) - 1
     for k, n in enumerate(elements, 1):
@@ -314,7 +314,7 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
         raise PrecisionRangeError(
             f"y={y} exceeds the double-precision guarantee ({MAX_CROSSCHECK_Y})"
         )
-    p, m, ind = ctx.p, ctx.order, ctx.ind
+    p, m, ind = ctx.p, ctx.order, ctx.table
     roots = unit_roots(m)
     prods = []
     for k in range(m):

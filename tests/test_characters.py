@@ -96,6 +96,27 @@ def test_char_sum_periodic_beyond_p():
         )
 
 
+def test_char_sum_whole_periods_match_direct_sum():
+    # whole periods of p are summed in closed form; the direct ascending
+    # sum over every n <= t must agree within 1e-9 * t
+    for p in (5, 31, 101):
+        ctx = build_context(p)
+        for k in range(p - 1):
+            for t in (p, 3 * p + 2):
+                direct = sum(
+                    angle_to_complex(char_angle(ctx, k, n)) for n in range(1, t + 1)
+                )
+                assert abs(char_sum(ctx, k, t) - direct) <= 1e-9 * t
+
+
+def test_char_sum_huge_t_is_one_period_of_work():
+    ctx = build_context(311)
+    t = 10**18
+    # the principal character counts the n <= t prime to p
+    assert char_sum(ctx, 0, t).real == pytest.approx(t - t // 311, rel=1e-12)
+    assert abs(char_sum(ctx, 5, t) - char_sum(ctx, 5, t % 311)) < 1e-9
+
+
 def test_max_nonprincipal_sum_examples():
     ctx5 = build_context(5)
     _, mag = max_nonprincipal_sum(ctx5, 5)

@@ -1,12 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import subproducts
-from subproducts import cli
+from subproducts import cli, modcore
 from subproducts.cli import (
     InvalidRangeError,
     SweepConfig,
@@ -57,6 +59,11 @@ def test_sweep_config_validation():
     SweepConfig(y_rule="0", checks=("spectrum", "lemmas")).validate()
     SweepConfig(y_rule="0", p_max=100).validate()  # no theorem prime <= 100
     SweepConfig(y_rule="p^2").validate()  # clamped to p - 1
+    # pmax is capped before anything is sieved
+    SweepConfig(p_max=modcore.MAX_TABLE_PRIME).validate()
+    for p_max in (modcore.MAX_TABLE_PRIME + 1, 10**30):
+        with pytest.raises(InvalidRangeError):
+            SweepConfig(p_max=p_max).validate()
 
 
 def test_spectrum_rows_small_range():
@@ -146,6 +153,22 @@ def test_factorize_cli(tmp_path):
     assert payload["mode"] == "RANGED"
 
 
+def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
+    def no_table(ctx):
+        raise AssertionError(f"dense index table built at p={ctx.p}")
+
+    monkeypatch.setattr(modcore.PrimeContext, "table", property(no_table))
+    assert len(run_spectrum_sweep(SweepConfig(p_min=3, p_max=2000))) == 302
+
+
+def test_spectrum_golden_csv(tmp_path):
+    # sha256 of the rows for every prime in [3, 30000]
+    out = tmp_path / "spectrum.csv"
+    assert run_cli("spectrum", "--pmin", "3", "--pmax", "30000", "--out", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "b40a5a82d396237ffb7089572616227b45e2b1b3109db87a3931053ee5877e55"
+
+
 def test_charsum_cli(tmp_path):
     out = tmp_path / "sum.json"
     assert run_cli(
@@ -154,6 +177,17 @@ def test_charsum_cli(tmp_path):
     ) == 0
     payload = json.loads(read(out))
     assert abs(payload["re"]) < 1e-12 and abs(payload["im"]) < 1e-12
+
+
+def test_charsum_cli_huge_t_is_fast(tmp_path):
+    out = tmp_path / "sum.json"
+    start = time.perf_counter()
+    assert run_cli(
+        "charsum", "--p", "311", "--k", "5", "--t", str(10**18), "--format", "json",
+        "--out", str(out),
+    ) == 0
+    assert time.perf_counter() - start < 1.0
+    assert json.loads(read(out))["t"] == 10**18
 
 
 def test_verify_selected_checks(tmp_path):
@@ -190,6 +224,7 @@ def test_verify_cli_exit_code(tmp_path):
 
 
 # Bad input to each subcommand: exit 2, nothing on stdout, one error line.
+ABOVE_CAP = modcore.MAX_TABLE_PRIME + 1
 BAD_INPUTS = [
     pytest.param(["spectrum", "--pmin", "7", "--pmax", "3"], "need 3 <= pmin <= pmax",
                  id="spectrum-pmin-above-pmax"),
@@ -199,6 +234,12 @@ BAD_INPUTS = [
     pytest.param(["spectrum", "--workers", "0"], "workers must be >= 1",
                  id="spectrum-workers-0"),
     pytest.param(["spectrum", "--y-rule", "p^abc"], "bad y-rule", id="spectrum-y-rule-abc"),
+    pytest.param(["spectrum", "--pmax", str(ABOVE_CAP)], "index-table cap",
+                 id="spectrum-pmax-above-cap"),
+    pytest.param(["spectrum", "--pmax", str(10**30)], "index-table cap",
+                 id="spectrum-pmax-huge"),
+    pytest.param(["verify", "--checks", "spectrum", "--pmax", str(ABOVE_CAP)],
+                 "index-table cap", id="verify-pmax-above-cap"),
     pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "p^inf"],
                  "bad y-rule", id="verify-y-rule-inf"),
     pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "p^1e308"],
@@ -224,6 +265,21 @@ BAD_INPUTS = [
                  id="charsum-p-9"),
     pytest.param(["charsum", "--p", "7", "--k", "1", "--t", "0"], "t must be >= 1",
                  id="charsum-t-0"),
+    # only spectrum and verify take the sweep flags; factorize also --epsilon
+    pytest.param(["counts", "--p", "5", "--y", "3", "--y-rule", "p^abc",
+                  "--workers", "0"],
+                 "unrecognized arguments: --y-rule p^abc --workers 0",
+                 id="counts-sweep-flags"),
+    pytest.param(["coverage", "--p", "7", "--a", "2", "--d", "3", "--ymax", "20",
+                  "--pmin", "99"], "unrecognized arguments: --pmin 99",
+                 id="coverage-pmin"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--seed", "1"],
+                 "unrecognized arguments: --seed 1", id="factorize-seed"),
+    pytest.param(["charsum", "--p", "7", "--k", "1", "--t", "4", "--pmax", "5"],
+                 "unrecognized arguments: --pmax 5", id="charsum-pmax"),
+    pytest.param(["counts", "--p", "5"], "required: --y", id="counts-missing-y"),
+    pytest.param(["counts", "--p", "5", "--y", "3", "--format", "xml"],
+                 "invalid choice: 'xml'", id="counts-format"),
 ]
 
 

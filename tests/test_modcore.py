@@ -23,6 +23,7 @@ from subproducts.modcore import (
     prime_factors_desc,
     primes_up_to,
 )
+from subproducts.subsetprod import coverage_threshold, prime_coverage_threshold
 
 
 def trial_division_prime(n):
@@ -89,8 +90,9 @@ def test_build_context_rejects():
 def test_context_index_table_invariants():
     for p in (2, 3, 5, 7, 101, 1009):
         ctx = build_context(p)
-        seen = sorted(ctx.ind[n] for n in range(1, p))
+        seen = sorted(ctx.table[n] for n in range(1, p))
         assert seen == list(range(p - 1))
+        assert [ctx.ind[n] for n in range(1, p)] == list(ctx.table[1:])
         assert ctx.index(1) == 0
         if p > 2:
             assert ctx.index(ctx.g) == 1
@@ -237,3 +239,58 @@ def test_factorizer_rejects_nonpositive():
             prime_factors_desc(n)
         with pytest.raises(ValueError):
             divisors(n)
+
+
+# --- the sparse index against the dense table and sympy ----------------------
+
+
+def next_safe_prime(v):
+    """Least prime p = 2q + 1 with q >= v prime: baby-step giant-step's worst
+    case, since p - 1 has no small factors to shorten the search."""
+    q = sympy.nextprime(v)
+    while not sympy.isprime(2 * q + 1):
+        q = sympy.nextprime(q)
+    return 2 * q + 1
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    p=st.one_of(odd_primes, st.integers(2, 5 * 10**5).map(next_safe_prime)),
+    data=st.data(),
+)
+def test_sparse_index_matches_table_and_sympy(p, data):
+    ctx = build_context(p)
+    g = primitive_root(p)
+    assert ctx.g == g
+    residues = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=20))
+    for r in [1, g, p - 1, *residues]:
+        assert ctx.ind[r] == ctx.table[r] == discrete_log(p, r, g)
+
+
+def test_sparse_index_at_the_table_cap_builds_no_table():
+    p = 16_777_213  # the largest prime below 2^24
+    assert p == sympy.prevprime(MAX_TABLE_PRIME)
+    ctx = build_context(p)
+    for r in (2, 3, 10**6 + 3, p - 1, p - 2):
+        a = ctx.ind[r]
+        assert 0 <= a < p - 1 and pow(ctx.g, a, p) == r
+        assert a == discrete_log(p, r, ctx.g)
+    assert "table" not in ctx.__dict__
+
+
+def test_sparse_index_rejects_residues_outside_the_group():
+    ctx = build_context(101)
+    for r in (0, 101, -1):
+        with pytest.raises(IndexError):
+            ctx.ind[r]
+    assert ctx.table[0] == -1
+
+
+def test_thresholds_read_only_the_sparse_index():
+    for p in (101, 1009, 29_989):
+        for statistic in (group_generation_bound, coverage_threshold,
+                          prime_coverage_threshold):
+            ctx = build_context(p)
+            statistic(ctx)
+            assert "table" not in ctx.__dict__
+            assert len(ctx.ind) < 100  # only the residues the statistic read
