@@ -25,6 +25,7 @@ import random
 import sys
 import tempfile
 import time
+from collections import Counter, defaultdict
 from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -36,6 +37,7 @@ SPECTRUM_COLUMNS = ("p", "n2", "g", "G", "y", "yprime")
 SCHEMA_VERSION = 1
 ALL_CHECKS = ("spectrum", "theorem", "lemmas", "factorization", "friable", "burgess")
 DEFAULT_EPSILON = Fraction(19, 100)
+MAX_EPSILON_DENOMINATOR = 10**4
 # The theorem check compares the rule's y against ceil(p^0.25) at these primes.
 THEOREM_PRIMES = (101, 211, 401, 1009)
 
@@ -55,8 +57,6 @@ class SweepConfig:
     checks: tuple[str, ...] = ALL_CHECKS
     y_rule: str = "p^0.6"
     epsilon: Fraction = DEFAULT_EPSILON
-    out_format: str = "csv"
-    out_path: str | None = None
     workers: int = 1
     seed: int = 0
 
@@ -181,10 +181,10 @@ def check_dp_vs_enumeration() -> CheckRecord:
     mismatches = 0
     cases = 0
     for p in (3, 5, 7, 11, 13):
-        for y in range(1, 17):
+        ctx = modcore.build_context(p)
+        for dp in subsetprod.subset_product_prefixes(ctx, range(1, 17)):
             cases += 1
-            if subsetprod.subset_product_counts(p, y).counts != \
-                    subsetprod.enumerate_subset_counts(p, y):
+            if dp.counts != subsetprod.enumerate_subset_counts(p, dp.y):
                 mismatches += 1
     return CheckRecord(
         name="dp_vs_enumeration",
@@ -201,11 +201,10 @@ def check_dp_vs_characters(p_cap: int) -> CheckRecord:
         if p < 3:
             continue
         ctx = modcore.build_context(p)
-        for y in range(1, 31):
-            exact = subsetprod.subset_product_counts(p, y).counts
-            approx = subsetprod.counts_via_characters(ctx, y)
-            tol = 1e-6 * (1 << y) / (p - 1) + 1e-6
-            dev = max(abs(exact[b] - approx[b]) for b in range(1, p))
+        for dp in subsetprod.subset_product_prefixes(ctx, range(1, 31)):
+            approx = subsetprod.counts_via_characters(ctx, dp.y)
+            tol = 1e-6 * (1 << dp.y) / (p - 1) + 1e-6
+            dev = max(abs(dp.counts[b] - approx[b]) for b in range(1, p))
             worst = max(worst, dev / tol)
             if dev > tol:
                 failures += 1
@@ -220,13 +219,15 @@ def check_dp_vs_characters(p_cap: int) -> CheckRecord:
 def check_mass_conservation(seed: int, p_cap: int, pairs: int = 1000) -> CheckRecord:
     rng = random.Random(seed)
     ps = [p for p in modcore.primes_up_to(p_cap) if p >= 3]
-    failures = 0
+    drawn: dict[int, Counter] = defaultdict(Counter)  # p -> how often each y
     for _ in range(pairs):
         p = rng.choice(ps)
-        y = rng.randint(1, p - 1)
-        counts = subsetprod.subset_product_counts(p, y)
-        if counts.unit_mass() != 1 << y or counts.counts[0] != 0:
-            failures += 1
+        drawn[p][rng.randint(1, p - 1)] += 1
+    failures = 0
+    for p, ys in drawn.items():
+        for dp in subsetprod.subset_product_prefixes(modcore.build_context(p), ys):
+            if dp.unit_mass() != 1 << dp.y or dp.counts[0] != 0:
+                failures += ys[dp.y]
     return CheckRecord(
         name="mass_conservation",
         params={"pairs": pairs, "p_max": p_cap, "seed": seed},
@@ -695,31 +696,32 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
 
 
-def _add_sweep(sub: argparse.ArgumentParser) -> None:
-    """The flags of a `SweepConfig`: `spectrum` and `verify` only."""
+def _add_range(sub: argparse.ArgumentParser) -> None:
+    """The flags `spectrum` and `verify` share: a prime range and a pool."""
     sub.add_argument("--pmin", type=int, default=3)
     sub.add_argument("--pmax", type=int, default=1009)
-    sub.add_argument("--y-rule", default="p^0.6")
-    sub.add_argument("--epsilon", default=str(DEFAULT_EPSILON))
-    _add_output(sub)
     sub.add_argument("--workers", type=int, default=1)
-    sub.add_argument("--seed", type=int, default=0)
 
 
-def _config_from(args: argparse.Namespace, checks: tuple[str, ...]) -> SweepConfig:
-    cfg = SweepConfig(
-        p_min=args.pmin,
-        p_max=args.pmax,
-        checks=checks,
-        y_rule=args.y_rule,
-        epsilon=Fraction(args.epsilon),
-        out_format=args.format,
-        out_path=args.out,
-        workers=args.workers,
-        seed=args.seed,
-    )
-    cfg.validate()
-    return cfg
+def parse_epsilon(text: str) -> Fraction:
+    """An --epsilon value as an exact fraction with denominator <= 10^4.
+
+    The cap bounds the factorization's y^(k*b + 2a) for epsilon = a/b.
+    """
+    try:
+        eps = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidRangeError(f"bad epsilon {text!r}: {exc}") from exc
+    if eps.denominator > MAX_EPSILON_DENOMINATOR:
+        raise InvalidRangeError(
+            f"epsilon {text!r} has a denominator above {MAX_EPSILON_DENOMINATOR}"
+        )
+    return eps
+
+
+def _config_from(args: argparse.Namespace, **fields) -> SweepConfig:
+    """The command line's config; the sweep and the suite validate it."""
+    return SweepConfig(p_min=args.pmin, p_max=args.pmax, workers=args.workers, **fields)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -729,11 +731,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     except ChainViolationError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return 1
-    if cfg.out_format == "csv":
+    if args.format == "csv":
         text = spectrum_csv(rows)
     else:
         text = render("json", {"rows": _spectrum_table(rows)})
-    emit(text, cfg.out_path)
+    emit(text, args.out)
     return 0
 
 
@@ -755,7 +757,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
-    eps = Fraction(args.epsilon)
+    eps = parse_epsilon(args.epsilon)
     if args.mode == "kway":
         res = friable.greedy_k_factorization(args.n, args.y, args.k)
     elif args.mode == "ranged":
@@ -783,13 +785,17 @@ def _cmd_charsum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
-    cfg = _config_from(args, checks=checks)
+    cfg = _config_from(
+        args,
+        checks=tuple(args.checks.split(",")) if args.checks else ALL_CHECKS,
+        y_rule=args.y_rule,
+        epsilon=parse_epsilon(args.epsilon),
+        seed=args.seed,
+    )
     records = run_verification_suite(cfg)
     for rec in records:
         print(f"{rec.status:6s} {rec.name}  [{rec.elapsed:.2f}s]", file=sys.stderr)
-    # the verification report is always JSON (nested metrics)
-    emit(verification_report_json(cfg, records), cfg.out_path)
+    emit(verification_report_json(cfg, records), args.out)
     failed = [r for r in records if r.status == "FAIL"]
     if failed:
         print(f"{len(failed)} check(s) FAILED", file=sys.stderr)
@@ -805,7 +811,8 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sp = subs.add_parser("spectrum", help="sweep (p, n2, g, G, y, yprime) rows")
-    _add_sweep(sp)
+    _add_range(sp)
+    _add_output(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
     sc = subs.add_parser("counts", help="exact subset-product counts for one (p, y)")
@@ -838,8 +845,13 @@ def build_parser() -> argparse.ArgumentParser:
     ss.add_argument("--t", type=int, required=True)
     ss.set_defaults(func=_cmd_charsum)
 
+    # the verification report is always JSON (nested metrics): no --format
     sy = subs.add_parser("verify", help="run the verification suite")
-    _add_sweep(sy)
+    _add_range(sy)
+    sy.add_argument("--y-rule", default="p^0.6")
+    sy.add_argument("--epsilon", default=str(DEFAULT_EPSILON))
+    sy.add_argument("--seed", type=int, default=0)
+    sy.add_argument("--out", default=None)
     sy.add_argument("--checks", default=None,
                     help="comma-separated subset of: " + ",".join(ALL_CHECKS))
     sy.set_defaults(func=_cmd_verify)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .characters import unit_roots
 from .modcore import PrimeContext, build_context, is_prime
@@ -61,7 +61,6 @@ class CoverageState:
 
     ctx: PrimeContext
     mask: int
-    consumed: int
 
     @property
     def full_mask(self) -> int:
@@ -71,12 +70,6 @@ class CoverageState:
     def covered(self) -> bool:
         return self.mask == self.full_mask
 
-    def contains(self, b: int) -> bool:
-        r = b % self.ctx.p
-        if r == 0:
-            return False
-        return bool(self.mask >> self.ctx.ind[r] & 1)
-
     def residues(self) -> list[int]:
         """The reached residues, ascending."""
         p, ind = self.ctx.p, self.ctx.table
@@ -85,18 +78,7 @@ class CoverageState:
 
 def initial_coverage(ctx: PrimeContext) -> CoverageState:
     """Coverage before any element: only the empty product, residue 1."""
-    return CoverageState(ctx=ctx, mask=1, consumed=0)
-
-
-def coverage_from_residues(ctx: PrimeContext, residues: Iterable[int]) -> CoverageState:
-    """Coverage state with a given reached set (residue 1 forced in)."""
-    mask = 1
-    for b in residues:
-        r = b % ctx.p
-        if r == 0:
-            raise NotCoprimeError(f"residue {b} is divisible by {ctx.p}")
-        mask |= 1 << ctx.ind[r]
-    return CoverageState(ctx=ctx, mask=mask, consumed=0)
+    return CoverageState(ctx=ctx, mask=1)
 
 
 def coverage_consume(state: CoverageState, n: int) -> CoverageState:
@@ -107,17 +89,27 @@ def coverage_consume(state: CoverageState, n: int) -> CoverageState:
         raise NotCoprimeError(f"element {n} is divisible by {ctx.p}")
     m = ctx.order
     mask = state.mask | _rotate(state.mask, ctx.ind[r], m, (1 << m) - 1)
-    return CoverageState(ctx=ctx, mask=mask, consumed=state.consumed + 1)
+    return CoverageState(ctx=ctx, mask=mask)
+
+
+def _first_cover(ctx: PrimeContext, terms: Iterable[int | None]) -> int | None:
+    """Least k such that subset products of the first k terms reach every
+    unit, else None.  A None term is a step that consumes nothing."""
+    state = initial_coverage(ctx)
+    for k, n in enumerate(terms, 1):
+        if n is not None:
+            state = coverage_consume(state, n)
+        if state.covered:
+            return k
+    return None
 
 
 def coverage_threshold(ctx: PrimeContext) -> int:
-    """Least y such that subset products of {1..y} reach every residue."""
-    state = initial_coverage(ctx)
-    for n in range(1, ctx.p):
-        state = coverage_consume(state, n)
-        if state.covered:
-            return n
-    raise AssertionError(f"coverage did not close below p={ctx.p}")
+    """Least y such that subset products of {1..y} reach every residue.
+
+    {1..p-1} holds every unit, so some y < p always covers.
+    """
+    return _first_cover(ctx, range(1, ctx.p))
 
 
 def y_of_p(p: int) -> int:
@@ -127,13 +119,7 @@ def y_of_p(p: int) -> int:
 
 def prime_coverage_threshold(ctx: PrimeContext) -> int | None:
     """Least y' < p whose primes' subset products cover everything, else None."""
-    state = initial_coverage(ctx)
-    for yv in range(1, ctx.p):
-        if is_prime(yv):
-            state = coverage_consume(state, yv)
-        if state.covered:
-            return yv
-    return None
+    return _first_cover(ctx, (n if is_prime(n) else None for n in range(1, ctx.p)))
 
 
 def y_prime_of_p(p: int) -> int | None:
@@ -149,18 +135,17 @@ def progression_coverage_threshold(
 
     A difference divisible by p collapses the progression to one residue
     and is rejected, except when that residue is 0: then every term is
-    skipped and the honest answer is non-coverage.
+    skipped and the honest answer is non-coverage.  Only the first p terms
+    are read: with d a unit they hold every unit, and with a = d = 0 mod p
+    every term is skipped.
     """
-    if d % ctx.p == 0 and a % ctx.p != 0:
-        raise BadDifferenceError(f"difference {d} is a multiple of {ctx.p}")
-    state = initial_coverage(ctx)
-    for j in range(y_max):
-        term = a + j * d
-        if term % ctx.p != 0:
-            state = coverage_consume(state, term)
-        if state.covered:
-            return j + 1
-    return None
+    p = ctx.p
+    if y_max < 1:
+        raise YOutOfRangeError(f"y_max={y_max} must be >= 1")
+    if d % p == 0 and a % p != 0:
+        raise BadDifferenceError(f"difference {d} is a multiple of {p}")
+    terms = (a + j * d for j in range(min(y_max, p)))
+    return _first_cover(ctx, (t if t % p else None for t in terms))
 
 
 def y_of_progression(p: int, a: int, d: int, y_max: int) -> int | None:
@@ -208,8 +193,9 @@ def _slots(c: int, m: int, wb: int) -> list[int]:
     return [int.from_bytes(raw[i : i + wb], "little") for i in range(0, m * wb, wb)]
 
 
-def _count_dp(ctx: PrimeContext, elements: Iterable[int]) -> list[int]:
-    """Take-or-skip counts over the elements, indexed by residue mod p.
+def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
+    """Take-or-skip counts over n = 1, 2, ..., indexed by residue mod p,
+    yielded after n = y for each y of the ascending list ys.
 
     Slot i of c counts the subsets with product g^i; taking n adds c
     rotated by ind(n) slots.  Counts stay <= 2^k after k elements, so
@@ -219,19 +205,38 @@ def _count_dp(ctx: PrimeContext, elements: Iterable[int]) -> list[int]:
     p, m, ind = ctx.p, ctx.order, ctx.table
     c, zero, wb = 1, 0, 8  # the empty subset: count 1 at g^0 = 1
     bits, full = 64 * m, (1 << 64 * m) - 1
-    for k, n in enumerate(elements, 1):
-        if k >= 8 * wb:
-            c, wb = _widen(c, m, wb, wb + 8), wb + 8
-            bits, full = 8 * wb * m, (1 << 8 * wb * m) - 1
-        r = n % p
-        if r == 0:
-            # "take" sends every product to 0; "skip" leaves the rest alone
-            zero += zero + sum(_slots(c, m, wb))
-            continue
-        zero += zero  # 0 * r stays 0
-        c += _rotate(c, 8 * wb * ind[r], bits, full)
-    slots = _slots(c, m, wb)
-    return [zero] + [slots[ind[b]] for b in range(1, p)]
+    n = 0
+    for y in ys:
+        while n < y:
+            n += 1
+            if n >= 8 * wb:
+                c, wb = _widen(c, m, wb, wb + 8), wb + 8
+                bits, full = 8 * wb * m, (1 << 8 * wb * m) - 1
+            r = n % p
+            if r == 0:
+                # "take" sends every product to 0; "skip" leaves the rest alone
+                zero += zero + sum(_slots(c, m, wb))
+                continue
+            zero += zero  # 0 * r stays 0
+            c += _rotate(c, 8 * wb * ind[r], bits, full)
+        slots = _slots(c, m, wb)
+        yield (zero, *(slots[ind[b]] for b in range(1, p)))
+
+
+def subset_product_prefixes(
+    ctx: PrimeContext, ys: Iterable[int]
+) -> Iterator[SubsetProductCounts]:
+    """Exact S_y(b) for each y of sorted(set(ys)), from one fold over
+    n = 1..max(ys): the counts after the first y elements are the answer
+    for y.  Snapshots are made one at a time, as the fold passes them.
+    """
+    ys = sorted(set(ys))
+    if ys and ys[0] < 1:
+        raise YOutOfRangeError(f"y={ys[0]} must be >= 1")
+    return (
+        SubsetProductCounts(p=ctx.p, y=y, counts=counts)
+        for y, counts in zip(ys, _count_dp(ctx, ys))
+    )
 
 
 def subset_product_counts(p: int, y: int) -> SubsetProductCounts:
@@ -241,10 +246,8 @@ def subset_product_counts(p: int, y: int) -> SubsetProductCounts:
     n = 1..y in the index coordinate; arbitrary-precision integers
     throughout.  p must be prime.
     """
-    if y < 1:
-        raise YOutOfRangeError(f"y={y} must be >= 1")
-    counts = _count_dp(build_context(p), range(1, y + 1))
-    return SubsetProductCounts(p=p, y=y, counts=tuple(counts))
+    (counts,) = subset_product_prefixes(build_context(p), [y])
+    return counts
 
 
 def enumerate_subset_counts(p: int, y: int) -> tuple[int, ...]:
@@ -263,35 +266,6 @@ def enumerate_subset_counts(p: int, y: int) -> tuple[int, ...]:
     for v in products:
         counts[v] += 1
     return tuple(counts)
-
-
-@dataclass(frozen=True)
-class ProgressionCounts:
-    """Subset-product counts over the terms of an arithmetic progression.
-
-    Ground set: the terms of a, a+d, ..., a+(y-1)d that are coprime to p
-    (`zero_terms` counts the excluded multiples of p).  The retained
-    counts therefore sum to 2^(y - zero_terms); every subset touching a
-    skipped term has product divisible by p, and reinstating those terms
-    would multiply each count by 2^zero_terms without adding products.
-    """
-
-    p: int
-    a: int
-    d: int
-    y: int
-    zero_terms: int
-    counts: tuple[int, ...]
-
-
-def progression_subset_counts(p: int, a: int, d: int, y: int) -> ProgressionCounts:
-    """Exact subset-product counts along a progression of length y."""
-    if y < 1:
-        raise YOutOfRangeError(f"y={y} must be >= 1")
-    ctx = build_context(p)
-    units = [t for t in (a + j * d for j in range(y)) if t % p != 0]
-    counts = tuple(_count_dp(ctx, units))
-    return ProgressionCounts(p, a, d, y, zero_terms=y - len(units), counts=counts)
 
 
 # Above this, 1 ulp of relative drift in the complex products could rival

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import subproducts
-from subproducts import cli, modcore
+from subproducts import cli, modcore, subsetprod
 from subproducts.cli import (
     InvalidRangeError,
     SweepConfig,
@@ -141,6 +141,18 @@ def test_coverage_cli(tmp_path):
     assert read(out).splitlines()[1] == "5,5,5,10,"
 
 
+def test_coverage_cli_huge_ymax_is_fast(tmp_path):
+    # every term is 0 mod 7: the first p terms decide, not all 10^12
+    out = tmp_path / "cov.csv"
+    start = time.perf_counter()
+    assert run_cli(
+        "coverage", "--p", "7", "--a", "7", "--d", "7", "--ymax", str(10**12),
+        "--out", str(out),
+    ) == 0
+    assert time.perf_counter() - start < 1.0
+    assert read(out).splitlines()[1] == f"7,7,7,{10**12},"
+
+
 def test_factorize_cli(tmp_path):
     out = tmp_path / "fact.json"
     assert run_cli(
@@ -190,6 +202,31 @@ def test_charsum_cli_huge_t_is_fast(tmp_path):
     assert json.loads(read(out))["t"] == 10**18
 
 
+def test_verify_theorem_golden_json(tmp_path):
+    # sha256 of the report of the count-DP checks at seed 0
+    out = tmp_path / "theorem.json"
+    assert run_cli("verify", "--checks", "theorem", "--seed", "0", "--out", str(out)) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "48e34c001864e36c72a9502712c4f091555e0d4dc27ff46abafd1986a1e73667"
+
+
+def test_mass_conservation_one_fold_per_prime(monkeypatch):
+    # every snapshot gets a nonzero zero slot: each drawn pair is one failure
+    folds = []
+    fold = subsetprod.subset_product_prefixes
+
+    def broken(ctx, ys):
+        folds.append(ctx.p)
+        for dp in fold(ctx, ys):
+            yield subsetprod.SubsetProductCounts(dp.p, dp.y, (1,) + dp.counts[1:])
+
+    monkeypatch.setattr(subsetprod, "subset_product_prefixes", broken)
+    record = cli.check_mass_conservation(seed=3, p_cap=31, pairs=200)
+    assert record.status == "FAIL"
+    assert record.metrics == {"failures": 200}
+    assert sorted(folds) == sorted(set(folds)) == [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
 def test_verify_selected_checks(tmp_path):
     cfg = SweepConfig(p_min=3, p_max=61, checks=("lemmas",))
     records = run_verification_suite(cfg)
@@ -229,11 +266,8 @@ BAD_INPUTS = [
     pytest.param(["spectrum", "--pmin", "7", "--pmax", "3"], "need 3 <= pmin <= pmax",
                  id="spectrum-pmin-above-pmax"),
     pytest.param(["spectrum", "--pmin", "2"], "need 3 <= pmin", id="spectrum-pmin-2"),
-    pytest.param(["spectrum", "--epsilon", "1/5"], "outside (0, 1/5)",
-                 id="spectrum-epsilon"),
     pytest.param(["spectrum", "--workers", "0"], "workers must be >= 1",
                  id="spectrum-workers-0"),
-    pytest.param(["spectrum", "--y-rule", "p^abc"], "bad y-rule", id="spectrum-y-rule-abc"),
     pytest.param(["spectrum", "--pmax", str(ABOVE_CAP)], "index-table cap",
                  id="spectrum-pmax-above-cap"),
     pytest.param(["spectrum", "--pmax", str(10**30)], "index-table cap",
@@ -249,6 +283,28 @@ BAD_INPUTS = [
     pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
     pytest.param(["verify", "--epsilon", "0"], "outside (0, 1/5)", id="verify-epsilon"),
+    pytest.param(["verify", "--epsilon", "1/5"], "outside (0, 1/5)",
+                 id="verify-epsilon-fifth"),
+    pytest.param(["verify", "--y-rule", "p^abc"], "bad y-rule", id="verify-y-rule-abc"),
+    # --epsilon is parsed once, for verify and factorize alike
+    pytest.param(["verify", "--epsilon", "1/0"], "bad epsilon '1/0'",
+                 id="verify-epsilon-zero-denominator"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/0"],
+                 "bad epsilon '1/0'", id="factorize-epsilon-zero-denominator"),
+    pytest.param(["verify", "--epsilon", "1/10001"], "denominator above 10000",
+                 id="verify-epsilon-denominator"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "ranged",
+                  "--epsilon", "1e-400000"], "denominator above 10000",
+                 id="factorize-epsilon-denominator"),
+    # spectrum reads no seed, y-rule or epsilon; the verify report is always JSON
+    pytest.param(["spectrum", "--epsilon", "1/5"], "unrecognized arguments: --epsilon 1/5",
+                 id="spectrum-epsilon"),
+    pytest.param(["spectrum", "--pmax", "20", "--seed", "5"],
+                 "unrecognized arguments: --seed 5", id="spectrum-seed"),
+    pytest.param(["spectrum", "--y-rule", "p^0.6"], "unrecognized arguments: --y-rule p^0.6",
+                 id="spectrum-y-rule"),
+    pytest.param(["verify", "--checks", "friable", "--pmax", "61", "--format", "csv"],
+                 "unrecognized arguments: --format csv", id="verify-format"),
     pytest.param(["counts", "--p", "0", "--y", "3"], "error: 0 is not prime\n",
                  id="counts-p-0"),
     pytest.param(["counts", "--p", "1", "--y", "3"], "error: 1 is not prime\n",
@@ -257,6 +313,10 @@ BAD_INPUTS = [
                  id="counts-p-9"),
     pytest.param(["coverage", "--p", "9", "--a", "2", "--d", "3", "--ymax", "20"],
                  "9 is not prime", id="coverage-p-9"),
+    pytest.param(["coverage", "--p", "7", "--a", "2", "--d", "3", "--ymax", "-5"],
+                 "y_max=-5 must be >= 1", id="coverage-ymax-negative"),
+    pytest.param(["coverage", "--p", "7", "--a", "2", "--d", "3", "--ymax", "0"],
+                 "y_max=0 must be >= 1", id="coverage-ymax-0"),
     pytest.param(["factorize", "--n", "125", "--y", "10", "--k", "2", "--mode", "kway"],
                  "exceeds y^((k+1)/2)", id="factorize-kway-bound"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/5"],

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subproducts.modcore import NotPrimeError, build_context, primes_up_to
@@ -14,13 +14,12 @@ from subproducts.subsetprod import (
     YOutOfRangeError,
     counts_via_characters,
     coverage_consume,
-    coverage_from_residues,
     coverage_threshold,
     enumerate_subset_counts,
     error_report,
     initial_coverage,
-    progression_subset_counts,
     subset_product_counts,
+    subset_product_prefixes,
     y_of_p,
     y_of_progression,
     y_prime_of_p,
@@ -52,22 +51,32 @@ def residue_walk_counts(p, elements):
     return tuple(counts)
 
 
+def reach(ctx, elements):
+    """Coverage after consuming the elements in order."""
+    state = initial_coverage(ctx)
+    for n in elements:
+        state = coverage_consume(state, n)
+    return state
+
+
 # --- coverage ---------------------------------------------------------------
 
 
 def test_coverage_consume_examples():
     ctx5 = build_context(5)
-    s = coverage_from_residues(ctx5, {1})
-    assert coverage_consume(s, 1).residues() == [1]
+    assert initial_coverage(ctx5).residues() == [1]
+    assert reach(ctx5, [1]).residues() == [1]
 
-    s = coverage_from_residues(ctx5, {1, 2, 3})
+    s = reach(ctx5, [2, 3])
+    assert s.residues() == [1, 2, 3]
     assert coverage_consume(s, 4).residues() == [1, 2, 3, 4]
 
     ctx7 = build_context(7)
-    s = coverage_from_residues(ctx7, {1, 2, 3, 6})
+    s = reach(ctx7, [2, 3])
+    assert s.residues() == [1, 2, 3, 6]
     assert coverage_consume(s, 4).residues() == [1, 2, 3, 4, 5, 6]
-    # cross-check: exhaustive enumeration over subsets of {1,2,3,4}
-    assert set(coverage_consume(s, 4).residues()) == brute_reachable(7, [1, 2, 3, 4])
+    # cross-check: exhaustive enumeration over subsets of {2,3,4}
+    assert set(coverage_consume(s, 4).residues()) == brute_reachable(7, [2, 3, 4])
 
 
 def test_coverage_rejects_multiples():
@@ -75,7 +84,7 @@ def test_coverage_rejects_multiples():
     with pytest.raises(NotCoprimeError):
         coverage_consume(initial_coverage(ctx), 10)
     with pytest.raises(NotCoprimeError):
-        coverage_from_residues(ctx, {5})
+        reach(ctx, [2, 3, -5])
 
 
 def test_coverage_matches_brute_enumeration():
@@ -86,7 +95,7 @@ def test_coverage_matches_brute_enumeration():
             if y % p != 0:  # callers skip multiples of p
                 state = coverage_consume(state, y)
             assert set(state.residues()) == brute_reachable(p, range(1, y + 1))
-            assert state.contains(1)
+            assert state.mask & 1  # the empty product
 
 
 def test_coverage_monotone():
@@ -107,13 +116,26 @@ def test_y_of_p_examples():
 
 
 def test_y_of_p_against_brute():
-    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         expected = next(
             y
             for y in range(1, p)
             if brute_reachable(p, range(1, y + 1)) == set(range(1, p))
         )
         assert y_of_p(p) == expected
+
+
+def test_y_prime_against_brute():
+    for p in primes_up_to(31):
+        expected = next(
+            (
+                y
+                for y in range(1, p)
+                if brute_reachable(p, primes_up_to(y)) == set(range(1, p))
+            ),
+            None,
+        )
+        assert y_prime_of_p(p) == expected
 
 
 def test_y_prime_examples():
@@ -147,6 +169,13 @@ def test_y_prime_at_least_y():
 def test_progression_examples():
     assert y_of_progression(5, 1, 1, 10) == 4  # agrees with y_of_p(5)
     assert y_of_progression(5, 5, 5, 10) is None  # every term skipped
+    # mod 2 the only unit is 1, covered before any term: all-skipped still covers
+    assert y_of_progression(2, 2, 1, 5) == 1
+    assert y_of_progression(2, 2, 2, 1) == 1
+    # a, d = 0 mod p decides at once however long the progression
+    assert y_of_progression(7, 7, 7, 10**12) is None
+    with pytest.raises(YOutOfRangeError):
+        y_of_progression(7, 2, 3, 0)
     # direct simulation oracle for (p=7, a=2, d=3)
     expected = next(
         (
@@ -167,6 +196,29 @@ def test_progression_bad_difference():
 def test_progression_equals_y_of_p():
     for p in (5, 11, 31, 101):
         assert y_of_progression(p, 1, 1, p) == y_of_p(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from(primes_up_to(13)),
+    a=st.integers(min_value=-40, max_value=40),
+    d=st.integers(min_value=-40, max_value=40),
+    y_max=st.integers(min_value=1, max_value=12),
+)
+def test_progression_against_brute(p, a, d, y_max):
+    if d % p == 0 and a % p:
+        with pytest.raises(BadDifferenceError):
+            y_of_progression(p, a, d, y_max)
+        return
+    expected = next(
+        (
+            y
+            for y in range(1, y_max + 1)
+            if brute_reachable(p, [a + j * d for j in range(y)]) == set(range(1, p))
+        ),
+        None,
+    )
+    assert y_of_progression(p, a, d, y_max) == expected
 
 
 # --- exact counts -----------------------------------------------------------
@@ -218,15 +270,30 @@ def test_counts_reject_non_prime_modulus():
         with pytest.raises(NotPrimeError):
             subset_product_counts(p, 3)
         with pytest.raises(NotPrimeError):
-            progression_subset_counts(p, 1, 1, 3)
+            y_of_progression(p, 1, 1, 3)
 
 
-def test_progression_counts_match_residue_walk():
-    for p, a, d, y in ((7, 2, 3, 12), (11, 5, 11, 9), (101, 3, 7, 90), (13, 13, 1, 30)):
-        pc = progression_subset_counts(p, a, d, y)
-        units = [t for t in (a + j * d for j in range(y)) if t % p]
-        assert pc.zero_terms == y - len(units)
-        assert pc.counts == residue_walk_counts(p, units)
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.sampled_from(primes_up_to(211)),
+    ys=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
+)
+@example(p=13, ys=[200, 13, 1, 64, 12, 13])
+def test_prefix_snapshots_match_single_folds(p, ys):
+    # ys >= p fill the zero slot; ys >= 64 cross a slot widening
+    snapshots = list(subset_product_prefixes(build_context(p), ys))
+    assert [s.y for s in snapshots] == sorted(set(ys))
+    for s in snapshots:
+        assert s.p == p
+        assert s.counts == residue_walk_counts(p, range(1, s.y + 1))
+        assert s.counts == subset_product_counts(p, s.y).counts
+
+
+def test_prefix_fold_requests():
+    ctx = build_context(7)
+    assert list(subset_product_prefixes(ctx, [])) == []
+    with pytest.raises(YOutOfRangeError):
+        subset_product_prefixes(ctx, [3, 0])
 
 
 @settings(max_examples=80, deadline=None)
@@ -238,22 +305,6 @@ def test_counts_reached_equals_coverage(p, data):
         if n % p:  # multiples of p only add products divisible by p
             state = coverage_consume(state, n)
     assert subset_product_counts(p, y).reached() == state.residues()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    p=st.sampled_from(primes_up_to(211)),
-    a=st.integers(min_value=-1000, max_value=1000),
-    d=st.integers(min_value=-1000, max_value=1000),
-    y=st.integers(min_value=1, max_value=60),
-)
-def test_progression_counts_positive_exactly_on_coverage(p, a, d, y):
-    state = initial_coverage(build_context(p))
-    for j in range(y):
-        if (a + j * d) % p:
-            state = coverage_consume(state, a + j * d)
-    counts = progression_subset_counts(p, a, d, y).counts
-    assert [b for b in range(1, p) if counts[b]] == state.residues()
 
 
 def test_counts_mass_conservation():
@@ -336,18 +387,3 @@ def test_error_report_recomputable():
     assert rep.normalized_ratio == float(worst * 13 * 13 / 2**9)
     with pytest.raises(YOutOfRangeError):
         error_report(13, 13)
-
-
-def test_progression_counts_zero_term_mode():
-    # terms 5,6,7,8 mod 5: one multiple of p; unit mass halves
-    pc = progression_subset_counts(5, 5, 1, 4)
-    assert pc.zero_terms == 1
-    assert sum(pc.counts[1:]) == 2**3
-    assert pc.counts[0] == 0
-    # against brute enumeration over the nonzero terms
-    reached = brute_reachable(5, [5, 6, 7, 8])
-    assert {b for b in range(1, 5) if pc.counts[b] > 0} == reached
-
-    plain = progression_subset_counts(7, 1, 1, 5)
-    assert plain.zero_terms == 0
-    assert plain.counts == subset_product_counts(7, 5).counts
