@@ -155,6 +155,20 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
     )
 
 
+@lru_cache(maxsize=1)
+def _log_one_plus_root(m: int) -> tuple[float, ...]:
+    """log|1 + e^{2 pi i t/m}| for t in [0, m); exact -inf at the half turn.
+
+    Scans call this once per character with the same m, so one modulus's
+    table is kept.
+    """
+    return tuple(
+        -math.inf if 2 * t == m
+        else 0.5 * math.log(2.0 + 2.0 * math.cos(2.0 * math.pi * t / m))
+        for t in range(m)
+    )
+
+
 def log_product_one_plus_chi(ctx: PrimeContext, k: int, y: int) -> float:
     """log of the product of |1 + chi_k(n)| over n <= y; -inf on a zero factor.
 
@@ -170,13 +184,7 @@ def log_product_one_plus_chi(ctx: PrimeContext, k: int, y: int) -> float:
     m = ctx.order
     p = ctx.p
     ind = ctx.table
-    # term value per index-multiple; exact -inf at the half-turn angle
-    table = [0.0] * m
-    for t in range(m):
-        if 2 * t == m:
-            table[t] = -math.inf
-        else:
-            table[t] = 0.5 * math.log(2.0 + 2.0 * math.cos(2.0 * math.pi * t / m))
+    table = _log_one_plus_root(m)
     total = 0.0
     for n in range(1, y + 1):
         r = n % p
@@ -196,14 +204,27 @@ def near_one_threshold_turns(delta: float) -> float:
     return math.asin(delta / 2.0) / math.pi
 
 
+def near_one_cutoff(delta: float, m: int) -> int:
+    """Largest angle, in units of 1/m turn, at which |chi - 1| <= delta.
+
+    An angle of t/m turns (t in [0, m)) is near one iff min(t, m - t) is at
+    most this cutoff.  It is exactly the comparison of the fraction
+    min(t, m - t)/m against the float arcsin(delta/2)/pi read as the
+    rational num/den it is: c/m <= num/den iff c <= floor(num m / den).
+    """
+    num, den = near_one_threshold_turns(delta).as_integer_ratio()
+    return num * m // den
+
+
 def near_one_exceptions(
     ctx: PrimeContext, k: int, y: int, delta: float
 ) -> tuple[int, list[int]]:
     """Count (and list) n <= y with |chi_k(n) - 1| > delta.
 
-    Decided by comparing the exact angle fraction against the arcsin
-    threshold, so no complex arithmetic enters the test.  Multiples of p
-    (character value 0, distance 1 from 1) are counted as exceptions.
+    Decided by comparing the exact angle, in units of 1/m turn, against
+    the integer `near_one_cutoff`, so no complex arithmetic enters the
+    test.  Multiples of p (character value 0, distance 1 from 1) are
+    counted as exceptions.
     """
     if not 0 < delta < 2:
         raise InvalidDeltaError(f"delta={delta} outside (0, 2)")
@@ -214,7 +235,7 @@ def near_one_exceptions(
     m = ctx.order
     p = ctx.p
     ind = ctx.table
-    thr = Fraction(near_one_threshold_turns(delta))
+    cutoff = near_one_cutoff(delta, m)
     members = []
     for n in range(1, y + 1):
         r = n % p
@@ -222,7 +243,7 @@ def near_one_exceptions(
             members.append(n)
             continue
         t = k * ind[r] % m
-        if Fraction(min(t, m - t), m) > thr:
+        if min(t, m - t) > cutoff:
             members.append(n)
     return len(members), members
 
@@ -261,15 +282,14 @@ def build_A_chi(
     m = ctx.order
     p = ctx.p
     ind = ctx.table
-    delta = 1.0 / math.log(p)
-    thr = Fraction(near_one_threshold_turns(delta))
+    cutoff = near_one_cutoff(1.0 / math.log(p), m)
 
     def divisor_near_one(c: int) -> bool:
         r = c % p
         if r == 0:
             return False  # chi(c) = 0 sits at distance 1 > 1/log p
         a = k * ind[r] % m
-        return Fraction(min(a, m - a), m) <= thr
+        return min(a, m - a) <= cutoff
 
     members = []
     for n in range(math.floor(x) + 1, t + 1):

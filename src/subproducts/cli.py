@@ -38,6 +38,11 @@ SCHEMA_VERSION = 1
 ALL_CHECKS = ("spectrum", "theorem", "lemmas", "factorization", "friable", "burgess")
 DEFAULT_EPSILON = Fraction(19, 100)
 MAX_EPSILON_DENOMINATOR = 10**4
+# `counts` folds y steps over p-1 slots of up to y bits: (p-1) y^2 bounds its
+# work (p = 10007, y = 1000 takes about a second).  `factorize` trial-divides
+# n up to sqrt(n), about half a second at n = 10^14.
+MAX_COUNT_WORK = 10**10
+MAX_FACTORIZE_N = 10**14
 # The theorem check compares the rule's y against ceil(p^0.25) at these primes.
 THEOREM_PRIMES = (101, 211, 401, 1009)
 
@@ -294,12 +299,12 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
         k_count = rng.randint(1, 6)
         delta = rng.uniform(0.05, 1.999 * math.sin(math.pi / (2 * k_count)))
         bound = characters.circle_lemma_bound(k_count, delta)
-        thr = Fraction(characters.near_one_threshold_turns(delta))
+        cutoff = characters.near_one_cutoff(delta, m)
         kchar = rng.randrange(1, m)
         pool = []
         for n in range(1, ctx.p):
             t = kchar * ctx.table[n] % m
-            if Fraction(min(t, m - t), m) <= thr:
+            if min(t, m - t) <= cutoff:
                 pool.append(n)
         prod = 1
         for _ in range(k_count):
@@ -339,7 +344,7 @@ def check_lemma_near_one(p_cap: int) -> CheckRecord:
         if p < 3:
             continue
         ctx = modcore.build_context(p)
-        y = max(1, math.floor(p**0.7))
+        y = max(1, modcore.iroot(p**7, 10))  # floor(p^0.7), exactly
         log_thresh = y * math.log(2) - 2 * math.log(p)
         limit = 16 * math.log(p) ** 3
         for k in range(1, ctx.order):
@@ -439,14 +444,16 @@ def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction
         num_max = math.ceil(100 / (k + 2)) - 1
         eps = Fraction(rng.randint(1, num_max), 100)
         a, b = eps.numerator, eps.denominator
-        usable = [q for q in _primes_to(y) if q**b <= y ** (b - a)]
+        # q^b <= y^(b-a) iff q <= iroot(y^(b-a), b); likewise for n^(2b)
+        work_root = modcore.iroot(y ** (b - a), b)
+        usable = [q for q in _primes_to(y) if q <= work_root]
         if not usable:
             continue
-        lower = y ** (k * b + 2 * a)
+        lower_root = modcore.iroot(y ** (k * b + 2 * a), 2 * b)
         upper = y ** (k + 1)
         for _ in range(50):
             n = 1
-            while n ** (2 * b) <= lower:
+            while n <= lower_root:
                 n *= rng.choice(usable)
             if n * n < upper:
                 return n, y, k, eps
@@ -740,6 +747,11 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_counts(args: argparse.Namespace) -> int:
+    if (args.p - 1) * args.y**2 > MAX_COUNT_WORK:
+        raise InvalidRangeError(
+            f"(p-1)*y^2 for p={args.p}, y={args.y} exceeds the work bound "
+            f"{MAX_COUNT_WORK}"
+        )
     counts = subsetprod.subset_product_counts(args.p, args.y).counts
     residues = range(1, args.p)
     emit_record(
@@ -757,6 +769,8 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
+    if args.n > MAX_FACTORIZE_N:
+        raise InvalidRangeError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
     eps = parse_epsilon(args.epsilon)
     if args.mode == "kway":
         res = friable.greedy_k_factorization(args.n, args.y, args.k)

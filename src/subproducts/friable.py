@@ -2,8 +2,10 @@
 constructive bounded-part factorizations.
 
 All exponent comparisons against fractional powers (n versus y^(a/b)) are
-decided in exact integer arithmetic: n <= y^(a/b) iff n^b <= y^a.  Floats
-never decide a boundary here.
+decided in exact integer arithmetic: n <= y^(a/b) iff n^b <= y^a iff
+n <= iroot(y^a, b), the exact integer root.  The construction compares
+against the root, computed once; the exhaustive oracle compares powers.
+Floats never decide a boundary here.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .modcore import divisors, prime_factors_desc
+from .modcore import divisors, iroot, prime_factors_desc
 
 
 class NotFriableError(ValueError):
@@ -191,15 +193,17 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     if primes and primes[0] > y:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
     a, b = eps.numerator, eps.denominator
-    if not (n ** (2 * b) > y ** (k * b + 2 * a) and n * n < y ** (k + 1)):
+    # v^e <= N iff v <= iroot(N, e): each bound is one exact integer root
+    lower_root = iroot(y ** (k * b + 2 * a), 2 * b)  # n > y^(k/2+eps)
+    if not (n > lower_root and n * n < y ** (k + 1)):
         raise HypothesisViolatedError(
             f"n={n} outside (y^(k/2+eps), y^((k+1)/2)) for y={y}, k={k}, eps={eps}"
         )
 
-    work_bound = y ** (b - a)  # v <= y^(1-eps)  <=>  v^b <= work_bound
-    small_bound = y**a  # v <= y^eps  <=>  v^b <= small_bound
-    bigs = [q for q in primes if q**b > work_bound]
-    smalls = [q for q in primes if q**b <= work_bound]
+    work_root = iroot(y ** (b - a), b)  # v <= y^(1-eps)  <=>  v <= work_root
+    small_root = iroot(y**a, b)  # v <= y^eps  <=>  v <= small_root
+    bigs = [q for q in primes if q > work_root]
+    smalls = [q for q in primes if q <= work_root]
     m = len(bigs)
     guaranteed = m == 0
 
@@ -215,9 +219,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
 
     if m > k:
         raise give_up(f"{m} oversized prime factors exceed k")
-    buckets = _greedy_fill(
-        smalls, k - m + 1, lambda v, q: (v * q) ** b <= work_bound
-    )
+    buckets = _greedy_fill(smalls, k - m + 1, lambda v, q: v * q <= work_root)
     if buckets is None:
         raise give_up("greedy assignment stuck")
     bs = sorted(buckets)
@@ -227,9 +229,9 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     else:
         small_side = bs
     parts = [v for v in small_side if v != 1]
-    if any(v**b <= small_bound for v in parts):
+    if any(v <= small_root for v in parts):
         pool = sorted(parts)
-        g = sum(1 for v in pool if v**b <= small_bound)
+        g = sum(1 for v in pool if v <= small_root)
         if 2 * g >= len(pool):
             raise give_up(f"too many small factors ({g} of {len(pool)})")
         paired = [pool[i] * pool[g + i] for i in range(g)]
@@ -240,7 +242,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     ok = (
         2 * ell > k
         and ell <= k
-        and all(v <= y and v**b > small_bound for v in parts)
+        and all(small_root < v <= y for v in parts)
     )
     if not ok:
         raise give_up(f"invalid split {parts}")

@@ -4,7 +4,9 @@ Primality, trial-division factorization and divisors, least primitive
 roots, discrete logs (one residue at a time, or as a full index table),
 Legendre symbols, and the classical small-generator statistics for a
 prime p: the least quadratic nonresidue, the least primitive root, and
-the least G such that {1..G} generates the whole multiplicative group.
+the least G such that {1..G} generates the whole multiplicative group;
+also exact integer k-th roots, which turn a power comparison v^k <= N
+into one comparison v <= iroot(N, k).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, isqrt
+from math import gcd, isqrt, log2
 
 # A dense index table costs 4 bytes per residue ('i' array), so 2^24 keeps a
 # single context under ~70 MB.  Sweeps in this package stay far below this.
@@ -67,6 +69,39 @@ def primes_up_to(n: int) -> list[int]:
             start = q * q
             sieve[start:: q] = b"\x00" * ((n - start) // q + 1)
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 0 and k >= 1, exactly.
+
+    A root below 2^40 comes from a float log2 estimate, within a unit or
+    two there, that is fixed up against exact powers.  A larger
+    root starts from the root of n's leading bits, rounded up, and runs
+    integer Newton steps down to the floor; that start is accurate to
+    about 30 bits, so few steps are needed even at large k.
+    """
+    if k < 1 or n < 0:
+        raise ValueError(f"need n >= 0 and k >= 1, got n={n}, k={k}")
+    if k == 1 or n < 2:
+        return n
+    bits = n.bit_length()
+    if k >= bits:
+        return 1  # n < 2^bits <= 2^k
+    if bits <= 40 * k:
+        x = int(2.0 ** (log2(n) / k))
+        while x**k > n:
+            x -= 1
+        while (x + 1) ** k <= n:
+            x += 1
+        return x
+    s = bits // k - 30
+    # ((r + 1) 2^s)^k > n for r the root of n's top bits: a start above the root
+    x = (iroot(n >> (k * s), k) + 1) << s
+    while True:
+        nxt = ((k - 1) * x + n // x ** (k - 1)) // k
+        if nxt >= x:
+            return x
+        x = nxt
 
 
 def prime_factors_desc(n: int) -> list[int]:
@@ -171,6 +206,11 @@ class PrimeContext:
     p: int
     g: int
     order: int
+
+    @cached_property
+    def full_mask(self) -> int:
+        """All p-1 bits set: the coverage bitset of the whole group."""
+        return (1 << self.order) - 1
 
     @cached_property
     def ind(self) -> SparseIndex:

@@ -63,12 +63,8 @@ class CoverageState:
     mask: int
 
     @property
-    def full_mask(self) -> int:
-        return (1 << self.ctx.order) - 1
-
-    @property
     def covered(self) -> bool:
-        return self.mask == self.full_mask
+        return self.mask == self.ctx.full_mask
 
     def residues(self) -> list[int]:
         """The reached residues, ascending."""
@@ -87,8 +83,7 @@ def coverage_consume(state: CoverageState, n: int) -> CoverageState:
     r = n % ctx.p
     if r == 0:
         raise NotCoprimeError(f"element {n} is divisible by {ctx.p}")
-    m = ctx.order
-    mask = state.mask | _rotate(state.mask, ctx.ind[r], m, (1 << m) - 1)
+    mask = state.mask | _rotate(state.mask, ctx.ind[r], ctx.order, ctx.full_mask)
     return CoverageState(ctx=ctx, mask=mask)
 
 

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subproducts.characters import (
     BadRangeError,
@@ -16,6 +18,7 @@ from subproducts.characters import (
     circle_lemma_bound,
     log_product_one_plus_chi,
     max_nonprincipal_sum,
+    near_one_cutoff,
     near_one_exceptions,
     near_one_threshold_turns,
     polya_vinogradov_bound,
@@ -184,6 +187,27 @@ def test_near_one_matches_complex_distance():
             if abs(angle_to_complex(char_angle(ctx, k, n)) - 1) > delta
         ]
         assert members == direct
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    delta=st.floats(min_value=0.0, max_value=2.0, exclude_min=True, exclude_max=True),
+    m=st.integers(1, 2000),
+)
+@example(delta=2 * math.sin(math.pi / 6), m=12)  # threshold near 1/6 = 2/12 turn
+@example(delta=1.0, m=6)
+@example(delta=1e-300, m=1)
+def test_near_one_cutoff_matches_fraction_comparison(delta, m):
+    thr = Fraction(near_one_threshold_turns(delta))
+    cutoff = near_one_cutoff(delta, m)
+    for t in range(m):
+        assert (min(t, m - t) <= cutoff) == (Fraction(min(t, m - t), m) <= thr)
+
+
+def test_near_one_cutoff_invalid_delta():
+    for delta in (0.0, 2.0, -1.0, math.nan):
+        with pytest.raises(InvalidDeltaError):
+            near_one_cutoff(delta, 10)
 
 
 def test_near_one_invalid_delta():

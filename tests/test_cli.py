@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -210,6 +211,24 @@ def test_verify_theorem_golden_json(tmp_path):
     assert digest == "48e34c001864e36c72a9502712c4f091555e0d4dc27ff46abafd1986a1e73667"
 
 
+def test_verify_scans_golden_json(tmp_path):
+    # sha256 of the report of every group but the count-DP checks at seed 1
+    out = tmp_path / "scans.json"
+    assert run_cli(
+        "verify", "--seed", "1", "--checks", "spectrum,lemmas,factorization,friable,burgess",
+        "--out", str(out),
+    ) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "c4b389666859cdc64e1ee67d8076fa2055519421915c1bff2b12a074c1f342eb"
+
+
+def test_near_one_scan_y_is_floor_p_07():
+    # the scan's exact y = iroot(p^7, 10) agrees with the float floor(p**0.7)
+    # at every prime it runs over (p <= 311), so its report cannot move
+    for p in modcore.primes_up_to(311):
+        assert modcore.iroot(p**7, 10) == math.floor(p**0.7)
+
+
 def test_mass_conservation_one_fold_per_prime(monkeypatch):
     # every snapshot gets a nonzero zero slot: each drawn pair is one failure
     folds = []
@@ -305,6 +324,15 @@ BAD_INPUTS = [
                  id="spectrum-y-rule"),
     pytest.param(["verify", "--checks", "friable", "--pmax", "61", "--format", "csv"],
                  "unrecognized arguments: --format csv", id="verify-format"),
+    # work and size caps, decided before any work starts
+    pytest.param(["counts", "--p", "3", "--y", str(10**8)], "exceeds the work bound",
+                 id="counts-work-bound"),
+    pytest.param(["counts", "--p", "10007", "--y", "1000"], "exceeds the work bound",
+                 id="counts-work-bound-large-p"),
+    pytest.param(["factorize", "--n", str(10**14 + 1), "--y", "10"],
+                 "exceeds the size cap", id="factorize-n-cap"),
+    pytest.param(["factorize", "--n", str(10**40), "--y", "10", "--mode", "kway"],
+                 "exceeds the size cap", id="factorize-n-huge"),
     pytest.param(["counts", "--p", "0", "--y", "3"], "error: 0 is not prime\n",
                  id="counts-p-0"),
     pytest.param(["counts", "--p", "1", "--y", "3"], "error: 1 is not prime\n",
@@ -350,6 +378,17 @@ def test_bad_input_exits_2(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_work_caps_are_inclusive(monkeypatch, capsys, tmp_path):
+    out = str(tmp_path / "out.csv")
+    monkeypatch.setattr(cli, "MAX_COUNT_WORK", 4 * 3**2)
+    assert run_cli("counts", "--p", "5", "--y", "3", "--out", out) == 0
+    assert run_cli("counts", "--p", "5", "--y", "4", "--out", out) == 2
+    monkeypatch.setattr(cli, "MAX_FACTORIZE_N", 60)
+    assert run_cli("factorize", "--n", "60", "--y", "10", "--out", out) == 0
+    assert run_cli("factorize", "--n", "61", "--y", "10", "--out", out) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
 
 
 def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import legendre_symbol
 from sympy.ntheory import discrete_log, primitive_root
@@ -16,6 +16,7 @@ from subproducts.modcore import (
     build_context,
     divisors,
     group_generation_bound,
+    iroot,
     is_prime,
     least_nonresidue,
     least_primitive_root,
@@ -294,3 +295,47 @@ def test_thresholds_read_only_the_sparse_index():
             statistic(ctx)
             assert "table" not in ctx.__dict__
             assert len(ctx.ind) < 100  # only the residues the statistic read
+
+
+# roots straddling 2^40 (the float estimate's limit) and 2^53 (a double's
+# mantissa), with powers at, just below and just above an exact k-th power
+big_roots = st.one_of(
+    st.integers(0, 2**20),
+    st.integers(2**39, 2**41),
+    st.integers(2**52, 2**54),
+    st.integers(2**54, 2**300),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(r=big_roots, k=st.integers(1, 40), offset=st.sampled_from((-1, 0, 1)))
+def test_iroot_at_and_next_to_exact_powers(r, k, offset):
+    n = max(0, r**k + offset)
+    assert iroot(n, k) == sympy.integer_nthroot(n, k)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.one_of(st.integers(0, 10**6), st.integers(0, 2**4000)), k=st.integers(1, 200))
+@example(n=15700**9834, k=10**4)
+@example(n=2**106 - 1, k=2)
+@example(n=2**106, k=2)
+@example(n=(2**53 + 1) ** 2 - 1, k=2)
+def test_iroot_matches_sympy(n, k):
+    assert iroot(n, k) == sympy.integer_nthroot(n, k)[0]
+
+
+def test_iroot_examples_and_domain():
+    assert [iroot(n, 2) for n in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
+    assert iroot(10**30, 1) == 10**30
+    assert iroot(2**10_000, 10_001) == 1
+    assert iroot(15700**9834, 10**4) == 13373
+    for bad in ((-1, 2), (5, 0), (5, -3)):
+        with pytest.raises(ValueError):
+            iroot(*bad)
+
+
+def test_full_mask_is_the_whole_group():
+    for p in (2, 3, 101):
+        ctx = build_context(p)
+        assert ctx.full_mask == (1 << (p - 1)) - 1
+        assert ctx.full_mask is ctx.full_mask  # made once per context
