@@ -62,33 +62,26 @@ def unit_roots(m: int) -> tuple[complex, ...]:
     return tuple(complex(math.cos(step * t), math.sin(step * t)) for t in range(m))
 
 
-def _value_table(ctx: PrimeContext, k: int) -> list[complex]:
-    """chi_k(r) for every residue r in [0, p-1] (0 at r=0)."""
-    m = ctx.order
-    roots = unit_roots(m)
-    ind = ctx.table
-    vals = [0j] * ctx.p
-    for r in range(1, ctx.p):
-        vals[r] = roots[k * ind[r] % m]
-    return vals
-
-
 def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     """Sum of chi_k(n) over 1 <= n <= t.
 
-    Whole periods of p are summed in closed form, so the cost is O(p) for
-    any t; the remaining n <= t mod p are added in ascending order.
+    Whole periods of p are summed in closed form; the remaining
+    n <= t mod p are added in ascending order, so a character costs
+    O(t mod p) on top of the context's index table.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if not 0 <= k < ctx.order:
-        raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
-    vals = _value_table(ctx, k)
+    m = ctx.order
+    if not 0 <= k < m:
+        raise ValueError(f"character index {k} outside [0, {m - 1}]")
+    roots = unit_roots(m)
     # a full period n = 1..p sums to p-1 for the principal character, else 0
     periods, t0 = divmod(t, ctx.p)
-    total = complex(periods * ctx.order) if k == 0 else 0j
-    for n in range(1, t0 + 1):
-        total += vals[n]
+    total = complex(periods * m) if k == 0 else 0j
+    if t0:
+        ind = ctx.table
+        for n in range(1, t0 + 1):
+            total += roots[k * ind[n] % m]
     return total
 
 
@@ -126,25 +119,39 @@ class PartialSumScan:
 
 
 def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
-    """Scan every nonprincipal k and every t <= p for partial-sum extremes."""
-    p = ctx.p
+    """Scan every nonprincipal k and every t <= p for partial-sum extremes.
+
+    The running sum of chi_k(n) over n = 1, 2, ..., p is kept as separate
+    real and imaginary parts, read from the cos and sin of the unit roots;
+    the last step n = p adds chi_k(p) = 0.
+    """
+    p, m = ctx.p, ctx.order
     bound = polya_vinogradov_bound(p)
+    roots = unit_roots(m)
+    cos_t = [z.real for z in roots]
+    sin_t = [z.imag for z in roots]
+    ind = ctx.table
     best_sq = -1.0
     best_k = best_t = 0
     violations = 0
     bound_sq = bound * bound
-    for k in range(1, ctx.order):
-        vals = _value_table(ctx, k)
+    for k in range(1, m):
         re = im = 0.0
-        for n in range(1, p + 1):
-            v = vals[n % p]
-            re += v.real
-            im += v.imag
+        for n in range(1, p):
+            t = k * ind[n] % m
+            re += cos_t[t]
+            im += sin_t[t]
             sq = re * re + im * im
             if sq > best_sq:
                 best_sq, best_k, best_t = sq, k, n
             if sq > bound_sq:
                 violations += 1
+        # n = p: chi_k(p) = 0 leaves the sum where it is
+        sq = re * re + im * im
+        if sq > best_sq:
+            best_sq, best_k, best_t = sq, k, p
+        if sq > bound_sq:
+            violations += 1
     return PartialSumScan(
         p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,

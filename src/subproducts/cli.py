@@ -22,6 +22,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 import tempfile
 import time
@@ -37,14 +38,24 @@ SPECTRUM_COLUMNS = ("p", "n2", "g", "G", "y", "yprime")
 SCHEMA_VERSION = 1
 ALL_CHECKS = ("spectrum", "theorem", "lemmas", "factorization", "friable", "burgess")
 DEFAULT_EPSILON = Fraction(19, 100)
-MAX_EPSILON_DENOMINATOR = 10**4
+# --epsilon and a y-rule's exponent are exact rationals with |numerator| and
+# denominator at most this.  Fraction expands a decimal exponent into a power
+# of ten (1e999999 takes about 0.7 s, 1e9999999 does not finish), so an
+# exponent of more than six digits is refused before it is expanded.
+MAX_FRACTION_TERM = 10**4
+_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
 # `counts` folds y steps over p-1 slots of up to y bits: (p-1) y^2 bounds its
 # work (p = 10007, y = 1000 takes about a second).  `factorize` trial-divides
 # n up to sqrt(n), about half a second at n = 10^14.
 MAX_COUNT_WORK = 10**10
 MAX_FACTORIZE_N = 10**14
+# A factorization forms powers of y up to y^(k b + 2a) for epsilon = a/b
+# (y^(k+1) in kway mode); (k b + 2a + 1) * bitlen(y) bounds their size in
+# bits.  At the cap the powers and their roots take about a fifth of a second.
+MAX_FACTORIZE_POWER_BITS = 10**6
 # The theorem check compares the rule's y against ceil(p^0.25) at these primes.
 THEOREM_PRIMES = (101, 211, 401, 1009)
+QUARTER = Fraction(1, 4)
 
 
 class InvalidRangeError(ValueError):
@@ -84,12 +95,11 @@ class SweepConfig:
             raise InvalidRangeError("workers must be >= 1")
         try:
             y_rule = parse_y_rule(self.y_rule)
-            y_rule(self.p_max)  # p^exponent overflows first at the largest p
-        except (ValueError, OverflowError) as exc:
+        except ValueError as exc:
             raise InvalidRangeError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
         if "theorem" in self.checks:
             for p in THEOREM_PRIMES:
-                if p <= self.p_max and y_rule(p) <= subsetprod.theorem_y(p, 0.25):
+                if p <= self.p_max and y_rule(p) <= subsetprod.theorem_y(p, QUARTER):
                     raise InvalidRangeError(
                         f"y-rule {self.y_rule!r} gives y={y_rule(p)} at p={p}; the "
                         f"theorem check needs y above ceil(p^0.25)"
@@ -120,13 +130,15 @@ class CheckRecord:
 
 
 def parse_y_rule(rule: str):
-    """Parse a per-prime y choice: either 'p^<float>' or an integer constant.
+    """Parse a per-prime y choice: either 'p^<exponent>' or an integer constant.
 
-    Results are clamped to [1, p-1].
+    The exponent is an exact rational a/b ('0.6', '3/5', '2', see
+    `parse_fraction`); y is then the least y with y^b >= p^a.  Results are
+    clamped to [1, p-1].
     """
     rule = rule.strip()
     if rule.startswith("p^"):
-        exponent = float(rule[2:])
+        exponent = parse_fraction(rule[2:])
         return lambda p: subsetprod.theorem_y(p, exponent)
     value = int(rule)
     return lambda p: min(p - 1, max(1, value))
@@ -264,9 +276,13 @@ def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
         if p > p_max:
             continue
         y_main = rule(p)
-        y_small = subsetprod.theorem_y(p, 0.25)
-        r_main = subsetprod.error_report(p, y_main).normalized_ratio
-        r_small = subsetprod.error_report(p, y_small).normalized_ratio
+        y_small = subsetprod.theorem_y(p, QUARTER)
+        ctx = modcore.build_context(p)
+        ratio = {
+            dp.y: subsetprod.counts_error_report(dp).normalized_ratio
+            for dp in subsetprod.subset_product_prefixes(ctx, (y_small, y_main))
+        }
+        r_main, r_small = ratio[y_main], ratio[y_small]
         ratios[str(p)] = {
             "y": y_main,
             "ratio": r_main,
@@ -443,14 +459,12 @@ def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction
         k = rng.randint(1, 6)
         num_max = math.ceil(100 / (k + 2)) - 1
         eps = Fraction(rng.randint(1, num_max), 100)
-        a, b = eps.numerator, eps.denominator
-        # q^b <= y^(b-a) iff q <= iroot(y^(b-a), b); likewise for n^(2b)
-        work_root = modcore.iroot(y ** (b - a), b)
+        lower_root, upper, work_root, _ = friable.ranged_bounds(
+            y, k, eps.numerator, eps.denominator
+        )
         usable = [q for q in _primes_to(y) if q <= work_root]
         if not usable:
             continue
-        lower_root = modcore.iroot(y ** (k * b + 2 * a), 2 * b)
-        upper = y ** (k + 1)
         for _ in range(50):
             n = 1
             while n <= lower_root:
@@ -553,9 +567,8 @@ def check_friable_count() -> CheckRecord:
     details = {}
     for y in (50, 100, 200):
         local = 0.0
-        for i in range(20):
-            t = y + round(i * (y * y - y) / 19)
-            exact = friable.psi_exact(t, y)
+        ts = [y + round(i * (y * y - y) / 19) for i in range(20)]
+        for t, exact in zip(ts, friable.psi_prefixes(ts, y)):
             approx = friable.psi_asymptotic(t, y)
             ratio = abs(exact - approx) / (t / math.log(t))
             local = max(local, ratio)
@@ -710,20 +723,31 @@ def _add_range(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--workers", type=int, default=1)
 
 
+def parse_fraction(text: str) -> Fraction:
+    """text ('19/100', '0.19', '2', '1e-3') as an exact fraction whose
+    |numerator| and denominator are at most MAX_FRACTION_TERM; ValueError
+    for anything else, including inf, nan and a zero denominator."""
+    exponent = _DECIMAL_EXPONENT.search(text)
+    if exponent and len(exponent.group(1)) > 6:
+        raise ValueError("decimal exponent of more than six digits")
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
+    if max(abs(value.numerator), value.denominator) > MAX_FRACTION_TERM:
+        raise ValueError(f"numerator or denominator above {MAX_FRACTION_TERM}")
+    return value
+
+
 def parse_epsilon(text: str) -> Fraction:
-    """An --epsilon value as an exact fraction with denominator <= 10^4.
+    """An --epsilon value as an exact fraction (see `parse_fraction`).
 
     The cap bounds the factorization's y^(k*b + 2a) for epsilon = a/b.
     """
     try:
-        eps = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_fraction(text)
+    except ValueError as exc:
         raise InvalidRangeError(f"bad epsilon {text!r}: {exc}") from exc
-    if eps.denominator > MAX_EPSILON_DENOMINATOR:
-        raise InvalidRangeError(
-            f"epsilon {text!r} has a denominator above {MAX_EPSILON_DENOMINATOR}"
-        )
-    return eps
 
 
 def _config_from(args: argparse.Namespace, **fields) -> SweepConfig:
@@ -772,6 +796,14 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
     if args.n > MAX_FACTORIZE_N:
         raise InvalidRangeError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
     eps = parse_epsilon(args.epsilon)
+    # kway forms y^(k+1); ranged and threeway (k = 3) form y^(k b + 2a)
+    k = 3 if args.mode == "threeway" else args.k
+    a, b = (0, 1) if args.mode == "kway" else (eps.numerator, eps.denominator)
+    if (k * b + 2 * a + 1) * args.y.bit_length() > MAX_FACTORIZE_POWER_BITS:
+        raise InvalidRangeError(
+            f"y={args.y}, k={k}, epsilon={eps} would form powers of y above "
+            f"the cap of {MAX_FACTORIZE_POWER_BITS} bits"
+        )
     if args.mode == "kway":
         res = friable.greedy_k_factorization(args.n, args.y, args.k)
     elif args.mode == "ranged":

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .modcore import divisors, iroot, prime_factors_desc
 
@@ -53,19 +55,34 @@ def largest_prime_factor_sieve(limit: int) -> array:
     lpf[1] = 1
     for q in range(2, limit + 1):
         if lpf[q] == 0:  # q prime; overwrite so the final mark is the largest
-            for mult in range(q, limit + 1, q):
-                lpf[mult] = q
+            lpf[q::q] = array("i", [q]) * (limit // q)
     return lpf
+
+
+def psi_prefixes(ts: Sequence[int], y: int) -> list[int]:
+    """Psi(t, y), the number of y-friable integers in [1, t], for each t of ts.
+
+    One sieve up to max(ts) is counted once, in ascending order of t, and
+    every requested t reads its prefix count; ts may be unsorted or repeat.
+    """
+    if y < 1 or any(t < 1 for t in ts):
+        raise ValueError("t and y must be >= 1")
+    top = max(ts, default=0)
+    if top <= y:
+        return list(ts)
+    lpf = largest_prime_factor_sieve(top)
+    psi = {}
+    count, n = 0, 0
+    for t in sorted(set(ts)):
+        count += sum(1 for v in lpf[n + 1 : t + 1] if v <= y)
+        psi[t], n = count, t
+    return [psi[t] for t in ts]
 
 
 def psi_exact(t: int, y: int) -> int:
     """Number of y-friable integers in [1, t]."""
-    if t < 1 or y < 1:
-        raise ValueError("t and y must be >= 1")
-    if y >= t:
-        return t
-    lpf = largest_prime_factor_sieve(t)
-    return sum(1 for n in range(1, t + 1) if lpf[n] <= y)
+    (psi,) = psi_prefixes([t], y)
+    return psi
 
 
 def psi_asymptotic(t: int, y: int) -> float:
@@ -158,6 +175,26 @@ def greedy_k_factorization(
     )
 
 
+@lru_cache(maxsize=256)
+def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
+    """The size bounds of a ranged split with epsilon = a/b, each exact:
+
+    - lower root: n > y^(k/2+eps) iff n > iroot(y^(kb+2a), 2b);
+    - y^(k+1): n < y^((k+1)/2) iff n^2 < y^(k+1);
+    - working root: v <= y^(1-eps) iff v <= iroot(y^(b-a), b);
+    - small root: v <= y^eps iff v <= iroot(y^a, b).
+
+    A harness that draws an instance and then factors it reads the same
+    bounds twice; the last few (y, k, a, b) are kept.
+    """
+    return (
+        iroot(y ** (k * b + 2 * a), 2 * b),
+        y ** (k + 1),
+        iroot(y ** (b - a), b),
+        iroot(y**a, b),
+    )
+
+
 def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult:
     """Split n into ell factors, k/2 < ell <= k, each in (y^epsilon, y].
 
@@ -182,26 +219,24 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     none), so that regime is best effort: the result is validated and
     HypothesisViolatedError raised if the construction cannot deliver.
     """
+    if n < 1 or y < 2 or k < 1:
+        raise ValueError("need n >= 1, y >= 2, k >= 1")
     eps = Fraction(epsilon)
     if not 0 < eps < Fraction(1, k + 2):
         raise HypothesisViolatedError(
             f"epsilon={eps} outside (0, 1/{k + 2}) for k={k}"
         )
-    if n < 1 or y < 2 or k < 1:
-        raise ValueError("need n >= 1, y >= 2, k >= 1")
     primes = prime_factors_desc(n)
     if primes and primes[0] > y:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
-    a, b = eps.numerator, eps.denominator
-    # v^e <= N iff v <= iroot(N, e): each bound is one exact integer root
-    lower_root = iroot(y ** (k * b + 2 * a), 2 * b)  # n > y^(k/2+eps)
-    if not (n > lower_root and n * n < y ** (k + 1)):
+    lower_root, upper_sq, work_root, small_root = ranged_bounds(
+        y, k, eps.numerator, eps.denominator
+    )
+    if not (n > lower_root and n * n < upper_sq):
         raise HypothesisViolatedError(
             f"n={n} outside (y^(k/2+eps), y^((k+1)/2)) for y={y}, k={k}, eps={eps}"
         )
 
-    work_root = iroot(y ** (b - a), b)  # v <= y^(1-eps)  <=>  v <= work_root
-    small_root = iroot(y**a, b)  # v <= y^eps  <=>  v <= small_root
     bigs = [q for q in primes if q > work_root]
     smalls = [q for q in primes if q <= work_root]
     m = len(bigs)

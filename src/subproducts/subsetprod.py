@@ -13,13 +13,12 @@ slot of the count vector, so the full vector always sums to 2^y.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .characters import unit_roots
-from .modcore import PrimeContext, build_context, is_prime
+from .modcore import PrimeContext, build_context, iroot, is_prime
 
 
 class NotCoprimeError(ValueError):
@@ -319,11 +318,11 @@ class ErrorReport:
     normalized_ratio: float
 
 
-def error_report(p: int, y: int) -> ErrorReport:
-    """Exact-rational worst-case error of the subset-product counts."""
+def counts_error_report(dp: SubsetProductCounts) -> ErrorReport:
+    """Exact-rational worst-case error of one snapshot of the counts."""
+    p, y, counts = dp.p, dp.y, dp.counts
     if not 1 <= y < p:
         raise YOutOfRangeError(f"need 1 <= y < p, got y={y}, p={p}")
-    counts = subset_product_counts(p, y).counts
     two_y = 1 << y
     m = p - 1
     # compare over integers: |S(b) * (p-1) - 2^y|, then scale by 1/(p-1)
@@ -339,6 +338,28 @@ def error_report(p: int, y: int) -> ErrorReport:
     )
 
 
-def theorem_y(p: int, exponent: float = 0.6) -> int:
-    """Default sweep choice ceil(p^exponent), clamped below p."""
-    return min(p - 1, max(1, math.ceil(p**exponent)))
+def error_report(p: int, y: int) -> ErrorReport:
+    """Exact-rational worst-case error of the subset-product counts."""
+    if not 1 <= y < p:
+        raise YOutOfRangeError(f"need 1 <= y < p, got y={y}, p={p}")
+    return counts_error_report(subset_product_counts(p, y))
+
+
+def theorem_y(p: int, exponent: Fraction = Fraction(3, 5)) -> int:
+    """ceil(p^exponent), clamped to [1, p-1], decided exactly.
+
+    For exponent = a/b that is the least y with y^b >= p^a, found from the
+    integer root iroot(p^a, b).  The exponent must be exact (an int or a
+    Fraction): a float's binary denominator would make p^a enormous.
+    """
+    if not isinstance(exponent, (int, Fraction)):
+        raise TypeError(f"exponent {exponent!r} must be an int or a Fraction")
+    a, b = exponent.numerator, exponent.denominator
+    if a <= 0:
+        y = 1  # p^exponent <= 1
+    elif a >= b:
+        y = p  # p^exponent >= p: clamped below
+    else:
+        y = iroot(p**a, b)
+        y += y**b < p**a
+    return min(p - 1, max(1, y))

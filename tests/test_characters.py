@@ -11,6 +11,7 @@ from subproducts.characters import (
     BadRangeError,
     InvalidDeltaError,
     OutOfDomainError,
+    PartialSumScan,
     angle_to_complex,
     build_A_chi,
     char_angle,
@@ -23,6 +24,7 @@ from subproducts.characters import (
     near_one_threshold_turns,
     polya_vinogradov_bound,
     polya_vinogradov_scan,
+    unit_roots,
     z_lemma_check,
 )
 from subproducts.modcore import build_context, primes_up_to
@@ -120,6 +122,27 @@ def test_char_sum_huge_t_is_one_period_of_work():
     assert abs(char_sum(ctx, 5, t) - char_sum(ctx, 5, t % 311)) < 1e-9
 
 
+def test_char_sum_equals_direct_sum_exactly():
+    # below one period char_sum adds the same roots in the same order as a
+    # direct sum read through the sparse index (baby-step giant-step)
+    for p in primes_up_to(61):
+        ctx = build_context(p)
+        m = ctx.order
+        roots = unit_roots(m)
+        for k in range(m):
+            direct = 0j
+            for t in range(1, p):
+                direct += roots[k * ctx.ind[t] % m]
+                assert char_sum(ctx, k, t) == direct
+
+
+def test_principal_char_sum_counts_units_exactly():
+    for p in (2, 3, 7, 101):
+        ctx = build_context(p)
+        for t in range(1, 3 * p + 2):
+            assert char_sum(ctx, 0, t) == complex(t - t // p)
+
+
 def test_max_nonprincipal_sum_examples():
     ctx5 = build_context(5)
     _, mag = max_nonprincipal_sum(ctx5, 5)
@@ -137,6 +160,53 @@ def test_polya_vinogradov_scan_small():
         scan = polya_vinogradov_scan(build_context(p))
         assert scan.violations == 0
         assert scan.max_magnitude <= scan.bound
+
+
+def scan_by_value_table(ctx):
+    """The Polya-Vinogradov scan as first written: a p-entry complex table
+    of chi_k per character, summed over n = 1..p with n read mod p."""
+    p, m = ctx.p, ctx.order
+    roots = unit_roots(m)
+    bound = polya_vinogradov_bound(p)
+    best_sq = -1.0
+    best_k = best_t = 0
+    violations = 0
+    bound_sq = bound * bound
+    for k in range(1, m):
+        vals = [0j] * p
+        for r in range(1, p):
+            vals[r] = roots[k * ctx.table[r] % m]
+        re = im = 0.0
+        for n in range(1, p + 1):
+            v = vals[n % p]
+            re += v.real
+            im += v.imag
+            sq = re * re + im * im
+            if sq > best_sq:
+                best_sq, best_k, best_t = sq, k, n
+            if sq > bound_sq:
+                violations += 1
+    return PartialSumScan(
+        p=p,
+        max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
+        k_at_max=best_k,
+        t_at_max=best_t,
+        bound=bound,
+        violations=violations,
+    )
+
+
+def test_polya_vinogradov_scan_equals_value_table_scan():
+    for p in primes_up_to(311):
+        ctx = build_context(p)
+        assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
+
+
+@settings(max_examples=4, deadline=None)
+@given(p=st.sampled_from(primes_up_to(1009)))
+def test_polya_vinogradov_scan_equals_value_table_scan_drawn(p):
+    ctx = build_context(p)
+    assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
 
 
 def test_log_product_examples():

@@ -9,7 +9,7 @@ import time
 import pytest
 
 import subproducts
-from subproducts import cli, modcore, subsetprod
+from subproducts import cli, friable, modcore, subsetprod
 from subproducts.cli import (
     InvalidRangeError,
     SweepConfig,
@@ -39,6 +39,24 @@ def test_parse_y_rule():
     const = parse_y_rule("12")
     assert const(101) == 12
     assert const(7) == 6
+
+
+def test_parse_y_rule_is_exact():
+    # p^(a/b) is the least y with y^b >= p^a, clamped to [1, p-1]
+    for p in modcore.primes_up_to(2000):
+        assert parse_y_rule("p^3/5")(p) == parse_y_rule("p^0.6")(p)
+        assert parse_y_rule("p^0.6")(p) == min(p - 1, max(1, math.ceil(p**0.6)))
+    assert parse_y_rule("p^2")(101) == parse_y_rule("p^1")(101) == 100
+    assert parse_y_rule("p^-1")(101) == parse_y_rule("p^0")(101) == 1
+    assert parse_y_rule("p^10000")(101) == 100
+    assert parse_y_rule("p^1/10000")(101) == 2  # 1 < 101^(1/10000) <= 2
+    for rule in ("p^abc", "p^inf", "p^nan", "p^1e308", "p^1/0", "p^1/10001",
+                 "p^10001", "p^-10001", "p^1e1000000"):
+        with pytest.raises(ValueError):
+            parse_y_rule(rule)
+    # six exponent digits (leading zeros aside) are still expanded and read
+    assert parse_y_rule("p^0.0006e0003")(101) == parse_y_rule("p^6/10")(101) == 16
+    assert parse_y_rule("p^6e-000000001")(101) == 16
 
 
 def test_sweep_config_validation():
@@ -333,6 +351,28 @@ BAD_INPUTS = [
                  "exceeds the size cap", id="factorize-n-cap"),
     pytest.param(["factorize", "--n", str(10**40), "--y", "10", "--mode", "kway"],
                  "exceeds the size cap", id="factorize-n-huge"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--k", str(10**8), "--mode", "kway"],
+                 "would form powers of y above the cap", id="factorize-kway-k-cap"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--k", "100", "--mode", "ranged",
+                  "--epsilon", "1/10000"],
+                 "would form powers of y above the cap", id="factorize-ranged-power-cap"),
+    pytest.param(["factorize", "--n", "60", "--y", str(2**300), "--epsilon", "1/10000"],
+                 "would form powers of y above the cap", id="factorize-threeway-power-cap"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--k", "-2", "--mode", "ranged"],
+                 "need n >= 1, y >= 2, k >= 1", id="factorize-ranged-k-negative"),
+    pytest.param(["verify", "--y-rule", "p^1/0"], "bad y-rule", id="verify-y-rule-zero-denominator"),
+    pytest.param(["verify", "--y-rule", "p^1/10001"], "above 10000",
+                 id="verify-y-rule-denominator"),
+    pytest.param(["verify", "--y-rule", "p^10001"], "above 10000", id="verify-y-rule-numerator"),
+    # a decimal exponent is refused before Fraction expands it into a power of ten
+    pytest.param(["verify", "--y-rule", "p^1e9999999"], "decimal exponent of more than six digits",
+                 id="verify-y-rule-exponent-digits"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1e-9999999"],
+                 "decimal exponent of more than six digits", id="factorize-epsilon-exponent-digits"),
+    pytest.param(["verify", "--epsilon", "1E+00000000000000000001000000000"],
+                 "decimal exponent of more than six digits", id="verify-epsilon-exponent-digits"),
+    pytest.param(["verify", "--epsilon", "10001/50010"], "numerator or denominator above 10000",
+                 id="verify-epsilon-numerator"),
     pytest.param(["counts", "--p", "0", "--y", "3"], "error: 0 is not prime\n",
                  id="counts-p-0"),
     pytest.param(["counts", "--p", "1", "--y", "3"], "error: 1 is not prime\n",
@@ -389,6 +429,50 @@ def test_work_caps_are_inclusive(monkeypatch, capsys, tmp_path):
     assert run_cli("factorize", "--n", "60", "--y", "10", "--out", out) == 0
     assert run_cli("factorize", "--n", "61", "--y", "10", "--out", out) == 2
     assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_factorize_power_cap_is_inclusive(monkeypatch, capsys, tmp_path):
+    out = str(tmp_path / "out.csv")
+    # kway at y = 10 (4 bits) forms y^(k+1): (k + 1) * 4 bits
+    monkeypatch.setattr(cli, "MAX_FACTORIZE_POWER_BITS", 16)
+    assert run_cli("factorize", "--n", "60", "--y", "10", "--k", "3", "--mode", "kway",
+                   "--out", out) == 0
+    assert run_cli("factorize", "--n", "60", "--y", "10", "--k", "4", "--mode", "kway",
+                   "--out", out) == 2
+    # threeway at epsilon = 19/100 forms y^(3 * 100 + 2 * 19): 339 * 4 bits
+    monkeypatch.setattr(cli, "MAX_FACTORIZE_POWER_BITS", 339 * 4)
+    assert run_cli("factorize", "--n", "60", "--y", "10", "--out", out) == 0
+    monkeypatch.setattr(cli, "MAX_FACTORIZE_POWER_BITS", 339 * 4 - 1)
+    assert run_cli("factorize", "--n", "60", "--y", "10", "--out", out) == 2
+    assert capsys.readouterr().err.count("error: ") == 2
+
+
+def test_friable_count_sieves_once_per_y(monkeypatch):
+    sieves = []
+    sieve = friable.largest_prime_factor_sieve
+    monkeypatch.setattr(
+        friable, "largest_prime_factor_sieve", lambda n: sieves.append(n) or sieve(n)
+    )
+    record = cli.check_friable_count()
+    assert sieves == [50**2, 100**2, 200**2]
+    assert record.metrics["per_y"]["50"] > 0
+
+
+def test_theorem_error_one_fold_per_prime(monkeypatch):
+    folds = []
+    fold = subsetprod.subset_product_prefixes
+
+    def recording(ctx, ys):
+        folds.append((ctx.p, sorted(ys)))
+        return fold(ctx, ys)
+
+    monkeypatch.setattr(subsetprod, "subset_product_prefixes", recording)
+    report, shrinks = cli.check_theorem_error("p^0.6", 1009)
+    assert folds == [(101, [4, 16]), (211, [4, 25]), (401, [5, 37]), (1009, [6, 64])]
+    assert shrinks.status == "PASS"
+    for p, row in report.metrics.items():
+        assert row["ratio"] == subsetprod.error_report(int(p), row["y"]).normalized_ratio
+        assert row["ratio_small"] == subsetprod.error_report(int(p), row["y_small"]).normalized_ratio
 
 
 def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):

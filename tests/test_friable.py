@@ -3,6 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from subproducts.cli import _kway_witness, _random_kway_instance, _random_ranged_instance
 from subproducts.friable import (
@@ -18,6 +21,8 @@ from subproducts.friable import (
     largest_prime_factor_sieve,
     psi_asymptotic,
     psi_exact,
+    psi_prefixes,
+    ranged_bounds,
     ranged_factorization,
     ranged_feasible,
     three_way_factorization,
@@ -42,6 +47,53 @@ def test_lpf_sieve_matches_direct():
     lpf = largest_prime_factor_sieve(500)
     for n in range(1, 501):
         assert lpf[n] == largest_prime_factor(n)
+
+
+def test_lpf_sieve_matches_trial_division_and_sympy():
+    lpf = largest_prime_factor_sieve(5000)
+    assert len(lpf) == 5001 and lpf[0] == 0
+    for n in range(1, 5001):
+        assert lpf[n] == largest_prime_factor(n) == max(sympy.factorint(n), default=1)
+    assert list(largest_prime_factor_sieve(1)) == [0, 1]
+    with pytest.raises(ValueError):
+        largest_prime_factor_sieve(0)
+
+
+def brute_psi(t, y):
+    return sum(1 for n in range(1, t + 1) if largest_prime_factor(n) <= y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ts=st.lists(st.integers(1, 600), max_size=12), y=st.integers(1, 40))
+@example(ts=[1], y=1)
+@example(ts=[5, 1, 5, 3], y=7)  # every t <= y: no sieve needed
+@example(ts=[300, 7, 300, 1, 41, 2], y=6)  # unsorted, repeated, t <= y and t = 1
+def test_psi_prefixes_match_brute_count(ts, y):
+    assert psi_prefixes(ts, y) == [brute_psi(t, y) for t in ts]
+    assert [psi_exact(t, y) for t in ts] == psi_prefixes(ts, y)
+
+
+def test_psi_prefixes_domain():
+    assert psi_prefixes([], 5) == []
+    for ts, y in (([3, 0], 5), ([3], 0), ([-1], 5)):
+        with pytest.raises(ValueError):
+            psi_prefixes(ts, y)
+    with pytest.raises(ValueError):
+        psi_exact(0, 5)
+
+
+def test_psi_prefixes_sieve_once(monkeypatch):
+    import subproducts.friable as friable
+
+    sieves = []
+    sieve = friable.largest_prime_factor_sieve
+    monkeypatch.setattr(
+        friable, "largest_prime_factor_sieve", lambda n: sieves.append(n) or sieve(n)
+    )
+    assert psi_prefixes([90, 10, 50, 90], 3) == [brute_psi(t, 3) for t in (90, 10, 50, 90)]
+    assert sieves == [90]
+    assert psi_prefixes([4, 2], 5) == [4, 2]  # every t <= y: no sieve
+    assert sieves == [90]
 
 
 def test_psi_exact_examples():
@@ -162,6 +214,35 @@ def test_ranged_merged_factor_needs_pairing():
     res = ranged_factorization(2 * 41 * 41, 100, 3, Fraction(19, 100))
     assert res.factors == (82, 41)
     check_ranged_invariants(res, 3362, 100, 3, Fraction(19, 100))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(2, 12),
+    b=st.integers(2, 6),
+    offset=st.sampled_from([-1, 0, 1]),
+    k=st.integers(1, 4),
+    data=st.data(),
+)
+def test_ranged_bounds_agree_with_power_comparisons(x, b, offset, k, data):
+    # y = x^b +- 1: the b-th roots of powers of y are exact or next to exact
+    y = max(2, x**b + offset)
+    a = data.draw(st.integers(1, b - 1))
+    lower, upper, work, small = ranged_bounds(y, k, a, b)
+    assert upper == y ** (k + 1)
+    # each root r of N = y^e' decides v^e <= N as v <= r, at and next to r
+    for r, n, e in ((lower, y ** (k * b + 2 * a), 2 * b), (work, y ** (b - a), b),
+                    (small, y**a, b)):
+        for v in (r - 1, r, r + 1):
+            assert (v**e <= n) == (v <= r)
+
+
+def test_ranged_bounds_examples():
+    # eps = 1/2 at y = 16: y^eps = 4 and y^(1 + eps) = 64 exactly
+    assert ranged_bounds(16, 2, 1, 2) == (64, 16**3, 4, 4)
+    assert ranged_bounds(15, 2, 1, 2) == (58, 15**3, 3, 3)
+    # 10^1.69 = 48.9, 10^0.81 = 6.5, 10^0.19 = 1.5
+    assert ranged_bounds(10, 3, 19, 100) == (48, 10**4, 6, 1)
 
 
 def test_ranged_epsilon_validation():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -14,12 +15,14 @@ from subproducts.subsetprod import (
     YOutOfRangeError,
     counts_via_characters,
     coverage_consume,
+    counts_error_report,
     coverage_threshold,
     enumerate_subset_counts,
     error_report,
     initial_coverage,
     subset_product_counts,
     subset_product_prefixes,
+    theorem_y,
     y_of_p,
     y_of_progression,
     y_prime_of_p,
@@ -387,3 +390,36 @@ def test_error_report_recomputable():
     assert rep.normalized_ratio == float(worst * 13 * 13 / 2**9)
     with pytest.raises(YOutOfRangeError):
         error_report(13, 13)
+
+
+def test_error_report_from_fold_snapshots():
+    # one fold's snapshots give the same reports as one fold per y
+    for p in (5, 13, 101):
+        ys = range(1, min(p, 40))
+        for dp in subset_product_prefixes(build_context(p), ys):
+            assert counts_error_report(dp) == error_report(p, dp.y)
+    (dp,) = subset_product_prefixes(build_context(5), [5])
+    with pytest.raises(YOutOfRangeError):
+        counts_error_report(dp)
+
+
+def test_theorem_y_is_exact_ceiling():
+    # least y with y^b >= p^a, clamped to [1, p-1]
+    for p in primes_up_to(3000):
+        for exponent in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)):
+            y = theorem_y(p, exponent)
+            a, b = exponent.numerator, exponent.denominator
+            if y < p - 1:
+                assert y**b >= p**a and (y == 1 or (y - 1) ** b < p**a)
+            # the float rule it replaces gives the same y at these sizes
+            assert y == min(p - 1, max(1, math.ceil(p ** float(exponent))))
+    assert theorem_y(101) == 16 and theorem_y(1009) == 64
+    assert theorem_y(101, Fraction(2)) == theorem_y(101, 1) == 100
+    assert theorem_y(101, 0) == theorem_y(101, Fraction(-3, 2)) == 1
+    assert theorem_y(2, Fraction(1, 2)) == 1
+    assert theorem_y(10**4 + 7, Fraction(1, 2)) == 101  # 100^2 < 10007 <= 101^2
+    # at an exact power the root itself is the least y
+    assert theorem_y(10**4, Fraction(1, 2)) == 100
+    assert theorem_y(2**12, Fraction(2, 3)) == 2**8
+    with pytest.raises(TypeError):
+        theorem_y(101, 0.6)
