@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .friable import largest_prime_factor
-from .modcore import PrimeContext, divisors
+from .modcore import PrimeContext, divisors_of, prime_factors_desc
 
 
 class InvalidDeltaError(ValueError):
@@ -67,21 +66,28 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
 
     Whole periods of p are summed in closed form; the remaining
     n <= t mod p are added in ascending order, so a character costs
-    O(t mod p) on top of the context's index table.
+    O(t mod p) on top of its index lookups.  Up to isqrt(p) remaining
+    terms are read from the sparse index, each root computed as
+    `unit_roots` computes it; more read the dense table and the cached
+    roots.  Either way the same floats are added in the same order.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     m = ctx.order
     if not 0 <= k < m:
         raise ValueError(f"character index {k} outside [0, {m - 1}]")
-    roots = unit_roots(m)
     # a full period n = 1..p sums to p-1 for the principal character, else 0
     periods, t0 = divmod(t, ctx.p)
     total = complex(periods * m) if k == 0 else 0j
-    if t0:
-        ind = ctx.table
+    if t0 > math.isqrt(ctx.p):
+        roots, ind = unit_roots(m), ctx.table
         for n in range(1, t0 + 1):
             total += roots[k * ind[n] % m]
+    elif t0:
+        step, ind = 2.0 * math.pi / m, ctx.ind
+        for n in range(1, t0 + 1):
+            a = k * ind[n] % m
+            total += complex(math.cos(step * a), math.sin(step * a))
     return total
 
 
@@ -278,9 +284,9 @@ def build_A_chi(
 ) -> AChiSet:
     """Enumerate the divisor-filtered y-friable set over (x, t].
 
-    Divisors are enumerated by trial division up to sqrt(n); fine at desk
-    scale (t up to about 10^6).  An empty range (t <= x) yields an empty
-    set; `complement_size` is then max(t, 0).
+    Each n is factored once by trial division, which gives both P(n) and
+    the divisors; fine at desk scale (t up to about 10^6).  An empty range
+    (t <= x) yields an empty set; `complement_size` is then max(t, 0).
     """
     if not 1 < z <= x:
         raise BadRangeError(f"need 1 < z <= x, got z={z}, x={x}")
@@ -300,9 +306,10 @@ def build_A_chi(
 
     members = []
     for n in range(math.floor(x) + 1, t + 1):
-        if largest_prime_factor(n) > y:
+        factors = prime_factors_desc(n)  # largest first: P(n) = factors[0]
+        if factors[0] > y:
             continue
-        if all(c <= z or divisor_near_one(c) for c in divisors(n)):
+        if all(c <= z or divisor_near_one(c) for c in divisors_of(factors)):
             members.append(n)
     return AChiSet(
         p=p,

@@ -163,7 +163,7 @@ def run_spectrum_sweep(config: SweepConfig) -> list[tuple]:
     The pool never gets more workers than there are CPUs or primes.
     """
     config.validate()
-    ps = [p for p in modcore.primes_up_to(config.p_max) if p >= config.p_min]
+    ps = modcore.primes_between(config.p_min, config.p_max)
     workers = min(config.workers, os.cpu_count() or 1, len(ps))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -1,7 +1,8 @@
 """Prime and multiplicative-group primitives.
 
-Primality, trial-division factorization and divisors, least primitive
-roots, discrete logs (one residue at a time, or as a full index table),
+Primality, prime sieves (from 2, or over a window [lo, hi]), trial-
+division factorization and divisors, least primitive roots, discrete
+logs (one residue at a time, or as a full index table),
 Legendre symbols, and the classical small-generator statistics for a
 prime p: the least quadratic nonresidue, the least primitive root, and
 the least G such that {1..G} generates the whole multiplicative group;
@@ -14,6 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from math import gcd, isqrt, log2
 
 # A dense index table costs 4 bytes per residue ('i' array), so 2^24 keeps a
@@ -31,6 +33,8 @@ class TooLargeError(ValueError):
 
 # Deterministic Miller-Rabin witness set, valid for all n < 3.3e24 (covers 2^63).
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The least composite with no factor among the witnesses: 41^2.
+_WITNESS_SQUARE = 41 * 41
 
 
 def is_prime(n: int) -> bool:
@@ -40,6 +44,8 @@ def is_prime(n: int) -> bool:
     for q in _MR_WITNESSES:
         if n % q == 0:
             return n == q
+    if n < _WITNESS_SQUARE:
+        return True  # a composite this small has a prime factor <= 37
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -69,6 +75,24 @@ def primes_up_to(n: int) -> list[int]:
             start = q * q
             sieve[start:: q] = b"\x00" * ((n - start) // q + 1)
     return [i for i, flag in enumerate(sieve) if flag]
+
+
+def primes_between(lo: int, hi: int) -> list[int]:
+    """All primes p with lo <= p <= hi, ascending, by a windowed sieve.
+
+    Only the base primes up to isqrt(hi) are sieved from 2; they then
+    mark their multiples inside [lo, hi], so the memory is one byte per
+    integer of the window rather than of [0, hi].
+    """
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    window = bytearray([1]) * (hi - lo + 1)
+    for q in primes_up_to(isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q)  # q itself, if in the window, stays
+        if start <= hi:
+            window[start - lo :: q] = bytes((hi - start) // q + 1)
+    return [lo + i for i, flag in enumerate(window) if flag]
 
 
 def iroot(n: int, k: int) -> int:
@@ -121,19 +145,22 @@ def prime_factors_desc(n: int) -> list[int]:
     return out
 
 
+def divisors_of(factors: list[int]) -> list[int]:
+    """All positive divisors of the product of `factors`, ascending.
+
+    `factors` are its prime factors with multiplicity, equal primes
+    adjacent, as `prime_factors_desc` returns them.
+    """
+    divs = [1]
+    for q, run in groupby(factors):
+        powers = [q**e for e in range(len(list(run)) + 1)]
+        divs = [d * qe for d in divs for qe in powers]
+    return sorted(divs)
+
+
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending (trial division to sqrt n)."""
-    if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n >= 1, ascending, from its factorization."""
+    return divisors_of(prime_factors_desc(n))
 
 
 def least_primitive_root(p: int) -> int:
@@ -148,27 +175,41 @@ def least_primitive_root(p: int) -> int:
     raise AssertionError("unreachable: every prime has a primitive root")
 
 
+# Baby steps per isqrt(p-1) in a SparseIndex's table.  A spectrum row
+# looks up about 17 prime logs (composites split), and building a baby
+# step costs about what a giant step does, so the best B is near
+# sqrt(17 (p-1) / 2), about 3 isqrt(p-1).  Baby plus giant steps per row,
+# at 2/3/4/8: 685/643/678/1004 over the primes of [3, 30000] and
+# 7854/6908/6935/9476 over [10^6, 1003000].
+BABY_STEPS_PER_ROOT = 3
+
+
 class SparseIndex(dict):
     """Discrete logs to base g mod p, found one residue at a time and kept.
 
-    `ind[r]` for r in [1, p-1] is the least a >= 0 with g^a = r (mod p).
-    A miss runs baby-step giant-step (Shanks 1971) against one table of
-    B = min(p-1, 8 isqrt(p-1)) baby steps g^j -> j, built on the first
-    miss and shared by every later one; a giant step multiplies by g^-B,
-    so a miss costs at most (p-1)/B of them.  Hits are plain dict lookups.
+    `ind[r]` for r in [1, p-1] is the least a >= 0 with g^a = r (mod p);
+    ind(1) = 0 is known from the start.  A miss on a residue r with a
+    factor q < r among the primes 2..37 splits as ind(q) + ind(r/q) mod
+    p-1, both looked up (and kept) in turn, so the log of a small integer
+    costs only those of its prime factors.  Any other miss runs baby-step
+    giant-step (Shanks 1971) against one table of
+    B = min(p-1, BABY_STEPS_PER_ROOT isqrt(p-1)) baby steps g^j -> j,
+    built on the first such miss and shared by every later one; a giant
+    step multiplies by g^-B, so a miss costs at most (p-1)/B of them.
+    Hits are plain dict lookups.
     """
 
     __slots__ = ("p", "g", "_baby", "_giant")
 
     def __init__(self, p: int, g: int) -> None:
-        super().__init__()
+        super().__init__({1: 0})
         self.p, self.g = p, g
         self._baby: dict[int, int] | None = None
 
     def _build_baby_steps(self) -> None:
         p, g, m = self.p, self.g, self.p - 1
         baby, cur = {}, 1
-        for j in range(min(m, 8 * isqrt(m))):
+        for j in range(min(m, BABY_STEPS_PER_ROOT * isqrt(m))):
             baby[cur] = j
             cur = cur * g % p
         self._baby, self._giant = baby, pow(cur, -1, p)
@@ -176,6 +217,17 @@ class SparseIndex(dict):
     def __missing__(self, r: int) -> int:
         if not 0 < r < self.p:
             raise IndexError(f"residue {r} outside [1, {self.p - 1}]")
+        for q in _MR_WITNESSES:
+            if r % q == 0 and q < r:
+                a = (self[q] + self[r // q]) % (self.p - 1)
+                break
+        else:
+            a = self._shanks(r)
+        self[r] = a
+        return a
+
+    def _shanks(self, r: int) -> int:
+        """ind(r) by baby-step giant-step, not kept."""
         if self._baby is None:
             self._build_baby_steps()
         baby, giant, p = self._baby, self._giant, self.p
@@ -183,7 +235,6 @@ class SparseIndex(dict):
         for base in range(0, p - 1, len(baby)):
             j = baby.get(x)
             if j is not None:
-                self[r] = base + j
                 return base + j
             x = x * giant % p
         raise AssertionError("unreachable: g is a primitive root")
@@ -195,8 +246,9 @@ class PrimeContext:
 
     Two views of the same discrete logs, each made on first use:
 
-    - `ind[r]` (a `SparseIndex`) answers single residues by baby-step
-      giant-step, at O(sqrt p) set-up and no O(p) table;
+    - `ind[r]` (a `SparseIndex`) answers single residues, splitting off
+      small prime factors and running baby-step giant-step on the rest,
+      at O(sqrt p) set-up and no O(p) table;
     - `table` is the dense `array('i')` of every log (`table[0] = -1`),
       for consumers that sweep all residues.
 

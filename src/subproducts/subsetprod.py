@@ -76,24 +76,32 @@ def initial_coverage(ctx: PrimeContext) -> CoverageState:
     return CoverageState(ctx=ctx, mask=1)
 
 
-def coverage_consume(state: CoverageState, n: int) -> CoverageState:
-    """Extend the reached set with every product reached-element * n."""
-    ctx = state.ctx
+def _consume(ctx: PrimeContext, mask: int, n: int) -> int:
+    """The coverage mask after consuming n: mask OR mask rotated by ind(n)."""
     r = n % ctx.p
     if r == 0:
         raise NotCoprimeError(f"element {n} is divisible by {ctx.p}")
-    mask = state.mask | _rotate(state.mask, ctx.ind[r], ctx.order, ctx.full_mask)
-    return CoverageState(ctx=ctx, mask=mask)
+    return mask | _rotate(mask, ctx.ind[r], ctx.order, ctx.full_mask)
+
+
+def coverage_consume(state: CoverageState, n: int) -> CoverageState:
+    """Extend the reached set with every product reached-element * n."""
+    return CoverageState(ctx=state.ctx, mask=_consume(state.ctx, state.mask, n))
 
 
 def _first_cover(ctx: PrimeContext, terms: Iterable[int | None]) -> int | None:
     """Least k such that subset products of the first k terms reach every
-    unit, else None.  A None term is a step that consumes nothing."""
-    state = initial_coverage(ctx)
+    unit, else None.  A None term is a step that consumes nothing.
+
+    The steps of `coverage_consume` from `initial_coverage`, on the bare
+    mask: no state object per term.
+    """
+    full = ctx.full_mask
+    mask = 1
     for k, n in enumerate(terms, 1):
         if n is not None:
-            state = coverage_consume(state, n)
-        if state.covered:
+            mask = _consume(ctx, mask, n)
+        if mask == full:
             return k
     return None
 

@@ -1,9 +1,11 @@
 import math
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +29,7 @@ from subproducts.characters import (
     unit_roots,
     z_lemma_check,
 )
+from subproducts import characters
 from subproducts.modcore import build_context, primes_up_to
 
 
@@ -134,6 +137,34 @@ def test_char_sum_equals_direct_sum_exactly():
             for t in range(1, p):
                 direct += roots[k * ctx.ind[t] % m]
                 assert char_sum(ctx, k, t) == direct
+
+
+def test_char_sum_either_side_of_the_sparse_cutoff():
+    # up to isqrt(p) = 31 remaining terms go through the sparse index, more
+    # through the dense table: both add the dense table's roots in order
+    p = 1009
+    ctx = build_context(p)
+    m = ctx.order
+    roots = unit_roots(m)
+    for k in (0, 1, 7, 504, 1007):
+        direct = 0j
+        for t in range(1, 40):
+            direct += roots[k * ctx.table[t] % m]
+            assert char_sum(ctx, k, t) == direct
+            periods = complex(2 * m) if k == 0 else 0j
+            assert char_sum(ctx, k, 2 * p + t) == periods + direct
+
+
+def test_char_sum_at_the_table_cap_reads_only_its_terms():
+    start = time.perf_counter()
+    ctx = build_context(16_777_213)  # the largest prime below 2^24
+    roots_cache = unit_roots.cache_info()[:2]
+    total = char_sum(ctx, 1, 5)
+    assert time.perf_counter() - start < 1.0
+    assert "table" not in ctx.__dict__
+    assert unit_roots.cache_info()[:2] == roots_cache  # no p-1 roots built
+    # the sum the dense table and the cached roots gave (13 s, 726 MB)
+    assert total == complex(2.7280730414005916, -0.658468483427072)
 
 
 def test_principal_char_sum_counts_units_exactly():
@@ -324,6 +355,32 @@ def test_build_A_chi_nonprincipal_subset_and_condition():
                 if n % c == 0:
                     val = angle_to_complex(char_angle(ctx, k, c))
                     assert abs(val - 1) <= delta + 1e-12
+
+
+def test_build_A_chi_factors_each_n_once(monkeypatch):
+    calls = []
+    factor = characters.prime_factors_desc
+    monkeypatch.setattr(
+        characters, "prime_factors_desc", lambda n: calls.append(n) or factor(n)
+    )
+    ctx = build_context(101)
+    m = ctx.order
+    cutoff = near_one_cutoff(1 / math.log(101), m)
+    for k in (0, 1, 7, 50):
+        calls.clear()
+        got = build_A_chi(ctx, k, 10, 300, 20.5, 5.0)
+        assert calls == list(range(21, 301))
+        # against P(n) and the divisors as sympy finds them
+        want = tuple(
+            n for n in range(21, 301)
+            if max(sympy.primefactors(n)) <= 10
+            and all(
+                c <= 5.0
+                or (c % 101 and min(a := k * ctx.table[c % 101] % m, m - a) <= cutoff)
+                for c in sympy.divisors(n)
+            )
+        )
+        assert got.members == want
 
 
 def test_circle_lemma_bound_examples():

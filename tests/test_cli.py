@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+import sympy
 
 import subproducts
 from subproducts import cli, friable, modcore, subsetprod
@@ -190,6 +191,20 @@ def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
 
     monkeypatch.setattr(modcore.PrimeContext, "table", property(no_table))
     assert len(run_spectrum_sweep(SweepConfig(p_min=3, p_max=2000))) == 302
+
+
+def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
+    sieved = []
+    sieve = modcore.primes_up_to
+
+    def recording(n):
+        sieved.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(modcore, "primes_up_to", recording)
+    rows = run_spectrum_sweep(SweepConfig(p_min=1_000_000, p_max=1_000_200))
+    assert [row[0] for row in rows] == list(sympy.primerange(1_000_000, 1_000_201))
+    assert sieved == [1000]  # the base primes up to isqrt(p_max) only
 
 
 def test_spectrum_golden_csv(tmp_path):

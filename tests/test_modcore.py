@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt, prod
 
 import pytest
 import sympy
@@ -10,11 +10,14 @@ from sympy.functions.combinatorial.numbers import legendre_symbol
 from sympy.ntheory import discrete_log, primitive_root
 
 from subproducts.modcore import (
+    BABY_STEPS_PER_ROOT,
     MAX_TABLE_PRIME,
     NotPrimeError,
+    SparseIndex,
     TooLargeError,
     build_context,
     divisors,
+    divisors_of,
     group_generation_bound,
     iroot,
     is_prime,
@@ -22,6 +25,7 @@ from subproducts.modcore import (
     least_primitive_root,
     legendre,
     prime_factors_desc,
+    primes_between,
     primes_up_to,
 )
 from subproducts.subsetprod import coverage_threshold, prime_coverage_threshold
@@ -57,6 +61,16 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial_division_prime(n), n
 
 
+def test_is_prime_next_to_the_witness_square():
+    # below 41^2 the trial divisions by 2..37 decide alone; 41^2 and 41 * 43
+    # have no witness factor and go on to Miller-Rabin
+    assert not is_prime(1680)
+    assert not is_prime(1681)  # 41^2
+    assert not is_prime(1763)  # 41 * 43
+    assert not is_prime(1369)  # 37^2
+    assert is_prime(1669) and is_prime(1693) and is_prime(1697)
+
+
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**62 - 1)
@@ -66,6 +80,34 @@ def test_primes_up_to():
     assert primes_up_to(1) == []
     assert primes_up_to(13) == [2, 3, 5, 7, 11, 13]
     assert len(primes_up_to(10_000)) == 1229
+
+
+def test_primes_between_examples():
+    assert primes_between(-10, 1) == []
+    assert primes_between(2, 2) == [2]
+    assert primes_between(0, 13) == primes_up_to(13)
+    assert primes_between(49, 49) == []  # 7^2
+    assert primes_between(14, 13) == []
+    window = primes_between(16_776_000, MAX_TABLE_PRIME)
+    assert len(window) == 71 and window[-1] == 16_777_213
+    assert window == list(sympy.primerange(16_776_000, MAX_TABLE_PRIME + 1))
+
+
+prime_squares = st.integers(2, 3000).map(sympy.nextprime).map(lambda q: q * q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.one_of(
+        st.integers(-5, 3),
+        st.integers(0, 10**7),
+        st.tuples(prime_squares, st.sampled_from((-1, 0, 1))).map(sum),
+    ),
+    width=st.integers(-2, 3000),
+)
+def test_primes_between_matches_sympy_primerange(lo, width):
+    hi = lo + width
+    assert primes_between(lo, hi) == list(sympy.primerange(lo, hi + 1))
 
 
 def test_build_context_examples():
@@ -266,6 +308,67 @@ def test_sparse_index_matches_table_and_sympy(p, data):
     residues = data.draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=20))
     for r in [1, g, p - 1, *residues]:
         assert ctx.ind[r] == ctx.table[r] == discrete_log(p, r, g)
+
+
+@pytest.mark.parametrize("p", [101, 1009, 65537])
+def test_split_index_matches_table_and_sympy_at_every_residue(p):
+    ctx = build_context(p)
+    table = ctx.table
+    for r in range(1, p):
+        assert ctx.ind[r] == table[r], r
+    # sympy at every residue of 65537 takes several seconds: there it
+    # checks every r below 2000 (where splits chain deepest) and a stride
+    step = 1 if p < 2000 else 61
+    for r in [*range(1, min(p, 2000)), *range(2000, p, step)]:
+        assert table[r] == discrete_log(p, r, ctx.g), r
+
+
+witness_products = st.lists(
+    st.sampled_from((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)), max_size=12
+).map(prod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=odd_primes, data=st.data())
+def test_split_index_matches_sympy(p, data):
+    ctx = build_context(p)
+    cofactors = st.one_of(st.just(1), st.integers(1, 2000), st.integers(1, p - 1))
+    draws = data.draw(st.lists(st.tuples(witness_products, cofactors), min_size=1, max_size=10))
+    residues = [s * c for s, c in draws if s * c < p]
+    for r in [1, 2, p - 1, *residues]:
+        assert ctx.ind[r] == discrete_log(p, r, ctx.g), r
+
+
+def test_only_primes_reach_baby_step_giant_step(monkeypatch):
+    seen = []
+    shanks = SparseIndex._shanks
+
+    def recording(self, r):
+        seen.append(r)
+        return shanks(self, r)
+
+    monkeypatch.setattr(SparseIndex, "_shanks", recording)
+    for p in (999_983, 1_000_003):
+        for statistic in (coverage_threshold, prime_coverage_threshold,
+                          group_generation_bound):
+            ctx = build_context(p)
+            statistic(ctx)
+            assert "table" not in ctx.__dict__
+    assert seen and all(sympy.isprime(r) for r in seen), seen
+
+
+@pytest.mark.parametrize("p", [3, 5, 11, 101, 65537, 999_983])
+def test_baby_table_size(p):
+    ctx = build_context(p)
+    m = p - 1
+    ctx.ind[sympy.prevprime(p)]  # a prime residue: no split, so a baby-step search
+    assert len(ctx.ind._baby) == min(m, BABY_STEPS_PER_ROOT * isqrt(m))
+
+
+def test_divisors_of_any_grouping_of_factors():
+    assert divisors_of([]) == [1]
+    assert divisors_of([7, 5, 5, 2, 2, 2]) == sympy.divisors(7 * 25 * 8)
+    assert divisors_of([2, 3, 3]) == [1, 2, 3, 6, 9, 18]
 
 
 def test_sparse_index_at_the_table_cap_builds_no_table():
