@@ -37,11 +37,13 @@ from . import characters, friable, modcore, subsetprod
 SPECTRUM_COLUMNS = ("p", "n2", "g", "G", "y", "yprime")
 SCHEMA_VERSION = 1
 ALL_CHECKS = ("spectrum", "theorem", "lemmas", "factorization", "friable", "burgess")
+# factorize's default epsilon; the verify report's config echoes it.
 DEFAULT_EPSILON = Fraction(19, 100)
-# --epsilon and a y-rule's exponent are exact rationals with |numerator| and
-# denominator at most this.  Fraction expands a decimal exponent into a power
-# of ten (1e999999 takes about 0.7 s, 1e9999999 does not finish), so an
-# exponent of more than six digits is refused before it is expanded.
+# factorize --epsilon and a y-rule's exponent are exact rationals with
+# |numerator| and denominator at most this.  Fraction expands a decimal
+# exponent into a power of ten (1e999999 takes about 0.7 s, 1e9999999 does
+# not finish), so an exponent of more than six digits is refused before it
+# is expanded.
 MAX_FRACTION_TERM = 10**4
 _DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
 # `counts` folds y steps over p-1 slots of up to y bits: (p-1) y^2 bounds its
@@ -72,7 +74,6 @@ class SweepConfig:
     p_max: int = 1009
     checks: tuple[str, ...] = ALL_CHECKS
     y_rule: str = "p^0.6"
-    epsilon: Fraction = DEFAULT_EPSILON
     workers: int = 1
     seed: int = 0
 
@@ -86,8 +87,6 @@ class SweepConfig:
                 f"pmax={self.p_max} exceeds the index-table cap "
                 f"{modcore.MAX_TABLE_PRIME}"
             )
-        if not 0 < self.epsilon < Fraction(1, 5):
-            raise InvalidRangeError(f"epsilon={self.epsilon} outside (0, 1/5)")
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise InvalidRangeError(f"unknown checks: {sorted(unknown)}")
@@ -214,9 +213,7 @@ def check_dp_vs_enumeration() -> CheckRecord:
 def check_dp_vs_characters(p_cap: int) -> CheckRecord:
     worst = 0.0
     failures = 0
-    for p in modcore.primes_up_to(p_cap):
-        if p < 3:
-            continue
+    for p in modcore.primes_between(3, p_cap):
         ctx = modcore.build_context(p)
         for dp in subsetprod.subset_product_prefixes(ctx, range(1, 31)):
             approx = subsetprod.counts_via_characters(ctx, dp.y)
@@ -235,7 +232,7 @@ def check_dp_vs_characters(p_cap: int) -> CheckRecord:
 
 def check_mass_conservation(seed: int, p_cap: int, pairs: int = 1000) -> CheckRecord:
     rng = random.Random(seed)
-    ps = [p for p in modcore.primes_up_to(p_cap) if p >= 3]
+    ps = modcore.primes_between(3, p_cap)
     drawn: dict[int, Counter] = defaultdict(Counter)  # p -> how often each y
     for _ in range(pairs):
         p = rng.choice(ps)
@@ -356,9 +353,7 @@ def check_lemma_z_grid(angles: int = 1000, deltas: int = 100) -> CheckRecord:
 def check_lemma_near_one(p_cap: int) -> CheckRecord:
     violations = 0
     hypothesis_hits = 0
-    for p in modcore.primes_up_to(p_cap):
-        if p < 3:
-            continue
+    for p in modcore.primes_between(3, p_cap):
         ctx = modcore.build_context(p)
         y = max(1, modcore.iroot(p**7, 10))  # floor(p^0.7), exactly
         log_thresh = y * math.log(2) - 2 * math.log(p)
@@ -380,9 +375,7 @@ def check_lemma_near_one(p_cap: int) -> CheckRecord:
 def check_polya_vinogradov(p_cap: int) -> CheckRecord:
     violations = 0
     worst_ratio = 0.0
-    for p in modcore.primes_up_to(p_cap):
-        if p < 3:
-            continue
+    for p in modcore.primes_between(3, p_cap):
         scan = characters.polya_vinogradov_scan(modcore.build_context(p))
         violations += scan.violations
         worst_ratio = max(worst_ratio, scan.max_magnitude / scan.bound)
@@ -528,8 +521,7 @@ def _kway_witness(y: int, k: int) -> int:
     """q^(k+1) for the least prime q in (sqrt(y), y]: y-friable, above the
     size bound, and with no k-way split into parts <= y (some part must
     carry two copies of q, and q^2 > y)."""
-    root = math.isqrt(y)
-    q = next(v for v in modcore.primes_up_to(y) if v > root)
+    q = modcore.primes_between(math.isqrt(y) + 1, y)[0]
     return q ** (k + 1)
 
 
@@ -635,9 +627,9 @@ def verification_report_json(config: SweepConfig, records: list[CheckRecord]) ->
         "config": {
             "p_min": config.p_min,
             "p_max": config.p_max,
-            "checks": sorted(config.checks),
+            "checks": sorted(set(config.checks)),
             "y_rule": config.y_rule,
-            "epsilon": str(config.epsilon),
+            "epsilon": str(DEFAULT_EPSILON),
             "seed": config.seed,
         },
         "records": [r.to_json() for r in records],
@@ -835,7 +827,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         args,
         checks=tuple(args.checks.split(",")) if args.checks else ALL_CHECKS,
         y_rule=args.y_rule,
-        epsilon=parse_epsilon(args.epsilon),
         seed=args.seed,
     )
     records = run_verification_suite(cfg)
@@ -895,7 +886,6 @@ def build_parser() -> argparse.ArgumentParser:
     sy = subs.add_parser("verify", help="run the verification suite")
     _add_range(sy)
     sy.add_argument("--y-rule", default="p^0.6")
-    sy.add_argument("--epsilon", default=str(DEFAULT_EPSILON))
     sy.add_argument("--seed", type=int, default=0)
     sy.add_argument("--out", default=None)
     sy.add_argument("--checks", default=None,

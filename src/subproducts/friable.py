@@ -11,13 +11,12 @@ Floats never decide a boundary here.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modcore import divisors, iroot, prime_factors_desc
+from .modcore import divisors, iroot, prime_factors_desc, primes_between
 
 
 class NotFriableError(ValueError):
@@ -47,36 +46,23 @@ def largest_prime_factor(n: int) -> int:
     return max(prime_factors_desc(n), default=1)
 
 
-def largest_prime_factor_sieve(limit: int) -> array:
-    """Array a with a[n] = P(n) for 0 <= n <= limit (a[0] = 0, a[1] = 1)."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    lpf = array("i", [0]) * (limit + 1)
-    lpf[1] = 1
-    for q in range(2, limit + 1):
-        if lpf[q] == 0:  # q prime; overwrite so the final mark is the largest
-            lpf[q::q] = array("i", [q]) * (limit // q)
-    return lpf
-
-
 def psi_prefixes(ts: Sequence[int], y: int) -> list[int]:
     """Psi(t, y), the number of y-friable integers in [1, t], for each t of ts.
 
-    One sieve up to max(ts) is counted once, in ascending order of t, and
-    every requested t reads its prefix count; ts may be unsorted or repeat.
+    Psi(t, y) is t less the n <= t that some prime q in (y, max(ts)]
+    divides.  One windowed sieve lists those primes, each marks its
+    multiples in one bytearray, and every requested t counts the marks
+    up to t; ts may be unsorted or repeat.
     """
     if y < 1 or any(t < 1 for t in ts):
         raise ValueError("t and y must be >= 1")
     top = max(ts, default=0)
     if top <= y:
         return list(ts)
-    lpf = largest_prime_factor_sieve(top)
-    psi = {}
-    count, n = 0, 0
-    for t in sorted(set(ts)):
-        count += sum(1 for v in lpf[n + 1 : t + 1] if v <= y)
-        psi[t], n = count, t
-    return [psi[t] for t in ts]
+    rough = bytearray(top + 1)
+    for q in primes_between(y + 1, top):
+        rough[q::q] = b"\x01" * (top // q)
+    return [t - rough.count(1, 0, t + 1) for t in ts]
 
 
 def psi_exact(t: int, y: int) -> int:
@@ -105,8 +91,6 @@ class FactorizationResult:
     mode KWAY: exactly k factors, each <= y.
     mode RANGED: ell factors with k/2 < ell <= k, each in (y^epsilon, y].
     mode THREEWAY: exactly 3 factors, each 1 or in (y^epsilon, y].
-    `in_hypothesis` is False only for best-effort KWAY runs whose size
-    bound failed.
     """
 
     n: int
@@ -115,7 +99,6 @@ class FactorizationResult:
     k: int
     epsilon: Fraction | None
     mode: str
-    in_hypothesis: bool = True
 
     def __post_init__(self) -> None:
         prod = 1
@@ -144,34 +127,27 @@ def _greedy_fill(primes_desc: list[int], buckets_n: int, fits) -> list[int] | No
     return buckets
 
 
-def greedy_k_factorization(
-    n: int, y: int, k: int, best_effort: bool = False
-) -> FactorizationResult:
+def greedy_k_factorization(n: int, y: int, k: int) -> FactorizationResult:
     """Split a y-friable n <= y^((k+1)/2) into exactly k factors, each <= y.
 
     Primes go largest-first into the lowest-indexed bucket whose value v
     satisfies v * p <= y.  The size bound guarantees this never gets stuck;
-    the bound check n^2 <= y^(k+1) is exact integer arithmetic.  With
-    best_effort=True the greedy is attempted even when the bound fails
-    (result flagged via in_hypothesis=False); it may then raise
-    BoundViolatedError if it does get stuck.
+    the bound check n^2 <= y^(k+1) is exact integer arithmetic.
     """
     if n < 1 or y < 2 or k < 1:
         raise ValueError("need n >= 1, y >= 2, k >= 1")
     primes = prime_factors_desc(n)
     if primes and primes[0] > y:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
-    in_hyp = n * n <= y ** (k + 1)
-    if not in_hyp and not best_effort:
+    if n * n > y ** (k + 1):
         raise BoundViolatedError(f"n={n} exceeds y^((k+1)/2) for y={y}, k={k}")
     buckets = _greedy_fill(primes, k, lambda v, q: v * q <= y)
     if buckets is None:
-        raise BoundViolatedError(
-            f"greedy assignment stuck for n={n}, y={y}, k={k} (out of hypothesis)"
+        raise InternalContradictionError(
+            f"greedy assignment stuck for n={n}, y={y}, k={k} within the size bound"
         )
     return FactorizationResult(
-        n=n, factors=tuple(buckets), y=y, k=k, epsilon=None, mode="KWAY",
-        in_hypothesis=in_hyp,
+        n=n, factors=tuple(buckets), y=y, k=k, epsilon=None, mode="KWAY"
     )
 
 

@@ -1,6 +1,6 @@
 """Prime and multiplicative-group primitives.
 
-Primality, prime sieves (from 2, or over a window [lo, hi]), trial-
+Primality, one prime sieve (over a window [lo, hi], or from 2), trial-
 division factorization and divisors, least primitive roots, discrete
 logs (one residue at a time, or as a full index table),
 Legendre symbols, and the classical small-generator statistics for a
@@ -15,7 +15,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import compress, groupby
 from math import gcd, isqrt, log2
 
 # A dense index table costs 4 bytes per residue ('i' array), so 2^24 keeps a
@@ -65,34 +65,27 @@ def is_prime(n: int) -> bool:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """All primes <= n, by sieve of Eratosthenes."""
-    if n < 2:
-        return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, isqrt(n) + 1):
-        if sieve[q]:
-            start = q * q
-            sieve[start:: q] = b"\x00" * ((n - start) // q + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    """All primes <= n, ascending."""
+    return primes_between(2, n)
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, ascending, by a windowed sieve.
 
-    Only the base primes up to isqrt(hi) are sieved from 2; they then
-    mark their multiples inside [lo, hi], so the memory is one byte per
-    integer of the window rather than of [0, hi].
+    The base primes up to isqrt(hi) come from this sieve itself (the
+    recursion is about log log hi deep); they then mark their multiples
+    inside [lo, hi], so the memory is one byte per integer of the window
+    rather than of [0, hi].
     """
     lo = max(lo, 2)
     if hi < lo:
         return []
     window = bytearray([1]) * (hi - lo + 1)
-    for q in primes_up_to(isqrt(hi)):
+    for q in primes_between(2, isqrt(hi)):
         start = max(q * q, -(-lo // q) * q)  # q itself, if in the window, stays
         if start <= hi:
             window[start - lo :: q] = bytes((hi - start) // q + 1)
-    return [lo + i for i, flag in enumerate(window) if flag]
+    return list(compress(range(lo, hi + 1), window))
 
 
 def iroot(n: int, k: int) -> int:
@@ -277,13 +270,6 @@ class PrimeContext:
             table[cur] = a
             cur = cur * self.g % self.p
         return table
-
-    def index(self, n: int) -> int:
-        """Discrete log of n to base g; n must be coprime to p."""
-        r = n % self.p
-        if r == 0:
-            raise ValueError(f"{n} is divisible by {self.p}; no index exists")
-        return self.ind[r]
 
 
 def build_context(p: int) -> PrimeContext:

@@ -82,7 +82,7 @@ def test_orthogonality_exact_by_angle_pairing():
             d = gcd(k, m)
             tally = {}
             for n in range(1, p):
-                t = k * ctx.index(n) % m
+                t = k * ctx.ind[n] % m
                 tally[t] = tally.get(t, 0) + 1
             assert tally == {d * j: d for j in range(m // d)}
             assert m // d > 1

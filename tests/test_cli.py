@@ -65,10 +65,6 @@ def test_sweep_config_validation():
         SweepConfig(p_min=2, p_max=10).validate()
     with pytest.raises(InvalidRangeError):
         SweepConfig(p_min=11, p_max=5).validate()
-    from fractions import Fraction
-
-    with pytest.raises(InvalidRangeError):
-        SweepConfig(epsilon=Fraction(1, 5)).validate()
     with pytest.raises(InvalidRangeError):
         SweepConfig(checks=("nonsense",)).validate()
     # a y-rule must parse and evaluate up to pmax; with the theorem check it
@@ -194,17 +190,20 @@ def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
 
 
 def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
-    sieved = []
-    sieve = modcore.primes_up_to
+    windows = []
+    sieve = modcore.primes_between
 
-    def recording(n):
-        sieved.append(n)
-        return sieve(n)
+    def recording(lo, hi):
+        windows.append((lo, hi))
+        return sieve(lo, hi)
 
-    monkeypatch.setattr(modcore, "primes_up_to", recording)
+    monkeypatch.setattr(modcore, "primes_between", recording)
     rows = run_spectrum_sweep(SweepConfig(p_min=1_000_000, p_max=1_000_200))
     assert [row[0] for row in rows] == list(sympy.primerange(1_000_000, 1_000_201))
-    assert sieved == [1000]  # the base primes up to isqrt(p_max) only
+    # the sweep's window, then only the base primes up to isqrt(p_max)
+    assert windows[0] == (1_000_000, 1_000_200)
+    assert windows[1] == (2, 1000)
+    assert all(hi <= 1000 for _, hi in windows[1:])
 
 
 def test_spectrum_golden_csv(tmp_path):
@@ -312,6 +311,16 @@ def test_verify_cli_exit_code(tmp_path):
     assert payload["records"][0]["status"] == "REPORT"
 
 
+def test_verify_duplicate_checks_write_the_same_report(tmp_path):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert run_cli("verify", "--checks", "friable", "--pmax", "61", "--out", str(once)) == 0
+    assert run_cli(
+        "verify", "--checks", "friable,friable", "--pmax", "61", "--out", str(twice)
+    ) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    assert json.loads(read(once))["config"]["checks"] == ["friable"]
+
+
 # Bad input to each subcommand: exit 2, nothing on stdout, one error line.
 ABOVE_CAP = modcore.MAX_TABLE_PRIME + 1
 BAD_INPUTS = [
@@ -334,23 +343,19 @@ BAD_INPUTS = [
                  "theorem check needs y above", id="verify-y-rule-below-comparison"),
     pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
-    pytest.param(["verify", "--epsilon", "0"], "outside (0, 1/5)", id="verify-epsilon"),
-    pytest.param(["verify", "--epsilon", "1/5"], "outside (0, 1/5)",
-                 id="verify-epsilon-fifth"),
     pytest.param(["verify", "--y-rule", "p^abc"], "bad y-rule", id="verify-y-rule-abc"),
-    # --epsilon is parsed once, for verify and factorize alike
-    pytest.param(["verify", "--epsilon", "1/0"], "bad epsilon '1/0'",
-                 id="verify-epsilon-zero-denominator"),
+    # only factorize reads --epsilon
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/0"],
                  "bad epsilon '1/0'", id="factorize-epsilon-zero-denominator"),
-    pytest.param(["verify", "--epsilon", "1/10001"], "denominator above 10000",
-                 id="verify-epsilon-denominator"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "ranged",
                   "--epsilon", "1e-400000"], "denominator above 10000",
                  id="factorize-epsilon-denominator"),
-    # spectrum reads no seed, y-rule or epsilon; the verify report is always JSON
+    # spectrum reads no seed, y-rule or epsilon, verify no epsilon; the verify
+    # report is always JSON
     pytest.param(["spectrum", "--epsilon", "1/5"], "unrecognized arguments: --epsilon 1/5",
                  id="spectrum-epsilon"),
+    pytest.param(["verify", "--epsilon", "19/100"], "unrecognized arguments: --epsilon 19/100",
+                 id="verify-epsilon"),
     pytest.param(["spectrum", "--pmax", "20", "--seed", "5"],
                  "unrecognized arguments: --seed 5", id="spectrum-seed"),
     pytest.param(["spectrum", "--y-rule", "p^0.6"], "unrecognized arguments: --y-rule p^0.6",
@@ -384,10 +389,12 @@ BAD_INPUTS = [
                  id="verify-y-rule-exponent-digits"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1e-9999999"],
                  "decimal exponent of more than six digits", id="factorize-epsilon-exponent-digits"),
-    pytest.param(["verify", "--epsilon", "1E+00000000000000000001000000000"],
-                 "decimal exponent of more than six digits", id="verify-epsilon-exponent-digits"),
-    pytest.param(["verify", "--epsilon", "10001/50010"], "numerator or denominator above 10000",
-                 id="verify-epsilon-numerator"),
+    pytest.param(["factorize", "--n", "60", "--y", "10",
+                  "--epsilon", "1E+00000000000000000001000000000"],
+                 "decimal exponent of more than six digits",
+                 id="factorize-epsilon-exponent-leading-zeros"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "10001/50010"],
+                 "numerator or denominator above 10000", id="factorize-epsilon-numerator"),
     pytest.param(["counts", "--p", "0", "--y", "3"], "error: 0 is not prime\n",
                  id="counts-p-0"),
     pytest.param(["counts", "--p", "1", "--y", "3"], "error: 1 is not prime\n",
@@ -463,13 +470,13 @@ def test_factorize_power_cap_is_inclusive(monkeypatch, capsys, tmp_path):
 
 
 def test_friable_count_sieves_once_per_y(monkeypatch):
-    sieves = []
-    sieve = friable.largest_prime_factor_sieve
+    windows = []
+    sieve = friable.primes_between
     monkeypatch.setattr(
-        friable, "largest_prime_factor_sieve", lambda n: sieves.append(n) or sieve(n)
+        friable, "primes_between", lambda lo, hi: windows.append((lo, hi)) or sieve(lo, hi)
     )
     record = cli.check_friable_count()
-    assert sieves == [50**2, 100**2, 200**2]
+    assert windows == [(51, 50**2), (101, 100**2), (201, 200**2)]  # (y, y^2] each
     assert record.metrics["per_y"]["50"] > 0
 
 

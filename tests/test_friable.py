@@ -18,7 +18,6 @@ from subproducts.friable import (
     greedy_k_factorization,
     kway_feasible,
     largest_prime_factor,
-    largest_prime_factor_sieve,
     psi_asymptotic,
     psi_exact,
     psi_prefixes,
@@ -37,26 +36,21 @@ def test_largest_prime_factor_examples():
     assert largest_prime_factor(2**10) == 2
 
 
+def test_lpf_sieve_matches_trial_division_and_sympy():
+    # trial division agrees with sympy, and the windowed prime sieve behind
+    # psi_prefixes counts the same y-friable n <= 5000 as trial division does
+    lpf = [0] + [largest_prime_factor(n) for n in range(1, 5001)]
+    for n in range(1, 5001):
+        assert lpf[n] == max(sympy.factorint(n), default=1)
+    ts = [1, 2, 97, 1000, 4999, 5000]
+    for y in (2, 3, 10, 71, 5000):
+        assert psi_prefixes(ts, y) == [sum(1 for n in range(1, t + 1) if lpf[n] <= y) for t in ts]
+
+
 def test_prime_factors_desc():
     assert prime_factors_desc(60) == [5, 3, 2, 2]
     assert prime_factors_desc(1) == []
     assert prime_factors_desc(97) == [97]
-
-
-def test_lpf_sieve_matches_direct():
-    lpf = largest_prime_factor_sieve(500)
-    for n in range(1, 501):
-        assert lpf[n] == largest_prime_factor(n)
-
-
-def test_lpf_sieve_matches_trial_division_and_sympy():
-    lpf = largest_prime_factor_sieve(5000)
-    assert len(lpf) == 5001 and lpf[0] == 0
-    for n in range(1, 5001):
-        assert lpf[n] == largest_prime_factor(n) == max(sympy.factorint(n), default=1)
-    assert list(largest_prime_factor_sieve(1)) == [0, 1]
-    with pytest.raises(ValueError):
-        largest_prime_factor_sieve(0)
 
 
 def brute_psi(t, y):
@@ -85,15 +79,15 @@ def test_psi_prefixes_domain():
 def test_psi_prefixes_sieve_once(monkeypatch):
     import subproducts.friable as friable
 
-    sieves = []
-    sieve = friable.largest_prime_factor_sieve
+    windows = []
+    sieve = friable.primes_between
     monkeypatch.setattr(
-        friable, "largest_prime_factor_sieve", lambda n: sieves.append(n) or sieve(n)
+        friable, "primes_between", lambda lo, hi: windows.append((lo, hi)) or sieve(lo, hi)
     )
     assert psi_prefixes([90, 10, 50, 90], 3) == [brute_psi(t, 3) for t in (90, 10, 50, 90)]
-    assert sieves == [90]
+    assert windows == [(4, 90)]  # the primes of (y, max ts] only
     assert psi_prefixes([4, 2], 5) == [4, 2]  # every t <= y: no sieve
-    assert sieves == [90]
+    assert windows == [(4, 90)]
 
 
 def test_psi_exact_examples():
@@ -125,7 +119,7 @@ def test_psi_asymptotic_examples():
 def test_greedy_examples():
     res = greedy_k_factorization(30, 10, 2)
     assert res.factors == (10, 3)  # 5 -> b1; 3 -> b2 (15 > 10); 2 -> b1
-    assert res.mode == "KWAY" and res.in_hypothesis
+    assert res.mode == "KWAY"
 
     res = greedy_k_factorization(1, 10, 3)
     assert res.factors == (1, 1, 1)
@@ -138,15 +132,6 @@ def test_greedy_examples():
 def test_greedy_rejects_nonfriable():
     with pytest.raises(NotFriableError):
         greedy_k_factorization(22, 10, 3)
-
-
-def test_greedy_best_effort_flagged():
-    # out of hypothesis but greedy still finds a split
-    res = greedy_k_factorization(7 * 8, 8, 2, best_effort=True)
-    assert not res.in_hypothesis
-    assert sorted(res.factors) == [7, 8]
-    with pytest.raises(BoundViolatedError):
-        greedy_k_factorization(125, 10, 2, best_effort=True)
 
 
 def test_greedy_random_harness():

@@ -82,6 +82,12 @@ def test_primes_up_to():
     assert len(primes_up_to(10_000)) == 1229
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 48, 49, 50, 10_000])
+def test_primes_up_to_matches_sympy(n):
+    # small n reach the sieve's recursion base; 49 = 7^2 marks a base prime's square
+    assert primes_up_to(n) == list(sympy.primerange(n + 1))
+
+
 def test_primes_between_examples():
     assert primes_between(-10, 1) == []
     assert primes_between(2, 2) == [2]
@@ -113,13 +119,13 @@ def test_primes_between_matches_sympy_primerange(lo, width):
 def test_build_context_examples():
     ctx = build_context(7)
     assert ctx.g == 3
-    assert ctx.index(2) == 2 and ctx.index(6) == 3
+    assert ctx.ind[2] == 2 and ctx.ind[6] == 3
 
     ctx = build_context(5)
-    assert ctx.g == 2 and ctx.index(4) == 2
+    assert ctx.g == 2 and ctx.ind[4] == 2
 
     ctx = build_context(3)
-    assert ctx.g == 2 and ctx.index(2) == 1
+    assert ctx.g == 2 and ctx.ind[2] == 1
 
 
 def test_build_context_rejects():
@@ -136,11 +142,9 @@ def test_context_index_table_invariants():
         seen = sorted(ctx.table[n] for n in range(1, p))
         assert seen == list(range(p - 1))
         assert [ctx.ind[n] for n in range(1, p)] == list(ctx.table[1:])
-        assert ctx.index(1) == 0
+        assert ctx.ind[1] == 0
         if p > 2:
-            assert ctx.index(ctx.g) == 1
-        with pytest.raises(ValueError):
-            ctx.index(p)
+            assert ctx.ind[ctx.g] == 1
 
 
 def test_index_respects_multiplication():
@@ -151,7 +155,7 @@ def test_index_respects_multiplication():
         for _ in range(10_000):
             u = rng.randint(1, p - 1)
             v = rng.randint(1, p - 1)
-            assert ctx.index(u * v % p) == (ctx.index(u) + ctx.index(v)) % m
+            assert ctx.ind[u * v % p] == (ctx.ind[u] + ctx.ind[v]) % m
 
 
 def test_legendre_examples():
@@ -168,7 +172,7 @@ def test_legendre_euler_criterion_and_index_parity():
             # independent route: is a a square?
             squares = {v * v % p for v in range(1, p)}
             assert sym == (1 if a in squares else -1)
-            assert sym == (-1) ** ctx.index(a)
+            assert sym == (-1) ** ctx.ind[a]
 
 
 def test_least_nonresidue_examples():
@@ -216,9 +220,9 @@ def test_group_generation_bound_definition():
         big_g = group_generation_bound(ctx)
         acc = p - 1
         for n in range(2, big_g):
-            acc = gcd(acc, ctx.index(n))
+            acc = gcd(acc, ctx.ind[n])
             assert acc > 1
-        assert gcd(acc, ctx.index(big_g)) == 1
+        assert gcd(acc, ctx.ind[big_g]) == 1
 
 
 def test_spectrum_chain_small():
@@ -253,7 +257,7 @@ def test_least_primitive_root_matches_sympy(p):
 def test_index_matches_sympy_discrete_log(p, data):
     ctx = build_context(p)
     n = data.draw(st.integers(1, 10 * p).filter(lambda v: v % p))
-    assert ctx.index(n) == discrete_log(p, n % p, ctx.g)
+    assert ctx.ind[n % ctx.p] == discrete_log(p, n % p, ctx.g)
 
 
 @settings(max_examples=300, deadline=None)
