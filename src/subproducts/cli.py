@@ -46,8 +46,9 @@ DEFAULT_EPSILON = Fraction(19, 100)
 # is expanded.
 MAX_FRACTION_TERM = 10**4
 _DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
-# `counts` folds y steps over p-1 slots of up to y bits: (p-1) y^2 bounds its
-# work (p = 10007, y = 1000 takes about a second).  `factorize` trial-divides
+# `counts` folds y steps over p-1 slots of at most y bits and prints p-1
+# y-bit counts: (p-1) y^2 bounds its work (p = 10007, y = 999 takes about
+# half a second, the most the cap allows at that p).  `factorize` trial-divides
 # n up to sqrt(n), about half a second at n = 10^14.
 MAX_COUNT_WORK = 10**10
 MAX_FACTORIZE_N = 10**14

@@ -40,7 +40,8 @@ class BadDifferenceError(ValueError):
 # ---------------------------------------------------------------------------
 # One index-coordinate kernel.  With s = ind(n), multiplying by n rotates
 # Z/(p-1) by s.  Coverage holds a bitset over indices and ORs in its
-# rotation; counts hold one w-bit slot per index and ADD theirs.
+# rotation; counts hold one w-bit slot per index, the deviation of its count
+# from the mean, and ADD theirs.
 
 
 def _rotate(x: int, shift: int, bits: int, full: int) -> int:
@@ -181,6 +182,12 @@ class SubsetProductCounts:
         return [b for b in range(1, self.p) if self.counts[b] > 0]
 
 
+# Unit steps of the count fold between two headroom tests of its slots.
+HEADROOM_INTERVAL = 8
+# Bytes a count slot starts with, and gains when a headroom test fails.
+SLOT_BYTES = 4
+
+
 def _widen(c: int, m: int, wb: int, wb2: int) -> int:
     """Repack m slots of wb bytes into slots of wb2 >= wb bytes."""
     raw, out = c.to_bytes(m * wb, "little"), bytearray(m * wb2)
@@ -195,34 +202,80 @@ def _slots(c: int, m: int, wb: int) -> list[int]:
     return [int.from_bytes(raw[i : i + wb], "little") for i in range(0, m * wb, wb)]
 
 
+def _layout(m: int, wb: int, interval: int) -> tuple[int, ...]:
+    """Constants of m slots of w = 8 wb bits biased by beta = 2^(w-2):
+    (w, bits, full, ONES, beta ONES, and for t = w - 3 - interval the
+    headroom test's offset (beta - 2^t) ONES and its mask of every slot's
+    bits at or above t+1), where ONES has a 1 in every slot."""
+    w = 8 * wb
+    bits, t = w * m, w - 3 - interval
+    full = (1 << bits) - 1
+    ones = full // ((1 << w) - 1)
+    beta_ones = ones << w - 2
+    offset, high = beta_ones - (ones << t), (ones << w) - (ones << t + 1)
+    return w, bits, full, ones, beta_ones, offset, high
+
+
 def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
     """Take-or-skip counts over n = 1, 2, ..., indexed by residue mod p,
     yielded after n = y for each y of the ascending list ys.
 
-    Slot i of c counts the subsets with product g^i; taking n adds c
-    rotated by ind(n) slots.  Counts stay <= 2^k after k elements, so
-    slots widen 8 bytes at a time to exceed k bits.  `zero` tallies the
-    products divisible by p.
+    The fold keeps the deviations T(b) = S(b) - mu from the mean, where
+    the unit mass u is 2^k after k unit steps (a step n = 0 mod p holds
+    it) and mu = u // (p-1).  Slot i of c holds T(g^i) + beta in w bits,
+    beta = 2^(w-2).  Taking a unit n adds c rotated by ind(n) slots:
+    T'(b) = T(b) + T(b/n) + adj with adj = 2 mu - mu' in {0, -1}, so a
+    step is c + rot(c) - (beta - adj) ONES.
+
+    Before every W-th unit step (W = HEADROOM_INTERVAL <= 8 SLOT_BYTES - 3)
+    one big-int test confirms -2^t <= T < 2^t for t = w - 3 - W:
+    c - (beta - 2^t) ONES has no bit at or above t+1 in any slot.  A
+    negative slot borrows from the slots above it and wraps to at least
+    2^w - beta, or, with nothing above to borrow from, makes the int
+    negative, which & reads in two's complement; both set bit w-1 of that
+    slot.  As |T'| <= 2|T| + 1, the next W steps keep |T| < beta, so no
+    slot carries or borrows.  A failed test widens every slot by
+    SLOT_BYTES and rebiases it, which restores the headroom, as
+    |T| < 2^(w-2) <= 2^(w + 8 SLOT_BYTES - 3 - W).
+
+    The deviations are sums of non-principal character terms: a character
+    of odd order k gives about 2^(y/k) and one of even order soon gives 0,
+    so T has about y/3 bits when 3 | p-1 and fewer otherwise, against
+    y-bit counts.  `zero` tallies the products divisible by p.  A snapshot
+    adds mu - beta to each narrow slot, so the counts it yields are exact
+    integers.
     """
-    p, m, ind = ctx.p, ctx.order, ctx.table
-    c, zero, wb = 1, 0, 8  # the empty subset: count 1 at g^0 = 1
-    bits, full = 64 * m, (1 << 64 * m) - 1
+    p, m, ind, interval = ctx.p, ctx.order, ctx.table, HEADROOM_INTERVAL
+    wb = SLOT_BYTES
+    w, bits, full, ones, beta_ones, offset, high = _layout(m, wb, interval)
+    c = beta_ones - (1 // m) * ones + 1  # the empty subset: S(1) = 1, mu = 1 // m
+    units, rho, zero = 0, 1 % m, 0  # rho = u mod m for u = 2^units
     n = 0
     for y in ys:
         while n < y:
             n += 1
-            if n >= 8 * wb:
-                c, wb = _widen(c, m, wb, wb + 8), wb + 8
-                bits, full = 8 * wb * m, (1 << 8 * wb * m) - 1
             r = n % p
             if r == 0:
                 # "take" sends every product to 0; "skip" leaves the rest alone
-                zero += zero + sum(_slots(c, m, wb))
+                zero += zero + (1 << units)
                 continue
+            if units % interval == 0 and (c - offset) & high:
+                c, old_w = _widen(c, m, wb, wb + SLOT_BYTES), w
+                wb += SLOT_BYTES
+                w, bits, full, ones, beta_ones, offset, high = _layout(m, wb, interval)
+                c += beta_ones - (ones << old_w - 2)
             zero += zero  # 0 * r stays 0
-            c += _rotate(c, 8 * wb * ind[r], bits, full)
+            units += 1
+            rho += rho
+            c += _rotate(c, w * ind[r], bits, full)
+            if rho >= m:  # adj = -1
+                rho -= m
+                c -= beta_ones + ones
+            else:
+                c -= beta_ones
+        mu_beta = (1 << units) // m - (1 << w - 2)
         slots = _slots(c, m, wb)
-        yield (zero, *(slots[ind[b]] for b in range(1, p)))
+        yield (zero, *map(mu_beta.__add__, map(slots.__getitem__, ind[1:])))
 
 
 def subset_product_prefixes(
@@ -245,8 +298,9 @@ def subset_product_counts(p: int, y: int) -> SubsetProductCounts:
     """Exact S_y(b) for all b, by take-or-skip dynamic programming.
 
     Starts from count 1 at residue 1 (the empty subset) and folds in
-    n = 1..y in the index coordinate; arbitrary-precision integers
-    throughout.  p must be prime.
+    n = 1..y in the index coordinate, keeping each count's deviation from
+    the mean 2^k // (p-1) in packed slots sized to the largest deviation,
+    not to 2^y; the counts returned are exact integers.  p must be prime.
     """
     (counts,) = subset_product_prefixes(build_context(p), [y])
     return counts

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subproducts import subsetprod
 from subproducts.modcore import NotPrimeError, build_context, primes_up_to
 from subproducts.subsetprod import (
     BadDifferenceError,
@@ -283,13 +284,100 @@ def test_counts_reject_non_prime_modulus():
 )
 @example(p=13, ys=[200, 13, 1, 64, 12, 13])
 def test_prefix_snapshots_match_single_folds(p, ys):
-    # ys >= p fill the zero slot; ys >= 64 cross a slot widening
+    # ys >= p fill the zero slot; long folds cross slot regrowths
     snapshots = list(subset_product_prefixes(build_context(p), ys))
     assert [s.y for s in snapshots] == sorted(set(ys))
     for s in snapshots:
         assert s.p == p
         assert s.counts == residue_walk_counts(p, range(1, s.y + 1))
         assert s.counts == subset_product_counts(p, s.y).counts
+
+
+PRIMES_1_MOD_3 = [q for q in primes_up_to(400) if q % 3 == 1]
+PRIMES_2_MOD_3 = [q for q in primes_up_to(400) if q % 3 == 2]
+
+
+@st.composite
+def fold_requests(draw):
+    """A prime <= 400, p = 1 or 2 mod 3 equally often (order-3 characters
+    make the deviations grow faster when 3 | p-1), and up to three prefix
+    lengths up to 3p, so zero steps fall between slot regrowths."""
+    p = draw(st.sampled_from(PRIMES_1_MOD_3) | st.sampled_from(PRIMES_2_MOD_3))
+    ys = draw(st.lists(st.integers(1, 3 * p), min_size=1, max_size=3))
+    return p, ys
+
+
+def assert_prefixes_match_walk(p, ys):
+    for s in subset_product_prefixes(build_context(p), ys):
+        assert s.counts == residue_walk_counts(p, range(1, s.y + 1)), (p, s.y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=fold_requests())
+@example(case=(2, [1, 2, 5, 6]))  # p-1 = 1: the starting mean is 1, not 0
+@example(case=(3, [1, 2, 3, 9]))
+@example(case=(397, [396, 1191]))
+def test_deviation_fold_matches_residue_walk(case):
+    assert_prefixes_match_walk(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=fold_requests())
+@example(case=(2, [1, 6]))
+@example(case=(3, [2, 9]))
+@example(case=(397, [396, 1191]))
+def test_deviation_fold_matches_residue_walk_testing_every_step(case):
+    # a headroom test before every unit step, on 1-byte slots that regrow
+    # and rebias a byte at a time
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsetprod, "HEADROOM_INTERVAL", 1)
+        mp.setattr(subsetprod, "SLOT_BYTES", 1)
+        assert_prefixes_match_walk(*case)
+
+
+HEADROOM_EDGE = 1 << 16 - 3 - 3  # 2^t for 2-byte slots tested every 3 steps
+HEADROOM_BETA = 1 << 16 - 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ts=st.lists(
+        st.integers(-HEADROOM_EDGE - 2, -HEADROOM_EDGE + 1)
+        | st.integers(HEADROOM_EDGE - 2, HEADROOM_EDGE + 1)
+        | st.integers(-HEADROOM_BETA + 1, HEADROOM_BETA - 1),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(ts=[0, -HEADROOM_BETA + 1])  # a negative top slot makes c - offset < 0
+@example(ts=[-HEADROOM_EDGE - 1, HEADROOM_EDGE - 1])
+def test_headroom_test_passes_exactly_inside_the_bound(ts):
+    # the fold's test on slots T + beta passes iff every -2^t <= T < 2^t
+    m = len(ts)
+    w, _, _, _, beta_ones, offset, high = subsetprod._layout(m, 2, 3)
+    c = sum((t + HEADROOM_BETA) << w * i for i, t in enumerate(ts))
+    assert beta_ones == sum(HEADROOM_BETA << w * i for i in range(m))
+    fits = not (c - offset) & high
+    assert fits == all(-HEADROOM_EDGE <= t < HEADROOM_EDGE for t in ts)
+
+
+def test_deviation_slots_stay_narrow():
+    # max_b |S_y(b) - mu| has 86 bits at p = 1013, y = 1012 and 328 bits at
+    # p = 1009, y = 1008: the slots track it, not the y-bit counts
+    widths = {}
+    slots = subsetprod._slots
+
+    def spy(c, m, wb):
+        widths[m + 1] = 8 * wb
+        return slots(c, m, wb)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsetprod, "_slots", spy)
+        for p, bits in ((1013, 86), (1009, 328)):
+            (s,) = subset_product_prefixes(build_context(p), [p - 1])
+            mu = 2 ** (p - 1) // (p - 1)
+            assert max(abs(c - mu) for c in s.counts[1:]).bit_length() == bits
+            assert bits < widths[p] <= bits + 64
 
 
 def test_prefix_fold_requests():
