@@ -9,9 +9,8 @@ p is encoded by the marker ``None``.
 Besides evaluation and character sums, this module carries the small
 trigonometric facts the toolkit verifies numerically: the lower bound on
 Re chi(c_1...c_k) when every chi(c_j) is near 1, the uniform bound
-|1+z| <= 2 e^{-delta^2/8} when |z-1| >= delta, the count of arguments
-n <= y where chi(n) strays from 1, and the divisor-filtered friable set
-built from that near-one test.
+|1+z| <= 2 e^{-delta^2/8} when |z-1| >= delta, and the count of
+arguments n <= y where chi(n) strays from 1.
 """
 
 from __future__ import annotations
@@ -21,15 +20,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modcore import PrimeContext, divisors_of, prime_factors_desc
+from .modcore import PrimeContext
 
 
 class InvalidDeltaError(ValueError):
     """Raised when a near-one threshold delta is outside (0, 2)."""
-
-
-class BadRangeError(ValueError):
-    """Raised when a divisor-filter range does not satisfy 1 < z <= x <= t."""
 
 
 class OutOfDomainError(ValueError):
@@ -259,68 +254,6 @@ def near_one_exceptions(
         if min(t, m - t) > cutoff:
             members.append(n)
     return len(members), members
-
-
-@dataclass(frozen=True)
-class AChiSet:
-    """Friable integers in (x, t] whose large divisors all sit near chi = 1.
-
-    Membership demands every divisor c > z of n satisfy
-    |chi_k(c) - 1| <= 1/log p.  `complement_size` counts the rest of (0, t].
-    """
-
-    p: int
-    k: int
-    y: int
-    t: int
-    x: float
-    z: float
-    members: tuple[int, ...]
-    complement_size: int
-
-
-def build_A_chi(
-    ctx: PrimeContext, k: int, y: int, t: int, x: float, z: float
-) -> AChiSet:
-    """Enumerate the divisor-filtered y-friable set over (x, t].
-
-    Each n is factored once by trial division, which gives both P(n) and
-    the divisors; fine at desk scale (t up to about 10^6).  An empty range
-    (t <= x) yields an empty set; `complement_size` is then max(t, 0).
-    """
-    if not 1 < z <= x:
-        raise BadRangeError(f"need 1 < z <= x, got z={z}, x={x}")
-    if not 0 <= k < ctx.order:
-        raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
-    m = ctx.order
-    p = ctx.p
-    ind = ctx.table
-    cutoff = near_one_cutoff(1.0 / math.log(p), m)
-
-    def divisor_near_one(c: int) -> bool:
-        r = c % p
-        if r == 0:
-            return False  # chi(c) = 0 sits at distance 1 > 1/log p
-        a = k * ind[r] % m
-        return min(a, m - a) <= cutoff
-
-    members = []
-    for n in range(math.floor(x) + 1, t + 1):
-        factors = prime_factors_desc(n)  # largest first: P(n) = factors[0]
-        if factors[0] > y:
-            continue
-        if all(c <= z or divisor_near_one(c) for c in divisors_of(factors)):
-            members.append(n)
-    return AChiSet(
-        p=p,
-        k=k,
-        y=y,
-        t=t,
-        x=x,
-        z=z,
-        members=tuple(members),
-        complement_size=max(t, 0) - len(members),
-    )
 
 
 def circle_lemma_bound(k_count: int, delta: float) -> float:

@@ -138,22 +138,13 @@ def prime_factors_desc(n: int) -> list[int]:
     return out
 
 
-def divisors_of(factors: list[int]) -> list[int]:
-    """All positive divisors of the product of `factors`, ascending.
-
-    `factors` are its prime factors with multiplicity, equal primes
-    adjacent, as `prime_factors_desc` returns them.
-    """
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1, ascending, from its factorization."""
     divs = [1]
-    for q, run in groupby(factors):
+    for q, run in groupby(prime_factors_desc(n)):
         powers = [q**e for e in range(len(list(run)) + 1)]
         divs = [d * qe for d in divs for qe in powers]
     return sorted(divs)
-
-
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending, from its factorization."""
-    return divisors_of(prime_factors_desc(n))
 
 
 def least_primitive_root(p: int) -> int:

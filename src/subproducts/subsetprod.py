@@ -115,19 +115,9 @@ def coverage_threshold(ctx: PrimeContext) -> int:
     return _first_cover(ctx, range(1, ctx.p))
 
 
-def y_of_p(p: int) -> int:
-    """Least y such that subset products of {1..y} cover all of [1, p-1]."""
-    return coverage_threshold(build_context(p))
-
-
 def prime_coverage_threshold(ctx: PrimeContext) -> int | None:
     """Least y' < p whose primes' subset products cover everything, else None."""
     return _first_cover(ctx, (n if is_prime(n) else None for n in range(1, ctx.p)))
-
-
-def y_prime_of_p(p: int) -> int | None:
-    """Prime-only coverage threshold; None when even all primes < p fail."""
-    return prime_coverage_threshold(build_context(p))
 
 
 def progression_coverage_threshold(
@@ -149,11 +139,6 @@ def progression_coverage_threshold(
         raise BadDifferenceError(f"difference {d} is a multiple of {p}")
     terms = (a + j * d for j in range(min(y_max, p)))
     return _first_cover(ctx, (t if t % p else None for t in terms))
-
-
-def y_of_progression(p: int, a: int, d: int, y_max: int) -> int | None:
-    """Coverage threshold along an arithmetic progression of length <= y_max."""
-    return progression_coverage_threshold(build_context(p), a, d, y_max)
 
 
 # ---------------------------------------------------------------------------

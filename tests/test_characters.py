@@ -5,17 +5,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subproducts.characters import (
-    BadRangeError,
     InvalidDeltaError,
     OutOfDomainError,
     PartialSumScan,
     angle_to_complex,
-    build_A_chi,
     char_angle,
     char_sum,
     circle_lemma_bound,
@@ -29,7 +26,6 @@ from subproducts.characters import (
     unit_roots,
     z_lemma_check,
 )
-from subproducts import characters
 from subproducts.modcore import build_context, primes_up_to
 
 
@@ -317,70 +313,6 @@ def test_near_one_invalid_delta():
         near_one_exceptions(ctx, 1, 5, 0.0)
     with pytest.raises(InvalidDeltaError):
         near_one_exceptions(ctx, 1, 5, 2.0)
-
-
-def test_build_A_chi_empty_range():
-    ctx = build_context(101)
-    out = build_A_chi(ctx, 1, 10, 5, 10, 2)
-    assert out.members == ()
-
-
-def test_build_A_chi_bad_range():
-    ctx = build_context(101)
-    with pytest.raises(BadRangeError):
-        build_A_chi(ctx, 1, 10, 50, 10, 1)
-    with pytest.raises(BadRangeError):
-        build_A_chi(ctx, 1, 10, 50, 5, 10)
-
-
-def test_build_A_chi_principal_is_friable_enumeration():
-    ctx = build_context(101)
-    out = build_A_chi(ctx, 0, 10, 50, 10, 2)
-    assert out.members == (
-        12, 14, 15, 16, 18, 20, 21, 24, 25, 27, 28, 30,
-        32, 35, 36, 40, 42, 45, 48, 49, 50,
-    )
-    assert out.complement_size == 50 - len(out.members)
-
-
-def test_build_A_chi_nonprincipal_subset_and_condition():
-    ctx = build_context(101)
-    principal = set(build_A_chi(ctx, 0, 10, 50, 10, 2).members)
-    delta = 1 / math.log(101)
-    for k in (1, 7, 50):
-        got = build_A_chi(ctx, k, 10, 50, 10, 2)
-        assert set(got.members) <= principal
-        for n in got.members:
-            for c in range(3, n + 1):  # every divisor above z = 2
-                if n % c == 0:
-                    val = angle_to_complex(char_angle(ctx, k, c))
-                    assert abs(val - 1) <= delta + 1e-12
-
-
-def test_build_A_chi_factors_each_n_once(monkeypatch):
-    calls = []
-    factor = characters.prime_factors_desc
-    monkeypatch.setattr(
-        characters, "prime_factors_desc", lambda n: calls.append(n) or factor(n)
-    )
-    ctx = build_context(101)
-    m = ctx.order
-    cutoff = near_one_cutoff(1 / math.log(101), m)
-    for k in (0, 1, 7, 50):
-        calls.clear()
-        got = build_A_chi(ctx, k, 10, 300, 20.5, 5.0)
-        assert calls == list(range(21, 301))
-        # against P(n) and the divisors as sympy finds them
-        want = tuple(
-            n for n in range(21, 301)
-            if max(sympy.primefactors(n)) <= 10
-            and all(
-                c <= 5.0
-                or (c % 101 and min(a := k * ctx.table[c % 101] % m, m - a) <= cutoff)
-                for c in sympy.divisors(n)
-            )
-        )
-        assert got.members == want
 
 
 def test_circle_lemma_bound_examples():

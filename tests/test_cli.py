@@ -343,6 +343,7 @@ BAD_INPUTS = [
                  "theorem check needs y above", id="verify-y-rule-below-comparison"),
     pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
+    pytest.param(["verify", "--checks", ""], "unknown checks: ['']", id="verify-checks-empty"),
     pytest.param(["verify", "--y-rule", "p^abc"], "bad y-rule", id="verify-y-rule-abc"),
     # only factorize reads --epsilon
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/0"],
@@ -495,6 +496,18 @@ def test_theorem_error_one_fold_per_prime(monkeypatch):
     for p, row in report.metrics.items():
         assert row["ratio"] == subsetprod.error_report(int(p), row["y"]).normalized_ratio
         assert row["ratio_small"] == subsetprod.error_report(int(p), row["y_small"]).normalized_ratio
+
+
+def test_theorem_error_passes_a_level_ratio(tmp_path):
+    # at p = 401, y = 5 and y = 6 share one ratio: max |D_y| doubles exactly
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--checks", "theorem", "--pmax", "401", "--y-rule", "6",
+                   "--out", str(out)) == 0
+    records = {r["name"]: r for r in json.loads(read(out))["records"]}
+    assert records["theorem_error_shrinks"]["status"] == "PASS"
+    ratio = records["theorem_error_ratio"]["metrics"]["401"]
+    assert (ratio["y"], ratio["y_small"]) == (6, 5)
+    assert ratio["ratio"] == ratio["ratio_small"]
 
 
 def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):

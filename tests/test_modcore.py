@@ -17,7 +17,6 @@ from subproducts.modcore import (
     TooLargeError,
     build_context,
     divisors,
-    divisors_of,
     group_generation_bound,
     iroot,
     is_prime,
@@ -370,9 +369,10 @@ def test_baby_table_size(p):
 
 
 def test_divisors_of_any_grouping_of_factors():
-    assert divisors_of([]) == [1]
-    assert divisors_of([7, 5, 5, 2, 2, 2]) == sympy.divisors(7 * 25 * 8)
-    assert divisors_of([2, 3, 3]) == [1, 2, 3, 6, 9, 18]
+    # no prime factor, three runs of repeated primes, one repeated prime
+    assert divisors(1) == [1]
+    assert divisors(7 * 5**2 * 2**3) == sympy.divisors(7 * 25 * 8)
+    assert divisors(2 * 3**2) == [1, 2, 3, 6, 9, 18]
 
 
 def test_sparse_index_at_the_table_cap_builds_no_table():

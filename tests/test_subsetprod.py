@@ -23,10 +23,9 @@ from subproducts.subsetprod import (
     initial_coverage,
     subset_product_counts,
     subset_product_prefixes,
+    prime_coverage_threshold,
+    progression_coverage_threshold,
     theorem_y,
-    y_of_p,
-    y_of_progression,
-    y_prime_of_p,
 )
 
 
@@ -114,9 +113,9 @@ def test_coverage_monotone():
 
 
 def test_y_of_p_examples():
-    assert y_of_p(2) == 1
-    assert y_of_p(5) == 4
-    assert y_of_p(7) == 4
+    assert coverage_threshold(build_context(2)) == 1
+    assert coverage_threshold(build_context(5)) == 4
+    assert coverage_threshold(build_context(7)) == 4
 
 
 def test_y_of_p_against_brute():
@@ -126,7 +125,7 @@ def test_y_of_p_against_brute():
             for y in range(1, p)
             if brute_reachable(p, range(1, y + 1)) == set(range(1, p))
         )
-        assert y_of_p(p) == expected
+        assert coverage_threshold(build_context(p)) == expected
 
 
 def test_y_prime_against_brute():
@@ -139,16 +138,17 @@ def test_y_prime_against_brute():
             ),
             None,
         )
-        assert y_prime_of_p(p) == expected
+        assert prime_coverage_threshold(build_context(p)) == expected
 
 
 def test_y_prime_examples():
-    assert y_prime_of_p(2) == 1
-    assert y_prime_of_p(7) is None  # residue 4 unreachable from {2,3,5}
+    assert prime_coverage_threshold(build_context(2)) == 1
+    # residue 4 unreachable from {2,3,5}
+    assert prime_coverage_threshold(build_context(7)) is None
     # exhaustive oracle over subsets of the primes 2,3,5,7
     assert brute_reachable(11, [2, 3, 5, 7]) == set(range(1, 11))
     assert brute_reachable(11, [2, 3, 5]) != set(range(1, 11))
-    assert y_prime_of_p(11) == 7
+    assert prime_coverage_threshold(build_context(11)) == 7
 
 
 def test_y_prime_at_least_y():
@@ -165,21 +165,22 @@ def test_y_prime_at_least_y():
             if state.covered:
                 yp = v
                 break
-        assert y_prime_of_p(p) == yp
+        assert prime_coverage_threshold(ctx) == yp
         if yp is not None:
             assert yp >= coverage_threshold(ctx)
 
 
 def test_progression_examples():
-    assert y_of_progression(5, 1, 1, 10) == 4  # agrees with y_of_p(5)
-    assert y_of_progression(5, 5, 5, 10) is None  # every term skipped
+    ctx2, ctx5, ctx7 = build_context(2), build_context(5), build_context(7)
+    assert progression_coverage_threshold(ctx5, 1, 1, 10) == 4  # agrees with y(5)
+    assert progression_coverage_threshold(ctx5, 5, 5, 10) is None  # every term skipped
     # mod 2 the only unit is 1, covered before any term: all-skipped still covers
-    assert y_of_progression(2, 2, 1, 5) == 1
-    assert y_of_progression(2, 2, 2, 1) == 1
+    assert progression_coverage_threshold(ctx2, 2, 1, 5) == 1
+    assert progression_coverage_threshold(ctx2, 2, 2, 1) == 1
     # a, d = 0 mod p decides at once however long the progression
-    assert y_of_progression(7, 7, 7, 10**12) is None
+    assert progression_coverage_threshold(ctx7, 7, 7, 10**12) is None
     with pytest.raises(YOutOfRangeError):
-        y_of_progression(7, 2, 3, 0)
+        progression_coverage_threshold(ctx7, 2, 3, 0)
     # direct simulation oracle for (p=7, a=2, d=3)
     expected = next(
         (
@@ -189,17 +190,18 @@ def test_progression_examples():
         ),
         None,
     )
-    assert y_of_progression(7, 2, 3, 20) == expected == 4
+    assert progression_coverage_threshold(ctx7, 2, 3, 20) == expected == 4
 
 
 def test_progression_bad_difference():
     with pytest.raises(BadDifferenceError):
-        y_of_progression(5, 1, 10, 8)
+        progression_coverage_threshold(build_context(5), 1, 10, 8)
 
 
 def test_progression_equals_y_of_p():
     for p in (5, 11, 31, 101):
-        assert y_of_progression(p, 1, 1, p) == y_of_p(p)
+        ctx = build_context(p)
+        assert progression_coverage_threshold(ctx, 1, 1, p) == coverage_threshold(ctx)
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,7 +214,7 @@ def test_progression_equals_y_of_p():
 def test_progression_against_brute(p, a, d, y_max):
     if d % p == 0 and a % p:
         with pytest.raises(BadDifferenceError):
-            y_of_progression(p, a, d, y_max)
+            progression_coverage_threshold(build_context(p), a, d, y_max)
         return
     expected = next(
         (
@@ -222,7 +224,7 @@ def test_progression_against_brute(p, a, d, y_max):
         ),
         None,
     )
-    assert y_of_progression(p, a, d, y_max) == expected
+    assert progression_coverage_threshold(build_context(p), a, d, y_max) == expected
 
 
 # --- exact counts -----------------------------------------------------------
@@ -274,7 +276,7 @@ def test_counts_reject_non_prime_modulus():
         with pytest.raises(NotPrimeError):
             subset_product_counts(p, 3)
         with pytest.raises(NotPrimeError):
-            y_of_progression(p, 1, 1, 3)
+            build_context(p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,7 +420,7 @@ def test_counts_beyond_p_track_zero_products():
 
 def test_positivity_boundary_matches_coverage():
     for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        threshold = y_of_p(p)
+        threshold = coverage_threshold(build_context(p))
         below = subset_product_counts(p, threshold - 1)
         at = subset_product_counts(p, threshold)
         assert min(below.counts[1:]) == 0
