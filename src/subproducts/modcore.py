@@ -1,7 +1,8 @@
 """Prime and multiplicative-group primitives.
 
-Primality, one prime sieve (over a window [lo, hi], or from 2), trial-
-division factorization and divisors, least primitive roots, discrete
+Primality, one prime sieve (over a window [lo, hi], or from 2; the
+primes up to 2^12 and a least-prime-factor table are kept per process),
+trial-division factorization and divisors, least primitive roots, discrete
 logs (one residue at a time, or as a full index table),
 Legendre symbols, and the classical small-generator statistics for a
 prime p: the least quadratic nonresidue, the least primitive root, and
@@ -13,8 +14,9 @@ into one comparison v <= iroot(N, k).
 from __future__ import annotations
 
 from array import array
+from bisect import bisect
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import compress, groupby
 from math import gcd, isqrt, log2
 
@@ -31,27 +33,61 @@ class TooLargeError(ValueError):
     """Raised when an index table would exceed the supported prime cap."""
 
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24 (covers 2^63).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# The least composite with no factor among the witnesses: 41^2.
-_WITNESS_SQUARE = 41 * 41
+# (psi_k, k): Miller-Rabin to the first k prime bases is exact for every
+# n < psi_k, the least odd composite that is a strong pseudoprime to all of
+# them (Jaeschke 1993; Sorenson and Webster 2017 for psi_12 and psi_13).
+# Counts that share their psi with the next are left out: psi_7 = psi_8 and
+# psi_9 = psi_10 = psi_11.  psi_13 itself fails base 43, so the first 14
+# bases are exact up to and including psi_13.
+PSI_13 = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (PSI_13, 13),
+    (PSI_13 + 1, 14),
+)
+# Trial division by 2..37 decides every n below 41^2, the least composite
+# with no prime factor among them.
+_TRIAL_PRIMES = _MR_BASES[:12]
+_TRIAL_SQUARE = 41 * 41
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for 1 <= n <= 2^63."""
+    """Deterministic primality test for n <= PSI_13 = 3317044064679887385961981.
+
+    Trial division by 2..37 decides every n < 41^2; a larger n runs
+    Miller-Rabin to the first k prime bases, k the fewest proven exact at
+    its size (3 below 25,326,001, 12 below psi_12 ~ 3.19e23).  Above
+    PSI_13 no base set is proven, so n > PSI_13 raises ValueError rather
+    than get a probable answer.
+    """
+    if n > PSI_13:
+        raise ValueError(
+            f"a {n.bit_length()}-bit integer is above {PSI_13}, beyond the "
+            "deterministic range of is_prime"
+        )
     if n < 2:
         return False
-    for q in _MR_WITNESSES:
+    for q in _TRIAL_PRIMES:
         if n % q == 0:
             return n == q
-    if n < _WITNESS_SQUARE:
-        return True  # a composite this small has a prime factor <= 37
+    if n < _TRIAL_SQUARE:
+        return True
+    bases = next(_MR_BASES[:k] for bound, k in _MR_TIERS if n < bound)
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -86,6 +122,33 @@ def primes_between(lo: int, hi: int) -> list[int]:
         if start <= hi:
             window[start - lo :: q] = bytes((hi - start) // q + 1)
     return list(compress(range(lo, hi + 1), window))
+
+
+# The reach of the small-prime data below, made once per process on first
+# use: isqrt(MAX_TABLE_PRIME).  `char_sum` reads the sparse index at no n
+# above isqrt(p), and a spectrum row at none above y' (at most 109 over
+# the rows of [3, 30000], [10^6, 1003000] and [16776000, 2^24]); the prime
+# walk sieves on past it if it has to.
+SMALL_PRIME_LIMIT = 1 << 12
+
+
+@cache
+def small_primes() -> tuple[int, ...]:
+    """The primes up to SMALL_PRIME_LIMIT, ascending: one `primes_between`."""
+    return tuple(primes_between(2, SMALL_PRIME_LIMIT))
+
+
+@cache
+def _least_factors() -> bytes:
+    """least[n] for n <= SMALL_PRIME_LIMIT: the least prime factor of a
+    composite n, 0 for a prime (and for 0 and 1).  Each q <= isqrt(LIMIT)
+    marks its multiples from q^2 on, the largest q first, so the least
+    factor is written last."""
+    least = bytearray(SMALL_PRIME_LIMIT + 1)
+    primes = small_primes()
+    for q in reversed(primes[: bisect(primes, isqrt(SMALL_PRIME_LIMIT))]):
+        least[q * q :: q] = bytes([q]) * ((SMALL_PRIME_LIMIT - q * q) // q + 1)
+    return bytes(least)
 
 
 def iroot(n: int, k: int) -> int:
@@ -151,6 +214,11 @@ def least_primitive_root(p: int) -> int:
     """Least positive integer of multiplicative order p-1 mod p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
+    return _least_primitive_root(p)
+
+
+def _least_primitive_root(p: int) -> int:
+    """`least_primitive_root` for a p already known to be prime."""
     order = p - 1
     order_factors = set(prime_factors_desc(order))
     for g in range(1, p):
@@ -172,22 +240,24 @@ class SparseIndex(dict):
     """Discrete logs to base g mod p, found one residue at a time and kept.
 
     `ind[r]` for r in [1, p-1] is the least a >= 0 with g^a = r (mod p);
-    ind(1) = 0 is known from the start.  A miss on a residue r with a
-    factor q < r among the primes 2..37 splits as ind(q) + ind(r/q) mod
-    p-1, both looked up (and kept) in turn, so the log of a small integer
-    costs only those of its prime factors.  Any other miss runs baby-step
-    giant-step (Shanks 1971) against one table of
+    ind(1) = 0 is known from the start.  A miss on a composite
+    r <= SMALL_PRIME_LIMIT splits on its least prime factor q, read from
+    one table, as ind(q) + ind(r/q) mod p-1, both looked up (and kept) in
+    turn, so the log of a small integer costs only those of its prime
+    factors.  Any other miss runs baby-step giant-step (Shanks 1971)
+    against one table of
     B = min(p-1, BABY_STEPS_PER_ROOT isqrt(p-1)) baby steps g^j -> j,
     built on the first such miss and shared by every later one; a giant
     step multiplies by g^-B, so a miss costs at most (p-1)/B of them.
     Hits are plain dict lookups.
     """
 
-    __slots__ = ("p", "g", "_baby", "_giant")
+    __slots__ = ("p", "g", "_least", "_baby", "_giant")
 
     def __init__(self, p: int, g: int) -> None:
         super().__init__({1: 0})
         self.p, self.g = p, g
+        self._least = _least_factors()
         self._baby: dict[int, int] | None = None
 
     def _build_baby_steps(self) -> None:
@@ -201,12 +271,8 @@ class SparseIndex(dict):
     def __missing__(self, r: int) -> int:
         if not 0 < r < self.p:
             raise IndexError(f"residue {r} outside [1, {self.p - 1}]")
-        for q in _MR_WITNESSES:
-            if r % q == 0 and q < r:
-                a = (self[q] + self[r // q]) % (self.p - 1)
-                break
-        else:
-            a = self._shanks(r)
+        q = self._least[r] if r <= SMALL_PRIME_LIMIT else 0
+        a = (self[q] + self[r // q]) % (self.p - 1) if q else self._shanks(r)
         self[r] = a
         return a
 
@@ -230,8 +296,9 @@ class PrimeContext:
 
     Two views of the same discrete logs, each made on first use:
 
-    - `ind[r]` (a `SparseIndex`) answers single residues, splitting off
-      small prime factors and running baby-step giant-step on the rest,
+    - `ind[r]` (a `SparseIndex`) answers single residues, splitting a
+      small composite on its least prime factor and running baby-step
+      giant-step on the rest,
       at O(sqrt p) set-up and no O(p) table;
     - `table` is the dense `array('i')` of every log (`table[0] = -1`),
       for consumers that sweep all residues.
@@ -272,7 +339,7 @@ def build_context(p: int) -> PrimeContext:
         raise NotPrimeError(f"{p} is not prime")
     if p > MAX_TABLE_PRIME:
         raise TooLargeError(f"p={p} exceeds table limit {MAX_TABLE_PRIME}")
-    return PrimeContext(p=p, g=least_primitive_root(p), order=p - 1)
+    return PrimeContext(p=p, g=_least_primitive_root(p), order=p - 1)
 
 
 def legendre(a: int, p: int) -> int:

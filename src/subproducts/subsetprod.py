@@ -13,12 +13,21 @@ slot of the count vector, so the full vector always sums to 2^y.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 from .characters import unit_roots
-from .modcore import PrimeContext, build_context, iroot, is_prime
+from .modcore import (
+    SMALL_PRIME_LIMIT,
+    PrimeContext,
+    build_context,
+    iroot,
+    primes_between,
+    small_primes,
+)
 
 
 class NotCoprimeError(ValueError):
@@ -90,20 +99,23 @@ def coverage_consume(state: CoverageState, n: int) -> CoverageState:
     return CoverageState(ctx=state.ctx, mask=_consume(state.ctx, state.mask, n))
 
 
-def _first_cover(ctx: PrimeContext, terms: Iterable[int | None]) -> int | None:
-    """Least k such that subset products of the first k terms reach every
-    unit, else None.  A None term is a step that consumes nothing.
+def _first_cover(
+    ctx: PrimeContext, steps: Iterable[tuple[int, int | None]]
+) -> int | None:
+    """The first y of the (y, n) steps after which the subset products of
+    the consumed terms reach every unit, else None.  A step consumes n, or
+    nothing when n is None.
 
     The steps of `coverage_consume` from `initial_coverage`, on the bare
     mask: no state object per term.
     """
     full = ctx.full_mask
     mask = 1
-    for k, n in enumerate(terms, 1):
+    for y, n in steps:
         if n is not None:
             mask = _consume(ctx, mask, n)
         if mask == full:
-            return k
+            return y
     return None
 
 
@@ -112,12 +124,27 @@ def coverage_threshold(ctx: PrimeContext) -> int:
 
     {1..p-1} holds every unit, so some y < p always covers.
     """
-    return _first_cover(ctx, range(1, ctx.p))
+    ns = range(1, ctx.p)
+    return _first_cover(ctx, zip(ns, ns))
+
+
+def _primes_below(p: int) -> Iterator[int]:
+    """The primes below p, ascending: the cached small primes, then, only
+    if a walk gets past them, one sieve window up to p-1."""
+    small = small_primes()
+    yield from islice(small, bisect_left(small, p))
+    if p - 1 > SMALL_PRIME_LIMIT:
+        yield from primes_between(SMALL_PRIME_LIMIT + 1, p - 1)
 
 
 def prime_coverage_threshold(ctx: PrimeContext) -> int | None:
-    """Least y' < p whose primes' subset products cover everything, else None."""
-    return _first_cover(ctx, (n if is_prime(n) else None for n in range(1, ctx.p)))
+    """Least y' < p whose primes' subset products cover everything, else None.
+
+    The walk steps from prime to prime.  Its first step, y' = 1, consumes
+    nothing: the empty product covers the lone unit mod 2.
+    """
+    primes = ((q, q) for q in _primes_below(ctx.p))
+    return _first_cover(ctx, chain([(1, None)], primes))
 
 
 def progression_coverage_threshold(
@@ -138,7 +165,7 @@ def progression_coverage_threshold(
     if d % p == 0 and a % p != 0:
         raise BadDifferenceError(f"difference {d} is a multiple of {p}")
     terms = (a + j * d for j in range(min(y_max, p)))
-    return _first_cover(ctx, (t if t % p else None for t in terms))
+    return _first_cover(ctx, enumerate((t if t % p else None for t in terms), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,7 @@ def test_verify_duplicate_checks_write_the_same_report(tmp_path):
 
 # Bad input to each subcommand: exit 2, nothing on stdout, one error line.
 ABOVE_CAP = modcore.MAX_TABLE_PRIME + 1
+PSI_12 = 399165290221 * 798330580441  # a strong pseudoprime to every base 2..37
 BAD_INPUTS = [
     pytest.param(["spectrum", "--pmin", "7", "--pmax", "3"], "need 3 <= pmin <= pmax",
                  id="spectrum-pmin-above-pmax"),
@@ -414,6 +415,16 @@ BAD_INPUTS = [
                  "outside (0, 1/5)", id="factorize-epsilon"),
     pytest.param(["charsum", "--p", "9", "--k", "1", "--t", "4"], "9 is not prime",
                  id="charsum-p-9"),
+    # psi_12 fools the first 12 Miller-Rabin bases; a p above psi_13 is
+    # refused before any Miller-Rabin round
+    pytest.param(["coverage", "--p", str(PSI_12), "--a", "1", "--d", "1", "--ymax", "1"],
+                 f"{PSI_12} is not prime", id="coverage-p-psi12"),
+    pytest.param(["charsum", "--p", str(PSI_12), "--k", "1", "--t", "1"],
+                 f"{PSI_12} is not prime", id="charsum-p-psi12"),
+    pytest.param(["coverage", "--p", str(2**4423 - 1), "--a", "1", "--d", "1", "--ymax", "1"],
+                 "4423-bit integer is above", id="coverage-p-mersenne-4423"),
+    pytest.param(["charsum", "--p", str(2**4423 - 1), "--k", "1", "--t", "1"],
+                 "4423-bit integer is above", id="charsum-p-mersenne-4423"),
     pytest.param(["charsum", "--p", "7", "--k", "1", "--t", "0"], "t must be >= 1",
                  id="charsum-t-0"),
     # only spectrum and verify take the sweep flags; factorize also --epsilon

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import legendre_symbol
 from sympy.ntheory import discrete_log, primitive_root
 
+from subproducts import modcore
 from subproducts.modcore import (
     BABY_STEPS_PER_ROOT,
     MAX_TABLE_PRIME,
+    PSI_13,
+    SMALL_PRIME_LIMIT,
     NotPrimeError,
     SparseIndex,
     TooLargeError,
@@ -26,6 +29,7 @@ from subproducts.modcore import (
     prime_factors_desc,
     primes_between,
     primes_up_to,
+    small_primes,
 )
 from subproducts.subsetprod import coverage_threshold, prime_coverage_threshold
 
@@ -62,7 +66,7 @@ def test_is_prime_matches_trial_division():
 
 def test_is_prime_next_to_the_witness_square():
     # below 41^2 the trial divisions by 2..37 decide alone; 41^2 and 41 * 43
-    # have no witness factor and go on to Miller-Rabin
+    # have no prime factor in 2..37 and go on to Miller-Rabin
     assert not is_prime(1680)
     assert not is_prime(1681)  # 41^2
     assert not is_prime(1763)  # 41 * 43
@@ -73,6 +77,52 @@ def test_is_prime_next_to_the_witness_square():
 def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**62 - 1)
+
+
+def strong_probable_prime(n, a):
+    """Whether odd n > 2 passes one Miller-Rabin round to base a."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
+
+
+# psi_k -> k for each bound where is_prime adds bases: the least odd
+# composite that passes Miller-Rabin to each of the first k prime bases
+PSI = {
+    2047: 1,
+    1373653: 2,
+    25326001: 3,
+    3215031751: 4,
+    2152302898747: 5,
+    3474749660383: 6,
+    341550071728321: 8,
+    3825123056546413051: 11,
+    318665857834031151167461: 12,
+    3317044064679887385961981: 13,
+}
+
+
+@pytest.mark.parametrize("psi,k", PSI.items())
+def test_is_prime_at_each_tier_boundary(psi, k):
+    bases = list(sympy.primerange(2, 50))
+    assert all(strong_probable_prime(psi, a) for a in bases[:k])
+    assert not strong_probable_prime(psi, bases[k])
+    assert not sympy.isprime(psi) and not is_prime(psi)
+
+
+@pytest.mark.parametrize("psi", PSI)
+def test_is_prime_matches_sympy_around_each_tier_boundary(psi):
+    for n in range(psi - 1000, min(psi + 1000, PSI_13 + 1)):
+        assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_refuses_above_its_deterministic_range():
+    assert PSI_13 == max(PSI)
+    for n in (PSI_13 + 1, PSI_13 + 2, 2**4423 - 1):
+        with pytest.raises(ValueError, match="beyond the deterministic range"):
+            is_prime(n)
 
 
 def test_primes_up_to():
@@ -130,6 +180,9 @@ def test_build_context_examples():
 def test_build_context_rejects():
     with pytest.raises(NotPrimeError):
         build_context(10)
+    # primality is decided before size: 2^24 + 1 = 97 * 257 * 673
+    with pytest.raises(NotPrimeError):
+        build_context(2**24 + 1)
     with pytest.raises(TooLargeError):
         build_context(2**31 - 1)
     assert MAX_TABLE_PRIME >= 2**24
@@ -340,6 +393,14 @@ def test_split_index_matches_sympy(p, data):
     residues = [s * c for s, c in draws if s * c < p]
     for r in [1, 2, p - 1, *residues]:
         assert ctx.ind[r] == discrete_log(p, r, ctx.g), r
+
+
+def test_small_prime_data_matches_sympy():
+    assert small_primes() == tuple(sympy.primerange(2, SMALL_PRIME_LIMIT + 1))
+    least = modcore._least_factors()
+    assert len(least) == SMALL_PRIME_LIMIT + 1 and least[:2] == bytes(2)
+    for n in range(2, SMALL_PRIME_LIMIT + 1):
+        assert least[n] == (0 if sympy.isprime(n) else min(sympy.primefactors(n))), n
 
 
 def test_only_primes_reach_baby_step_giant_step(monkeypatch):

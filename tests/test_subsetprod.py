@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subproducts import subsetprod
-from subproducts.modcore import NotPrimeError, build_context, primes_up_to
+from subproducts.modcore import SMALL_PRIME_LIMIT, NotPrimeError, build_context, primes_up_to
 from subproducts.subsetprod import (
     BadDifferenceError,
     NotCoprimeError,
@@ -149,6 +149,13 @@ def test_y_prime_examples():
     assert brute_reachable(11, [2, 3, 5, 7]) == set(range(1, 11))
     assert brute_reachable(11, [2, 3, 5]) != set(range(1, 11))
     assert prime_coverage_threshold(build_context(11)) == 7
+
+
+def test_prime_walk_goes_past_the_cached_primes():
+    # no y' found so far reaches SMALL_PRIME_LIMIT, so only this test walks
+    # into the sieve window above the cached primes
+    for p in (2, 3, 4091, SMALL_PRIME_LIMIT + 1, SMALL_PRIME_LIMIT + 2, 10007):
+        assert list(subsetprod._primes_below(p)) == primes_up_to(p - 1)
 
 
 def test_y_prime_at_least_y():

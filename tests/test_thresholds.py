@@ -3,10 +3,13 @@
 The oracle keeps the reached residues as a boolean array over Z/p:
 consuming a unit n reaches b when b or b/n was reached, so one step is
 reach |= reach[b * n^-1 mod p].  It needs no primitive root, no index
-table and no `PrimeContext`; primes come from sympy.
+table and no `PrimeContext`; primes come from sympy.  The spectrum's other
+statistics n2, g and G come from sympy's Legendre symbols, primitive roots
+and multiplicative orders, again with no discrete log.
 """
 
 from itertools import islice
+from math import lcm
 
 import numpy as np
 import pytest
@@ -14,7 +17,12 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subproducts.modcore import build_context, primes_up_to
+from subproducts.modcore import (
+    build_context,
+    group_generation_bound,
+    least_nonresidue,
+    primes_up_to,
+)
 from subproducts.subsetprod import (
     BadDifferenceError,
     coverage_threshold,
@@ -47,9 +55,27 @@ def assert_least_cover(p, terms, y):
     assert covers[y] and not covers[y - 1]
 
 
+def check_spectrum_chain(ctx, y):
+    """n2 <= G <= min(g, y), with n2, g and G from sympy equal to the
+    program's.  In the cyclic group mod p, the lcm of the orders of 2..G is
+    the order of the subgroup they generate, so G is the least G at which
+    that lcm reaches p - 1."""
+    p = ctx.p
+    n2 = next(n for n in range(2, p) if sympy.legendre_symbol(n, p) == -1)
+    g = sympy.primitive_root(p)
+    big_g, generated = 1, 1
+    while generated != p - 1:
+        big_g += 1
+        generated = lcm(generated, sympy.n_order(big_g, p))
+    assert (n2, g, big_g) == (least_nonresidue(p), ctx.g, group_generation_bound(ctx))
+    assert n2 <= big_g <= min(g, y)
+
+
 def check_all_thresholds(p, a, d, y_max):
     ctx = build_context(p)
-    assert_least_cover(p, range(1, p), coverage_threshold(ctx))
+    y = coverage_threshold(ctx)
+    assert_least_cover(p, range(1, p), y)
+    check_spectrum_chain(ctx, y)
     # y' counts integers, the oracle primes: y' primes <= y' are consumed
     yp = prime_coverage_threshold(ctx)
     primes = list(sympy.primerange(2, p))
