@@ -147,12 +147,8 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
                 best_sq, best_k, best_t = sq, k, n
             if sq > bound_sq:
                 violations += 1
-        # n = p: chi_k(p) = 0 leaves the sum where it is
-        sq = re * re + im * im
-        if sq > best_sq:
-            best_sq, best_k, best_t = sq, k, p
-        if sq > bound_sq:
-            violations += 1
+        # n = p: chi_k(p) = 0 leaves the sum, so it repeats n = p - 1's test
+        violations += sq > bound_sq
     return PartialSumScan(
         p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
@@ -234,16 +230,14 @@ def near_one_exceptions(
     test.  Multiples of p (character value 0, distance 1 from 1) are
     counted as exceptions.
     """
-    if not 0 < delta < 2:
-        raise InvalidDeltaError(f"delta={delta} outside (0, 2)")
+    m = ctx.order
+    cutoff = near_one_cutoff(delta, m)  # InvalidDeltaError comes first
     if y < 1:
         raise ValueError("y must be >= 1")
-    if not 0 <= k < ctx.order:
-        raise ValueError(f"character index {k} outside [0, {ctx.order - 1}]")
-    m = ctx.order
+    if not 0 <= k < m:
+        raise ValueError(f"character index {k} outside [0, {m - 1}]")
     p = ctx.p
     ind = ctx.table
-    cutoff = near_one_cutoff(delta, m)
     members = []
     for n in range(1, y + 1):
         r = n % p

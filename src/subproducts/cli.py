@@ -170,7 +170,6 @@ def run_spectrum_sweep(config: SweepConfig) -> list[tuple]:
             rows = list(pool.map(_spectrum_row, ps, chunksize=32))
     else:
         rows = [_spectrum_row(p) for p in ps]
-    rows.sort(key=lambda row: row[0])
     for p, n2, g, big_g, y, yp in rows:
         if not (n2 <= big_g <= g and big_g <= y):
             raise ChainViolationError(
@@ -398,7 +397,7 @@ def check_burgess_ratio(p_max: int) -> CheckRecord:
         if p > p_max:
             continue
         ctx = modcore.build_context(p)
-        t = math.ceil(p**0.6)  # comfortably above the p^(1/4+eps) regime
+        t = subsetprod.theorem_y(p)  # ceil(p^0.6), comfortably above p^(1/4+eps)
         _, mag = characters.max_nonprincipal_sum(ctx, t)
         out[str(p)] = {"t": t, "max_ratio": mag / t}
     return CheckRecord(
@@ -409,14 +408,14 @@ def check_burgess_ratio(p_max: int) -> CheckRecord:
     )
 
 
-# The random harnesses draw y <= HARNESS_Y_MAX and share one sieve.
+# The random harnesses draw y <= HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT.
 HARNESS_Y_MAX = 200
-_HARNESS_PRIMES = modcore.primes_up_to(HARNESS_Y_MAX)
 
 
-def _primes_to(y: int) -> list[int]:
-    """Primes <= y, for y <= HARNESS_Y_MAX."""
-    return _HARNESS_PRIMES[: bisect.bisect_right(_HARNESS_PRIMES, y)]
+def _primes_to(y: int) -> tuple[int, ...]:
+    """Primes <= y, for y <= HARNESS_Y_MAX: a slice of the cached small primes."""
+    primes = modcore.small_primes()
+    return primes[: bisect.bisect_right(primes, y)]
 
 
 def _random_kway_instance(rng: random.Random) -> tuple[int, int, int]:
@@ -736,17 +735,6 @@ def parse_fraction(text: str) -> Fraction:
     return value
 
 
-def parse_epsilon(text: str) -> Fraction:
-    """An --epsilon value as an exact fraction (see `parse_fraction`).
-
-    The cap bounds the factorization's y^(k*b + 2a) for epsilon = a/b.
-    """
-    try:
-        return parse_fraction(text)
-    except ValueError as exc:
-        raise InvalidRangeError(f"bad epsilon {text!r}: {exc}") from exc
-
-
 def _config_from(args: argparse.Namespace, **fields) -> SweepConfig:
     """The command line's config; the sweep and the suite validate it."""
     return SweepConfig(p_min=args.pmin, p_max=args.pmax, workers=args.workers, **fields)
@@ -793,7 +781,10 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _cmd_factorize(args: argparse.Namespace) -> int:
     if args.n > MAX_FACTORIZE_N:
         raise InvalidRangeError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
-    eps = parse_epsilon(args.epsilon)
+    try:
+        eps = parse_fraction(args.epsilon)
+    except ValueError as exc:
+        raise InvalidRangeError(f"bad epsilon {args.epsilon!r}: {exc}") from exc
     # kway forms y^(k+1); ranged and threeway (k = 3) form y^(k b + 2a)
     k = 3 if args.mode == "threeway" else args.k
     a, b = (0, 1) if args.mode == "kway" else (eps.numerator, eps.denominator)
@@ -905,7 +896,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (InvalidRangeError, ValueError) as exc:
+    except ValueError as exc:  # InvalidRangeError and parser errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -272,47 +272,44 @@ def three_way_factorization(n: int, y: int, epsilon) -> FactorizationResult:
     )
 
 
+def _splits(n: int, parts: list[int], fewest: int, most: int) -> bool:
+    """Is n a product of between fewest and most factors from parts?
+
+    parts is ascending, each part above 1, and a part may repeat.  The
+    factors are tried in ascending order, so each multiset is tried once.
+    """
+
+    def rec(m: int, used: int, start: int) -> bool:
+        if m == 1:
+            return fewest <= used <= most
+        if used >= most:
+            return False
+        for i in range(start, len(parts)):
+            d = parts[i]
+            if d > m:
+                break
+            if m % d == 0 and rec(m // d, used + 1, i):
+                return True
+        return False
+
+    return rec(n, 0, 0)
+
+
 def kway_feasible(n: int, y: int, k: int) -> bool:
     """Exhaustive check: can n be written as a product of k factors <= y?
 
     Independent of the greedy path (pure divisor search); unit factors
-    allowed.  Intended for desk-scale sharpness witnesses.
+    allowed, so at most k factors in (1, y].  Intended for desk-scale
+    sharpness witnesses.
     """
-    if k == 0:
-        return n == 1
-    divs = [d for d in divisors(n) if d <= y]
-
-    def rec(m: int, slots: int, lo: int) -> bool:
-        if slots == 1:
-            return lo <= m <= y
-        for d in divs:
-            if d < lo:
-                continue
-            if m % d == 0 and rec(m // d, slots - 1, d):
-                return True
-        return False
-
-    return rec(n, k, 1)
+    return _splits(n, [d for d in divisors(n) if 1 < d <= y], 0, k)
 
 
 def ranged_feasible(n: int, y: int, k: int, epsilon) -> bool:
     """Exhaustive check: does any split into ell in (k/2, k] factors, each
     in (y^epsilon, y], exist?  Bounds decided exactly."""
     eps = Fraction(epsilon)
-    a, b = eps.numerator, eps.denominator
-    small_bound = y**a
-    good = [d for d in divisors(n) if d <= y and d**b > small_bound]
-
-    def rec(m: int, used: int, lo: int) -> bool:
-        if m == 1:
-            return 2 * used > k and used <= k
-        if used == k:
-            return False
-        for d in good:
-            if d < lo or d == 1:
-                continue
-            if m % d == 0 and rec(m // d, used + 1, d):
-                return True
-        return False
-
-    return rec(n, 0, 2)
+    b = eps.denominator
+    small_bound = y**eps.numerator
+    good = [d for d in divisors(n) if 1 < d <= y and d**b > small_bound]
+    return _splits(n, good, k // 2 + 1, k)

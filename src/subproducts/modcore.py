@@ -125,11 +125,11 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
 
 # The reach of the small-prime data below, made once per process on first
-# use: isqrt(MAX_TABLE_PRIME).  `char_sum` reads the sparse index at no n
-# above isqrt(p), and a spectrum row at none above y' (at most 109 over
+# use.  `char_sum` reads the sparse index at no n above isqrt(p) (so none
+# above this limit), and a spectrum row at none above y' (at most 109 over
 # the rows of [3, 30000], [10^6, 1003000] and [16776000, 2^24]); the prime
 # walk sieves on past it if it has to.
-SMALL_PRIME_LIMIT = 1 << 12
+SMALL_PRIME_LIMIT = isqrt(MAX_TABLE_PRIME)
 
 
 @cache

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from subproducts import characters
 from subproducts.characters import (
     InvalidDeltaError,
     OutOfDomainError,
@@ -191,10 +192,11 @@ def test_polya_vinogradov_scan_small():
 
 def scan_by_value_table(ctx):
     """The Polya-Vinogradov scan as first written: a p-entry complex table
-    of chi_k per character, summed over n = 1..p with n read mod p."""
+    of chi_k per character, summed over n = 1..p with n read mod p.  The
+    bound is read through the module, as the scan reads it."""
     p, m = ctx.p, ctx.order
     roots = unit_roots(m)
-    bound = polya_vinogradov_bound(p)
+    bound = characters.polya_vinogradov_bound(p)
     best_sq = -1.0
     best_k = best_t = 0
     violations = 0
@@ -223,10 +225,27 @@ def scan_by_value_table(ctx):
     )
 
 
-def test_polya_vinogradov_scan_equals_value_table_scan():
+def test_polya_vinogradov_scan_equals_value_table_scan(monkeypatch):
     for p in primes_up_to(311):
         ctx = build_context(p)
         assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
+    # A zero bound makes every nonzero partial sum a violation.  A full
+    # period sums to zero only up to rounding, so t = p violates for each
+    # k whose rounded sum over n < p is not exactly 0; the scan must count
+    # those as the value table does.
+    monkeypatch.setattr(characters, "polya_vinogradov_bound", lambda p: 0.0)
+    at_p = 0
+    for p in primes_up_to(101)[1:]:
+        ctx = build_context(p)
+        scan = polya_vinogradov_scan(ctx)
+        assert scan.bound == 0.0 and scan.violations > 0
+        assert scan == scan_by_value_table(ctx)
+        roots, m = unit_roots(ctx.order), ctx.order
+        at_p += sum(
+            sum(roots[k * ctx.table[n] % m] for n in range(1, p)) != 0
+            for k in range(1, m)
+        )
+    assert at_p > 0
 
 
 @settings(max_examples=4, deadline=None)

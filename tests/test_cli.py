@@ -562,3 +562,28 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "b,count\n1,2\n2,2\n"
+
+
+def test_importing_cli_runs_no_sieve():
+    # the random harnesses slice modcore.small_primes(), built on first use
+    src = os.path.dirname(os.path.dirname(subproducts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = """
+import subproducts.modcore as modcore
+sieved = []
+real = modcore.primes_between
+def spy(lo, hi):
+    sieved.append((lo, hi))
+    return real(lo, hi)
+modcore.primes_between = spy
+import subproducts.cli as cli
+assert sieved == [], sieved
+assert cli.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr

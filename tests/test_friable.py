@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 import sympy
@@ -286,6 +287,43 @@ def test_ranged_random_harness():
 def test_ranged_feasible_oracle_positive():
     assert ranged_feasible(60, 10, 3, Fraction(19, 100))
     assert ranged_feasible(3362, 100, 3, Fraction(19, 100))
+
+
+def some_multiset_multiplies_to(n, parts, sizes):
+    return any(
+        math.prod(c) == n
+        for ell in sizes
+        for c in combinations_with_replacement(parts, ell)
+    )
+
+
+SMOOTH_TO_3000 = [n for n in range(1, 3001) if max(sympy.factorint(n), default=1) <= 60]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.one_of(st.integers(1, 3000), st.sampled_from(SMOOTH_TO_3000)),
+    y=st.integers(2, 60),
+    k=st.integers(0, 4),
+    num=st.integers(1, 20),
+    extra=st.integers(1, 100),
+)
+@example(n=1, y=2, k=0, num=1, extra=1)
+@example(n=1, y=60, k=4, num=1, extra=1)
+@example(n=2520, y=60, k=4, num=1, extra=1)
+@example(n=60, y=10, k=3, num=19, extra=5)
+@example(n=3362 // 2, y=60, k=2, num=1, extra=4)
+@example(n=2, y=16, k=1, num=1, extra=1)  # 2 = 16^(1/4) is not above y^eps
+def test_oracles_match_multiset_brute_force(n, y, k, num, extra):
+    # every multiset of divisors of n, listed by trial of each d <= y;
+    # epsilon = num / (num (k+2) + extra) lies in (0, 1/(k+2))
+    eps = Fraction(num, num * (k + 2) + extra)
+    parts = [d for d in range(1, min(n, y) + 1) if n % d == 0]
+    assert kway_feasible(n, y, k) == some_multiset_multiplies_to(n, parts, [k])
+    a, b = eps.numerator, eps.denominator
+    ranged_parts = [d for d in parts if d**b > y**a]
+    sizes = range(k // 2 + 1, k + 1)
+    assert ranged_feasible(n, y, k, eps) == some_multiset_multiplies_to(n, ranged_parts, sizes)
 
 
 # --- three-way corollary -----------------------------------------------------
