@@ -13,10 +13,12 @@ slot of the count vector, so the full vector always sums to 2^y.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, islice, repeat
+from operator import add
 from typing import Iterable, Iterator
 
 from .characters import unit_roots
@@ -50,12 +52,12 @@ class BadDifferenceError(ValueError):
 # One index-coordinate kernel.  With s = ind(n), multiplying by n rotates
 # Z/(p-1) by s.  Coverage holds a bitset over indices and ORs in its
 # rotation; counts hold one w-bit slot per index, the deviation of its count
-# from the mean, and ADD theirs.
+# from its coset's baseline, and ADD theirs.
 
 
 def _rotate(x: int, shift: int, bits: int, full: int) -> int:
     """Rotate the bits-wide word x left by shift (full = 2^bits - 1)."""
-    return (x << shift | x >> (bits - shift)) & full
+    return ((x << shift) & full) | (x >> (bits - shift))
 
 
 @dataclass(frozen=True)
@@ -194,10 +196,13 @@ class SubsetProductCounts:
         return [b for b in range(1, self.p) if self.counts[b] > 0]
 
 
-# Unit steps of the count fold between two headroom tests of its slots.
+# Unit steps of the count fold between two rebiases of its slots.
 HEADROOM_INTERVAL = 8
 # Bytes a count slot starts with, and gains when a headroom test fails.
 SLOT_BYTES = 4
+
+# struct codes of little-endian unsigned ints, by size in bytes
+_SLOT_CODES = {4: "I", 8: "Q"}
 
 
 def _widen(c: int, m: int, wb: int, wb2: int) -> int:
@@ -209,60 +214,88 @@ def _widen(c: int, m: int, wb: int, wb2: int) -> int:
 
 
 def _slots(c: int, m: int, wb: int) -> list[int]:
-    """The m slots of wb bytes in c, lowest first."""
+    """The m slots of wb bytes in c, lowest first, split at C speed: 4- and
+    8-byte slots unpack straight to ints, others to byte strings first."""
     raw = c.to_bytes(m * wb, "little")
-    return [int.from_bytes(raw[i : i + wb], "little") for i in range(0, m * wb, wb)]
+    code = _SLOT_CODES.get(wb)
+    if code is not None:
+        return list(struct.unpack(f"<{m}{code}", raw))
+    return list(map(int.from_bytes, struct.unpack(f"{wb}s" * m, raw), repeat("little")))
+
+
+def _spread(ks: list[int], wb: int, q: int) -> int:
+    """q periods of d = len(ks) slots of wb bytes, slot i holding ks[i mod d]
+    (each 0 <= k < 2^(8 wb)): one period's bytes, repeated at C speed."""
+    period = b"".join(k.to_bytes(wb, "little") for k in ks)
+    return int.from_bytes(period * q, "little")
 
 
 def _layout(m: int, wb: int, interval: int) -> tuple[int, ...]:
-    """Constants of m slots of w = 8 wb bits biased by beta = 2^(w-2):
-    (w, bits, full, ONES, beta ONES, and for t = w - 3 - interval the
-    headroom test's offset (beta - 2^t) ONES and its mask of every slot's
-    bits at or above t+1), where ONES has a 1 in every slot."""
+    """Constants of m slots of w = 8 wb bits: (w, bits, full, t, high) for
+    t = w - 1 - interval, where high masks every slot's bits at or above
+    t+1."""
     w = 8 * wb
-    bits, t = w * m, w - 3 - interval
-    full = (1 << bits) - 1
-    ones = full // ((1 << w) - 1)
-    beta_ones = ones << w - 2
-    offset, high = beta_ones - (ones << t), (ones << w) - (ones << t + 1)
-    return w, bits, full, ones, beta_ones, offset, high
+    t = w - 1 - interval
+    return w, w * m, (1 << w * m) - 1, t, _spread([(1 << w) - (2 << t)], wb, m)
+
+
+def _rebias(c: int, lift: list[int], bias: int, t: int, wb: int, q: int) -> int:
+    """c less lift[j] + bias - 2^t in every slot of coset j mod d = len(lift)."""
+    return c - _spread([f + bias - (1 << t) for f in lift], wb, q)
 
 
 def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
     """Take-or-skip counts over n = 1, 2, ..., indexed by residue mod p,
     yielded after n = y for each y of the ascending list ys.
 
-    The fold keeps the deviations T(b) = S(b) - mu from the mean, where
-    the unit mass u is 2^k after k unit steps (a step n = 0 mod p holds
-    it) and mu = u // (p-1).  Slot i of c holds T(g^i) + beta in w bits,
-    beta = 2^(w-2).  Taking a unit n adds c rotated by ind(n) slots:
-    T'(b) = T(b) + T(b/n) + adj with adj = 2 mu - mu' in {0, -1}, so a
-    step is c + rot(c) - (beta - adj) ONES.
+    The fold keeps deviations from a baseline that is constant on each
+    coset of the cubes: d = 3 when 3 | p-1, else d = 1, and q = (p-1)/d.
+    Slot i of c holds V_i = S(g^i) - L[i mod d] + B in w bits, for an
+    integer vector L of length d and one bias B.  Taking a unit n adds c
+    rotated by s = ind(n) slots: S'(g^i) = S(g^i) + S(g^(i-s)), so
+    V' = V_i + V_(i-s) holds the same form with L'[j] = L[j] + L[j-s] and
+    B' = 2B.  Slots only add, so none borrows.  L is carried exactly
+    beside D = A - qL, where A[j] sums S over coset j and folds as L does,
+    in one list fold = L + D that a step updates by one index map.
 
-    Before every W-th unit step (W = HEADROOM_INTERVAL <= 8 SLOT_BYTES - 3)
-    one big-int test confirms -2^t <= T < 2^t for t = w - 3 - W:
-    c - (beta - 2^t) ONES has no bit at or above t+1 in any slot.  A
-    negative slot borrows from the slots above it and wraps to at least
-    2^w - beta, or, with nothing above to borrow from, makes the int
-    negative, which & reads in two's complement; both set bit w-1 of that
-    slot.  As |T'| <= 2|T| + 1, the next W steps keep |T| < beta, so no
-    slot carries or borrows.  A failed test widens every slot by
-    SLOT_BYTES and rebiases it, which restores the headroom, as
-    |T| < 2^(w-2) <= 2^(w + 8 SLOT_BYTES - 3 - W).
+    Before every W-th unit step (W = HEADROOM_INTERVAL, 1 <= W < 8
+    SLOT_BYTES) a rebias moves L to the floor coset means, L += D // q,
+    by subtracting D[j] // q + B - 2^t from each slot of coset j, which
+    sets B = 2^t for t = w - 1 - W; one big-int & high then tests that
+    every slot is below 2^(t+1).  Before the rebias 0 <= V < 2^w,
+    0 <= D // q < 2^W and 2^t <= B <= 2^(w-1).  So each slot then holds a
+    v in [2^(t+1) - 2^w, 2^w), a lowest slot outside [0, 2^(t+1)) reads
+    v mod 2^w >= 2^(t+1) in c's two's complement, and the test passes iff
+    every T = v - 2^t has -2^t <= T < 2^t.  After a pass 0 <= V < 2^(t+1)
+    and W steps at most double it W times, so V < 2^w: no slot carries.
+    A failed test widens the slots as they were before the rebias by
+    SLOT_BYTES bytes, to w' bits, and adds 2^t' - B to every slot, which
+    sets B = 2^t' and keeps V below 2^w + 2^t' < 2^w'.  The rebias is then
+    made again and passes, as |T| < 2^w <= 2^t'.  The rebias patterns
+    and the test mask repeat one period of d slots, so they are built by
+    bytes repetition, not by big-int multiplication.
 
-    The deviations are sums of non-principal character terms: a character
-    of odd order k gives about 2^(y/k) and one of even order soon gives 0,
-    so T has about y/3 bits when 3 | p-1 and fewer otherwise, against
-    y-bit counts.  `zero` tallies the products divisible by p.  A snapshot
-    adds mu - beta to each narrow slot, so the counts it yields are exact
-    integers.
+    The deviations are sums of the characters that are not constant on
+    the cosets: one of odd order k gives about 2^(y/k) and one of even
+    order soon gives 0.  The cubic baseline cancels the order-3
+    characters, the widest, so at y = p-1 T has 137 bits at p = 1009
+    (the order-7 characters), 9 at p = 997 and 86 at p = 1013, against
+    y-bit counts.  `zero` tallies the products divisible by p.  A
+    snapshot adds L[j] - B to the slots of coset j, so the counts it
+    yields are exact integers.
     """
     p, m, ind, interval = ctx.p, ctx.order, ctx.table, HEADROOM_INTERVAL
-    wb = SLOT_BYTES
-    w, bits, full, ones, beta_ones, offset, high = _layout(m, wb, interval)
-    c = beta_ones - (1 // m) * ones + 1  # the empty subset: S(1) = 1, mu = 1 // m
-    units, rho, zero = 0, 1 % m, 0  # rho = u mod m for u = 2^units
-    n = 0
+    d = 3 if m % 3 == 0 else 1
+    q, wb = m // d, SLOT_BYTES
+    w, bits, full, t, high = _layout(m, wb, interval)
+    # fold = L + D; the empty subset has S(1) = 1, so A = (1, 0, ...)
+    zeros = [0] * (d - 1)
+    fold = [1 // q, *zeros, 1 % q, *zeros]
+    # a step by s adds to fold[j] the entry for coset j - s, in L and in D
+    shifts = [[(j - k) % d + h for h in (0, d) for j in range(d)] for k in range(d)]
+    bias = 1 << t
+    c = 1 + _spread([bias - low for low in fold[:d]], wb, q)
+    units = zero = n = 0
     for y in ys:
         while n < y:
             n += 1
@@ -271,23 +304,29 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
                 # "take" sends every product to 0; "skip" leaves the rest alone
                 zero += zero + (1 << units)
                 continue
-            if units % interval == 0 and (c - offset) & high:
-                c, old_w = _widen(c, m, wb, wb + SLOT_BYTES), w
-                wb += SLOT_BYTES
-                w, bits, full, ones, beta_ones, offset, high = _layout(m, wb, interval)
-                c += beta_ones - (ones << old_w - 2)
+            if units % interval == 0:
+                base, rest = fold[:d], fold[d:]
+                lift = [e // q for e in rest]
+                fold = [*map(add, base, lift), *(e - q * f for e, f in zip(rest, lift))]
+                cut = _rebias(c, lift, bias, t, wb, q)
+                while cut & high:
+                    c = _widen(c, m, wb, wb + SLOT_BYTES)
+                    wb += SLOT_BYTES
+                    w, bits, full, t, high = _layout(m, wb, interval)
+                    c += _spread([(1 << t) - bias], wb, m)
+                    bias = 1 << t
+                    cut = _rebias(c, lift, bias, t, wb, q)
+                c, bias = cut, 1 << t
             zero += zero  # 0 * r stays 0
             units += 1
-            rho += rho
-            c += _rotate(c, w * ind[r], bits, full)
-            if rho >= m:  # adj = -1
-                rho -= m
-                c -= beta_ones + ones
-            else:
-                c -= beta_ones
-        mu_beta = (1 << units) // m - (1 << w - 2)
+            s = ind[r]
+            c += _rotate(c, w * s, bits, full)
+            bias += bias
+            fold = [*map(add, fold, map(fold.__getitem__, shifts[s % d]))]
         slots = _slots(c, m, wb)
-        yield (zero, *map(mu_beta.__add__, map(slots.__getitem__, ind[1:])))
+        for j, low in enumerate(fold[:d]):
+            slots[j::d] = map((low - bias).__add__, slots[j::d])
+        yield (zero, *map(slots.__getitem__, ind[1:]))
 
 
 def subset_product_prefixes(
@@ -311,8 +350,9 @@ def subset_product_counts(p: int, y: int) -> SubsetProductCounts:
 
     Starts from count 1 at residue 1 (the empty subset) and folds in
     n = 1..y in the index coordinate, keeping each count's deviation from
-    the mean 2^k // (p-1) in packed slots sized to the largest deviation,
-    not to 2^y; the counts returned are exact integers.  p must be prime.
+    the floor mean of its coset of the cubes in packed slots sized to the
+    largest deviation, not to 2^y; the counts returned are exact integers.
+    p must be prime.
     """
     (counts,) = subset_product_prefixes(build_context(p), [y])
     return counts

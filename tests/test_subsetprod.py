@@ -1,5 +1,6 @@
 import math
 import random
+from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,10 +43,13 @@ def brute_reachable(p, elements):
     return reached
 
 
-def residue_walk_counts(p, elements):
-    """Oracle: take-or-skip over residues, one Python int per residue."""
-    counts = [0] * p
-    counts[1 % p] = 1
+def residue_walk_counts(p, elements, start=None):
+    """Oracle: take-or-skip over residues, one Python int per residue, from
+    the counts `start` (by default the empty subset alone)."""
+    if start is None:
+        start = [0] * p
+        start[1 % p] = 1
+    counts = start
     for n in elements:
         new = list(counts)  # skip n ...
         for b, c in enumerate(counts):
@@ -317,15 +321,20 @@ def fold_requests(draw):
 
 
 def assert_prefixes_match_walk(p, ys):
+    walk, n = None, 0
     for s in subset_product_prefixes(build_context(p), ys):
-        assert s.counts == residue_walk_counts(p, range(1, s.y + 1)), (p, s.y)
+        walk, n = residue_walk_counts(p, range(n + 1, s.y + 1), walk), s.y
+        assert s.counts == walk, (p, s.y)
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=fold_requests())
 @example(case=(2, [1, 2, 5, 6]))  # p-1 = 1: the starting mean is 1, not 0
 @example(case=(3, [1, 2, 3, 9]))
+@example(case=(7, [1, 2, 6, 7, 20]))  # cosets of q = 2 slots
 @example(case=(397, [396, 1191]))
+@example(case=(997, [501, 996, 1000]))  # the deviation peaks at y = 501
+@example(case=(1009, [1008, 1010]))
 def test_deviation_fold_matches_residue_walk(case):
     assert_prefixes_match_walk(*case)
 
@@ -334,45 +343,111 @@ def test_deviation_fold_matches_residue_walk(case):
 @given(case=fold_requests())
 @example(case=(2, [1, 6]))
 @example(case=(3, [2, 9]))
+@example(case=(7, [6, 20]))
 @example(case=(397, [396, 1191]))
+@example(case=(997, [996, 1000]))
+@example(case=(1009, [1008, 1010]))
 def test_deviation_fold_matches_residue_walk_testing_every_step(case):
-    # a headroom test before every unit step, on 1-byte slots that regrow
-    # and rebias a byte at a time
+    # a rebias and headroom test before every unit step, on 1-byte slots
+    # that widen a byte at a time and are rebiased and tested again
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subsetprod, "HEADROOM_INTERVAL", 1)
         mp.setattr(subsetprod, "SLOT_BYTES", 1)
         assert_prefixes_match_walk(*case)
 
 
-HEADROOM_EDGE = 1 << 16 - 3 - 3  # 2^t for 2-byte slots tested every 3 steps
-HEADROOM_BETA = 1 << 16 - 2
+def test_failed_headroom_test_widens_once_and_retests():
+    # "r" for each rebias, "w" for each widening: a failed test widens, and
+    # the retest after it always passes, so "w r w" never occurs
+    events = []
+    rebias, widen = subsetprod._rebias, subsetprod._widen
+
+    def rebias_spy(*args):
+        events.append("r")
+        return rebias(*args)
+
+    def widen_spy(*args):
+        events.append("w")
+        return widen(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subsetprod, "HEADROOM_INTERVAL", 1)
+        mp.setattr(subsetprod, "SLOT_BYTES", 1)
+        mp.setattr(subsetprod, "_rebias", rebias_spy)
+        mp.setattr(subsetprod, "_widen", widen_spy)
+        for p, y in ((397, 1191), (1009, 1010)):
+            events.clear()
+            assert_prefixes_match_walk(p, [y])
+            trace = "".join(events)
+            assert "rw" in trace and "wrw" not in trace, p
+
+
+@st.composite
+def rebias_cases(draw):
+    """The state before a rebias of 2-byte slots tested every 3 steps
+    (w = 16, t = 12) in d = 1 or 3 cosets: a bias 2^t <= B <= 2^(w-1),
+    lifts 0 <= D // q < 2^3, and slots 0 <= V < 2^w drawn near the edges
+    T = V - lift - B = +-2^t and anywhere."""
+    d = draw(st.sampled_from([1, 3]))
+    bias = 1 << 12 + draw(st.integers(0, 3))
+    lift = draw(st.lists(st.integers(0, 7), min_size=d, max_size=d))
+    vs = []
+    for i in range(d * draw(st.integers(1, 3))):
+        mid = lift[i % d] + bias
+        v = draw(
+            st.integers(mid - (1 << 12) - 2, mid - (1 << 12) + 1)
+            | st.integers(mid + (1 << 12) - 2, mid + (1 << 12) + 1)
+            | st.integers(0, (1 << 16) - 1)
+        )
+        vs.append(min(max(v, 0), (1 << 16) - 1))
+    return bias, lift, vs
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    ts=st.lists(
-        st.integers(-HEADROOM_EDGE - 2, -HEADROOM_EDGE + 1)
-        | st.integers(HEADROOM_EDGE - 2, HEADROOM_EDGE + 1)
-        | st.integers(-HEADROOM_BETA + 1, HEADROOM_BETA - 1),
-        min_size=1,
-        max_size=6,
-    )
-)
-@example(ts=[0, -HEADROOM_BETA + 1])  # a negative top slot makes c - offset < 0
-@example(ts=[-HEADROOM_EDGE - 1, HEADROOM_EDGE - 1])
-def test_headroom_test_passes_exactly_inside_the_bound(ts):
-    # the fold's test on slots T + beta passes iff every -2^t <= T < 2^t
-    m = len(ts)
-    w, _, _, _, beta_ones, offset, high = subsetprod._layout(m, 2, 3)
-    c = sum((t + HEADROOM_BETA) << w * i for i, t in enumerate(ts))
-    assert beta_ones == sum(HEADROOM_BETA << w * i for i in range(m))
-    fits = not (c - offset) & high
-    assert fits == all(-HEADROOM_EDGE <= t < HEADROOM_EDGE for t in ts)
+@given(case=rebias_cases())
+@example(case=(1 << 15, [0], [1 << 15, 0]))  # only a negative top slot fails
+@example(case=(1 << 15, [7, 7, 7], [0, 0, 0]))  # the lowest v every slot can reach
+@example(case=(1 << 12, [0], [(1 << 13) - 1, 0]))  # T = 2^t - 1 and -2^t pass
+@example(case=(1 << 12, [0], [1 << 13, 0]))  # T = 2^t fails
+def test_headroom_test_passes_exactly_inside_the_bound(case):
+    # the rebias-then-& high test passes iff every -2^t <= T < 2^t, and then
+    # the rebiased slots hold exactly T + 2^t
+    bias, lift, vs = case
+    d, m = len(lift), len(vs)
+    w, _, _, t, high = subsetprod._layout(m, 2, 3)
+    assert (w, t) == (16, 12)
+    c = sum(v << w * i for i, v in enumerate(vs))
+    cut = subsetprod._rebias(c, lift, bias, t, 2, m // d)
+    ts = [v - lift[i % d] - bias for i, v in enumerate(vs)]
+    fits = all(-(1 << t) <= dev < 1 << t for dev in ts)
+    assert (not cut & high) == fits
+    if fits:
+        assert subsetprod._slots(cut, m, 2) == [dev + (1 << t) for dev in ts]
+
+
+def cubic_coset_deviations(p, ys):
+    """For each y of ys, max_b |S_y(b) - floor mean of S_y over b's coset of
+    the cubes| (one coset when 3 does not divide p-1), the cosets read off
+    b^((p-1)/d) rather than off discrete logs."""
+    d = 3 if (p - 1) % 3 == 0 else 1
+    cosets = defaultdict(list)
+    for b in range(1, p):
+        cosets[pow(b, (p - 1) // d, p)].append(b)
+    for s in subset_product_prefixes(build_context(p), ys):
+        devs = []
+        for bs in cosets.values():
+            cs = [s.counts[b] for b in bs]
+            mean = sum(cs) // len(cs)
+            devs += (abs(c - mean) for c in cs)
+        yield max(devs)
 
 
 def test_deviation_slots_stay_narrow():
-    # max_b |S_y(b) - mu| has 86 bits at p = 1013, y = 1012 and 328 bits at
-    # p = 1009, y = 1008: the slots track it, not the y-bit counts
+    # the slots track the deviation from each cubic coset's floor mean, not
+    # the y-bit counts.  At y = p-1 it has 137 bits at p = 1009 (328 from
+    # the plain mean), 9 at p = 997 and 86 at p = 1013.  Slots never narrow,
+    # so a slot is wider than the peak deviation over the fold (69 bits at
+    # p = 997, y = 501) and at most 64 bits wider
     widths = {}
     slots = subsetprod._slots
 
@@ -382,11 +457,13 @@ def test_deviation_slots_stay_narrow():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subsetprod, "_slots", spy)
-        for p, bits in ((1013, 86), (1009, 328)):
-            (s,) = subset_product_prefixes(build_context(p), [p - 1])
-            mu = 2 ** (p - 1) // (p - 1)
-            assert max(abs(c - mu) for c in s.counts[1:]).bit_length() == bits
-            assert bits < widths[p] <= bits + 64
+        for p, last, peak in ((1009, 137, 146), (997, 9, 69), (1013, 86, 86)):
+            bits = [dev.bit_length() for dev in cubic_coset_deviations(p, range(1, p))]
+            assert (bits[-1], max(bits)) == (last, peak)
+            assert peak < widths[p] <= peak + 64
+    (s,) = subset_product_prefixes(build_context(1009), [1008])
+    mu = 2**1008 // 1008
+    assert max(abs(c - mu) for c in s.counts[1:]).bit_length() == 328
 
 
 def test_prefix_fold_requests():
