@@ -15,12 +15,13 @@ arguments n <= y where chi(n) strays from 1.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .modcore import PrimeContext
+from .modcore import SMALL_PRIME_LIMIT, PrimeContext
 
 
 class InvalidDeltaError(ValueError):
@@ -46,14 +47,12 @@ def angle_to_complex(angle: Fraction | None) -> complex:
     """Complex value of a character from its exact angle (None -> 0)."""
     if angle is None:
         return 0j
-    theta = 2.0 * math.pi * float(angle)
-    return complex(math.cos(theta), math.sin(theta))
+    return cmath.rect(1.0, 2.0 * math.pi * float(angle))
 
 
-@lru_cache(maxsize=64)
 def unit_roots(m: int) -> tuple[complex, ...]:
     step = 2.0 * math.pi / m
-    return tuple(complex(math.cos(step * t), math.sin(step * t)) for t in range(m))
+    return tuple(cmath.rect(1.0, step * t) for t in range(m))
 
 
 def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
@@ -61,10 +60,10 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
 
     Whole periods of p are summed in closed form; the remaining
     n <= t mod p are added in ascending order, so a character costs
-    O(t mod p) on top of its index lookups.  Up to isqrt(p) remaining
-    terms are read from the sparse index, each root computed as
-    `unit_roots` computes it; more read the dense table and the cached
-    roots.  Either way the same floats are added in the same order.
+    O(t mod p) on top of its index lookups.  Each term is the root
+    `unit_roots` would hold, computed as it is added.  Up to
+    SMALL_PRIME_LIMIT remaining terms read the sparse index, which
+    splits every composite there; more read the dense table.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -74,15 +73,10 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     # a full period n = 1..p sums to p-1 for the principal character, else 0
     periods, t0 = divmod(t, ctx.p)
     total = complex(periods * m) if k == 0 else 0j
-    if t0 > math.isqrt(ctx.p):
-        roots, ind = unit_roots(m), ctx.table
-        for n in range(1, t0 + 1):
-            total += roots[k * ind[n] % m]
-    elif t0:
-        step, ind = 2.0 * math.pi / m, ctx.ind
-        for n in range(1, t0 + 1):
-            a = k * ind[n] % m
-            total += complex(math.cos(step * a), math.sin(step * a))
+    step = 2.0 * math.pi / m
+    ind = ctx.table if t0 > SMALL_PRIME_LIMIT else ctx.ind
+    for n in range(1, t0 + 1):
+        total += cmath.rect(1.0, step * (k * ind[n] % m))
     return total
 
 

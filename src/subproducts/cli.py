@@ -459,7 +459,7 @@ def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction
         lower_root, upper, work_root, _ = friable.ranged_bounds(
             y, k, eps.numerator, eps.denominator
         )
-        usable = [q for q in _primes_to(y) if q <= work_root]
+        usable = _primes_to(work_root)  # work_root <= y <= HARNESS_Y_MAX
         if not usable:
             continue
         for _ in range(50):

@@ -125,10 +125,10 @@ def primes_between(lo: int, hi: int) -> list[int]:
 
 
 # The reach of the small-prime data below, made once per process on first
-# use.  `char_sum` reads the sparse index at no n above isqrt(p) (so none
-# above this limit), and a spectrum row at none above y' (at most 109 over
-# the rows of [3, 30000], [10^6, 1003000] and [16776000, 2^24]); the prime
-# walk sieves on past it if it has to.
+# use.  `char_sum` reads the sparse index at no n above this limit, so the
+# least-factor table splits every composite it looks up, and a spectrum row
+# at none above y' (at most 109 over the rows of [3, 30000], [10^6, 1003000]
+# and [16776000, 2^24]); the prime walk sieves on past it if it has to.
 SMALL_PRIME_LIMIT = isqrt(MAX_TABLE_PRIME)
 
 

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -27,7 +28,8 @@ from subproducts.characters import (
     unit_roots,
     z_lemma_check,
 )
-from subproducts.modcore import build_context, primes_up_to
+from subproducts.cli import check_lemma_z_grid
+from subproducts.modcore import SMALL_PRIME_LIMIT, build_context, primes_up_to
 
 
 def test_char_angle_examples():
@@ -137,31 +139,39 @@ def test_char_sum_equals_direct_sum_exactly():
 
 
 def test_char_sum_either_side_of_the_sparse_cutoff():
-    # up to isqrt(p) = 31 remaining terms go through the sparse index, more
-    # through the dense table: both add the dense table's roots in order
-    p = 1009
+    # up to SMALL_PRIME_LIMIT = 4096 remaining terms go through the sparse
+    # index, more through the dense table: both add the same roots in order
+    assert SMALL_PRIME_LIMIT == 4096
+    p = 10007
     ctx = build_context(p)
     m = ctx.order
     roots = unit_roots(m)
-    for k in (0, 1, 7, 504, 1007):
+    for k in (0, 1, 7, 5003, 10005):
         direct = 0j
-        for t in range(1, 40):
+        for n in range(1, 4094):
+            direct += roots[k * ctx.table[n] % m]
+        periods = complex(2 * m) if k == 0 else 0j
+        for t in range(4094, 4100):
             direct += roots[k * ctx.table[t] % m]
             assert char_sum(ctx, k, t) == direct
-            periods = complex(2 * m) if k == 0 else 0j
             assert char_sum(ctx, k, 2 * p + t) == periods + direct
 
 
-def test_char_sum_at_the_table_cap_reads_only_its_terms():
-    start = time.perf_counter()
-    ctx = build_context(16_777_213)  # the largest prime below 2^24
-    roots_cache = unit_roots.cache_info()[:2]
-    total = char_sum(ctx, 1, 5)
-    assert time.perf_counter() - start < 1.0
-    assert "table" not in ctx.__dict__
-    assert unit_roots.cache_info()[:2] == roots_cache  # no p-1 roots built
-    # the sum the dense table and the cached roots gave (13 s, 726 MB)
-    assert total == complex(2.7280730414005916, -0.658468483427072)
+def test_char_sum_at_the_table_cap_reads_only_its_terms(monkeypatch):
+    calls = []
+    monkeypatch.setattr(characters, "unit_roots", calls.append)
+    # the sums the dense table and the p-1 cached roots gave (13-15 s, 725 MB)
+    for t, expected in (
+        (5, complex(2.7280730414005916, -0.658468483427072)),
+        (4096, complex(36.859184425393615, 34.27082140808196)),
+    ):
+        start = time.perf_counter()
+        ctx = build_context(16_777_213)  # the largest prime below 2^24
+        total = char_sum(ctx, 1, t)
+        assert time.perf_counter() - start < 1.0
+        assert "table" not in ctx.__dict__
+        assert calls == []  # no p-1 roots built
+        assert total == expected
 
 
 def test_principal_char_sum_counts_units_exactly():
@@ -378,3 +388,31 @@ def test_z_lemma_grid():
             assert z_lemma_check(angle, 2.0 * j / 41)
     for j in range(1, 40):
         assert z_lemma_check(None, 2.0 * j / 41)
+
+
+def test_z_lemma_verdicts_on_the_verify_grid_match_40_digit_arithmetic():
+    # every pair of the `lemma_z_grid` check, recomputed with mpmath at 40
+    # digits: the angle exactly, delta as the exact value of its float
+    params = check_lemma_z_grid().params
+    angles, deltas = params["angles"], params["deltas"]
+    with mpmath.workdps(40):
+        grid = [2.0 * j / (deltas + 1) for j in range(1, deltas + 1)]
+        bounds = [2 * mpmath.exp(-mpmath.mpf(d) ** 2 / 8) for d in grid]
+        dist_gap = slack = mpmath.inf
+        for i in range(angles):
+            if i == 0:  # z = 0: |z - 1| = 1, |1 + z| = 1
+                angle, dist, one_plus = None, mpmath.mpf(1), mpmath.mpf(1)
+            else:
+                angle = Fraction(i, angles)
+                half_angle = mpmath.pi * i / angles
+                dist = 2 * abs(mpmath.sin(half_angle))
+                one_plus = 2 * abs(mpmath.cos(half_angle))
+            for delta, bound in zip(grid, bounds):
+                exact_delta = mpmath.mpf(delta)
+                holds = dist < exact_delta or one_plus <= bound
+                assert z_lemma_check(angle, delta) == holds, (angle, delta)
+                dist_gap = min(dist_gap, abs(dist - exact_delta) / exact_delta)
+                if dist >= exact_delta:
+                    slack = min(slack, (bound - one_plus) / bound)
+    # no verdict rests on a float rounding: the nearest cases are far from it
+    assert dist_gap > 1e-9 and slack > 1e-9
