@@ -27,7 +27,7 @@ import sys
 import tempfile
 import time
 from collections import Counter, defaultdict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -48,9 +48,14 @@ MAX_FRACTION_TERM = 10**4
 _DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
 # `counts` folds y steps over p-1 slots of at most y bits and prints p-1
 # y-bit counts: (p-1) y^2 bounds its work (p = 10007, y = 999 takes about
-# half a second, the most the cap allows at that p).  `factorize` trial-divides
-# n up to sqrt(n), about half a second at n = 10^14.
+# half a second, the most the cap allows at that p).  It also holds all p-1
+# counts and their text at once, a few hundred bytes a residue, so p-1 is
+# capped for a memory budget of 256 MB: the largest run the two caps allow
+# (p = 262139, y = 195) peaks at about 180 MB with JSON output, 130 MB with
+# CSV (maximum RSS of the whole process, CPython 3.11 on x86-64).
+# `factorize` trial-divides n up to sqrt(n), about half a second at n = 10^14.
 MAX_COUNT_WORK = 10**10
+MAX_COUNT_RESIDUES = 1 << 18
 MAX_FACTORIZE_N = 10**14
 # A factorization forms powers of y up to y^(k b + 2a) for epsilon = a/b
 # (y^(k+1) in kway mode); (k b + 2a + 1) * bitlen(y) bounds their size in
@@ -672,14 +677,15 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render(fmt: str, fields: dict, rows: list[dict] | None = None,
+def render(fmt: str, fields: dict, rows: Iterable[dict] | None = None,
            columns: tuple[str, ...] | None = None) -> str:
     """One result as JSON or CSV text.
 
     JSON is `fields` with `schema_version` added.  CSV is one line per dict
     in `rows` (by default `fields` is the one row) under a header of
-    `columns` (by default the first row's keys).  None is an empty cell
-    and a list is its items joined by spaces.
+    `columns` (by default the first row's keys, so rows given without
+    `columns` must be a list).  None is an empty cell and a list is its
+    items joined by spaces.
     """
     if fmt == "json":
         payload = {"schema_version": SCHEMA_VERSION, **fields}
@@ -691,8 +697,8 @@ def render(fmt: str, fields: dict, rows: list[dict] | None = None,
     return "\n".join(lines) + "\n"
 
 
-def emit_record(args: argparse.Namespace, fields: dict, rows: list[dict] | None = None) -> None:
-    emit(render(args.format, fields, rows), args.out)
+def emit_record(args: argparse.Namespace, fields: dict) -> None:
+    emit(render(args.format, fields), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -761,13 +767,20 @@ def _cmd_counts(args: argparse.Namespace) -> int:
             f"(p-1)*y^2 for p={args.p}, y={args.y} exceeds the work bound "
             f"{MAX_COUNT_WORK}"
         )
+    if args.p - 1 > MAX_COUNT_RESIDUES:
+        raise InvalidRangeError(
+            f"p={args.p} would print {args.p - 1} counts, above the output "
+            f"bound {MAX_COUNT_RESIDUES}"
+        )
     counts = subsetprod.subset_product_counts(args.p, args.y).counts
     residues = range(1, args.p)
-    emit_record(
-        args,
-        {"p": args.p, "y": args.y, "counts": {str(b): str(counts[b]) for b in residues}},
-        [{"b": b, "count": counts[b]} for b in residues],
-    )
+    if args.format == "json":
+        text = render("json", {"p": args.p, "y": args.y,
+                               "counts": {str(b): str(counts[b]) for b in residues}})
+    else:
+        rows = ({"b": b, "count": counts[b]} for b in residues)
+        text = render("csv", {}, rows, ("b", "count"))
+    emit(text, args.out)
     return 0
 
 

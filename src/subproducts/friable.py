@@ -110,16 +110,16 @@ class FactorizationResult:
             )
 
 
-def _greedy_fill(primes_desc: list[int], buckets_n: int, fits) -> list[int] | None:
+def _greedy_fill(primes_desc: list[int], buckets_n: int, bound: int) -> list[int] | None:
     """Assign primes (largest first) each to the first bucket that can take it.
 
-    `fits(value, prime)` decides whether a bucket at `value` absorbs `prime`.
-    Returns None if some prime fits nowhere.
+    A bucket at value v takes the prime q when v * q <= bound.  Returns
+    None if some prime fits nowhere.
     """
     buckets = [1] * buckets_n
     for q in primes_desc:
         for i, v in enumerate(buckets):
-            if fits(v, q):
+            if v * q <= bound:
                 buckets[i] = v * q
                 break
         else:
@@ -141,7 +141,7 @@ def greedy_k_factorization(n: int, y: int, k: int) -> FactorizationResult:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
     if n * n > y ** (k + 1):
         raise BoundViolatedError(f"n={n} exceeds y^((k+1)/2) for y={y}, k={k}")
-    buckets = _greedy_fill(primes, k, lambda v, q: v * q <= y)
+    buckets = _greedy_fill(primes, k, y)
     if buckets is None:
         raise InternalContradictionError(
             f"greedy assignment stuck for n={n}, y={y}, k={k} within the size bound"
@@ -230,7 +230,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
 
     if m > k:
         raise give_up(f"{m} oversized prime factors exceed k")
-    buckets = _greedy_fill(smalls, k - m + 1, lambda v, q: v * q <= work_root)
+    buckets = _greedy_fill(smalls, k - m + 1, work_root)
     if buckets is None:
         raise give_up("greedy assignment stuck")
     bs = sorted(buckets)

@@ -33,27 +33,15 @@ class TooLargeError(ValueError):
     """Raised when an index table would exceed the supported prime cap."""
 
 
-# (psi_k, k): Miller-Rabin to the first k prime bases is exact for every
-# n < psi_k, the least odd composite that is a strong pseudoprime to all of
-# them (Jaeschke 1993; Sorenson and Webster 2017 for psi_12 and psi_13).
-# Counts that share their psi with the next are left out: psi_7 = psi_8 and
-# psi_9 = psi_10 = psi_11.  psi_13 itself fails base 43, so the first 14
-# bases are exact up to and including psi_13.
+# Miller-Rabin to bases 2, 3 and 5 is exact below PSI_3, the least odd
+# composite that is a strong pseudoprime to all three (Jaeschke 1993); it is
+# above MAX_TABLE_PRIME, so three bases decide every prime a context can
+# hold.  Above PSI_3 all 14 bases run: the first 13 are exact below PSI_13
+# (Sorenson and Webster 2017), and PSI_13 itself fails base 43, so the 14
+# are exact up to and including PSI_13.
+PSI_3 = 25_326_001
 PSI_13 = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
-_MR_TIERS = (
-    (2_047, 1),
-    (1_373_653, 2),
-    (25_326_001, 3),
-    (3_215_031_751, 4),
-    (2_152_302_898_747, 5),
-    (3_474_749_660_383, 6),
-    (341_550_071_728_321, 7),
-    (3_825_123_056_546_413_051, 9),
-    (318_665_857_834_031_151_167_461, 12),
-    (PSI_13, 13),
-    (PSI_13 + 1, 14),
-)
 # Trial division by 2..37 decides every n below 41^2, the least composite
 # with no prime factor among them.
 _TRIAL_PRIMES = _MR_BASES[:12]
@@ -64,10 +52,10 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test for n <= PSI_13 = 3317044064679887385961981.
 
     Trial division by 2..37 decides every n < 41^2; a larger n runs
-    Miller-Rabin to the first k prime bases, k the fewest proven exact at
-    its size (3 below 25,326,001, 12 below psi_12 ~ 3.19e23).  Above
-    PSI_13 no base set is proven, so n > PSI_13 raises ValueError rather
-    than get a probable answer.
+    Miller-Rabin to bases 2, 3 and 5 below PSI_3 = 25,326,001 (every prime
+    a context can hold), and to all 14 prime bases 2..43 from there up.
+    Above PSI_13 no base set is proven, so n > PSI_13 raises ValueError
+    rather than get a probable answer.
     """
     if n > PSI_13:
         raise ValueError(
@@ -81,7 +69,7 @@ def is_prime(n: int) -> bool:
             return n == q
     if n < _TRIAL_SQUARE:
         return True
-    bases = next(_MR_BASES[:k] for bound, k in _MR_TIERS if n < bound)
+    bases = _MR_BASES[:3] if n < PSI_3 else _MR_BASES
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -18,7 +18,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from operator import add
 from typing import Iterable, Iterator
 
 from .characters import unit_roots
@@ -254,23 +253,23 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
     integer vector L of length d and one bias B.  Taking a unit n adds c
     rotated by s = ind(n) slots: S'(g^i) = S(g^i) + S(g^(i-s)), so
     V' = V_i + V_(i-s) holds the same form with L'[j] = L[j] + L[j-s] and
-    B' = 2B.  Slots only add, so none borrows.  L is carried exactly
-    beside D = A - qL, where A[j] sums S over coset j and folds as L does,
-    in one list fold = L + D that a step updates by one index map.
+    B' = 2B.  Slots only add, so none borrows.  Beside L the fold carries
+    the exact coset sums A, A[j] the sum of S over coset j, which fold as
+    L does: a step sets v[j] + v[j - s mod d] for v = A and v = L.
 
     Before every W-th unit step (W = HEADROOM_INTERVAL, 1 <= W < 8
-    SLOT_BYTES) a rebias moves L to the floor coset means, L += D // q,
-    by subtracting D[j] // q + B - 2^t from each slot of coset j, which
+    SLOT_BYTES) a rebias moves L to the floor coset means A // q by
+    subtracting A[j] // q - L[j] + B - 2^t from each slot of coset j, which
     sets B = 2^t for t = w - 1 - W; one big-int & high then tests that
     every slot is below 2^(t+1).  Before the rebias 0 <= V < 2^w,
-    0 <= D // q < 2^W and 2^t <= B <= 2^(w-1).  So each slot then holds a
-    v in [2^(t+1) - 2^w, 2^w), a lowest slot outside [0, 2^(t+1)) reads
-    v mod 2^w >= 2^(t+1) in c's two's complement, and the test passes iff
-    every T = v - 2^t has -2^t <= T < 2^t.  After a pass 0 <= V < 2^(t+1)
-    and W steps at most double it W times, so V < 2^w: no slot carries.
-    A failed test widens the slots as they were before the rebias by
-    SLOT_BYTES bytes, to w' bits, and adds 2^t' - B to every slot, which
-    sets B = 2^t' and keeps V below 2^w + 2^t' < 2^w'.  The rebias is then
+    0 <= A // q - L < 2^W and 2^t <= B <= 2^(w-1).  So each slot then
+    holds a v in [2^(t+1) - 2^w, 2^w), a lowest slot outside
+    [0, 2^(t+1)) reads v mod 2^w >= 2^(t+1) in c's two's complement, and
+    the test passes iff every T = v - 2^t has -2^t <= T < 2^t.  After a
+    pass 0 <= V < 2^(t+1) and W steps at most double it W times, so
+    V < 2^w: no slot carries.  A failed test widens the slots as they were
+    before the rebias by SLOT_BYTES bytes, to w' bits, and adds 2^t' - B
+    to every slot, which sets B = 2^t' and keeps V below 2^w + 2^t' < 2^w'.  The rebias is then
     made again and passes, as |T| < 2^w <= 2^t'.  The rebias patterns
     and the test mask repeat one period of d slots, so they are built by
     bytes repetition, not by big-int multiplication.
@@ -280,34 +279,29 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
     order soon gives 0.  The cubic baseline cancels the order-3
     characters, the widest, so at y = p-1 T has 137 bits at p = 1009
     (the order-7 characters), 9 at p = 997 and 86 at p = 1013, against
-    y-bit counts.  `zero` tallies the products divisible by p.  A
-    snapshot adds L[j] - B to the slots of coset j, so the counts it
-    yields are exact integers.
+    y-bit counts.  A snapshot adds L[j] - B to the slots of coset j, so
+    the counts it yields are exact integers; residue 0 gets 2^y - 2^u for
+    the u units among 1..y, as only the 2^u subsets of units have products
+    prime to p.
     """
     p, m, ind, interval = ctx.p, ctx.order, ctx.table, HEADROOM_INTERVAL
     d = 3 if m % 3 == 0 else 1
     q, wb = m // d, SLOT_BYTES
     w, bits, full, t, high = _layout(m, wb, interval)
-    # fold = L + D; the empty subset has S(1) = 1, so A = (1, 0, ...)
-    zeros = [0] * (d - 1)
-    fold = [1 // q, *zeros, 1 % q, *zeros]
-    # a step by s adds to fold[j] the entry for coset j - s, in L and in D
-    shifts = [[(j - k) % d + h for h in (0, d) for j in range(d)] for k in range(d)]
+    # the empty subset has S(1) = 1, so A = (1, 0, ...)
+    A = [1] + [0] * (d - 1)
+    L = [a // q for a in A]
     bias = 1 << t
-    c = 1 + _spread([bias - low for low in fold[:d]], wb, q)
-    units = zero = n = 0
+    c = 1 + _spread([bias - low for low in L], wb, q)
+    units = n = 0
     for y in ys:
         while n < y:
             n += 1
             r = n % p
             if r == 0:
-                # "take" sends every product to 0; "skip" leaves the rest alone
-                zero += zero + (1 << units)
-                continue
+                continue  # "take" sends every product to 0
             if units % interval == 0:
-                base, rest = fold[:d], fold[d:]
-                lift = [e // q for e in rest]
-                fold = [*map(add, base, lift), *(e - q * f for e, f in zip(rest, lift))]
+                lift = [a // q - low for a, low in zip(A, L)]
                 cut = _rebias(c, lift, bias, t, wb, q)
                 while cut & high:
                     c = _widen(c, m, wb, wb + SLOT_BYTES)
@@ -316,17 +310,18 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
                     c += _spread([(1 << t) - bias], wb, m)
                     bias = 1 << t
                     cut = _rebias(c, lift, bias, t, wb, q)
-                c, bias = cut, 1 << t
-            zero += zero  # 0 * r stays 0
+                c, bias, L = cut, 1 << t, [a // q for a in A]
             units += 1
             s = ind[r]
             c += _rotate(c, w * s, bits, full)
             bias += bias
-            fold = [*map(add, fold, map(fold.__getitem__, shifts[s % d]))]
+            A = [A[j] + A[j - s % d] for j in range(d)]
+            L = [L[j] + L[j - s % d] for j in range(d)]
         slots = _slots(c, m, wb)
-        for j, low in enumerate(fold[:d]):
+        for j, low in enumerate(L):
             slots[j::d] = map((low - bias).__add__, slots[j::d])
-        yield (zero, *map(slots.__getitem__, ind[1:]))
+        # of the 2^n subsets, the 2^units of units alone have products prime to p
+        yield ((1 << n) - (1 << units), *map(slots.__getitem__, ind[1:]))
 
 
 def subset_product_prefixes(

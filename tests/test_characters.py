@@ -28,8 +28,14 @@ from subproducts.characters import (
     unit_roots,
     z_lemma_check,
 )
-from subproducts.cli import check_lemma_z_grid
-from subproducts.modcore import SMALL_PRIME_LIMIT, build_context, primes_up_to
+from subproducts.cli import check_lemma_near_one, check_lemma_z_grid
+from subproducts.modcore import (
+    SMALL_PRIME_LIMIT,
+    build_context,
+    iroot,
+    primes_between,
+    primes_up_to,
+)
 
 
 def test_char_angle_examples():
@@ -416,3 +422,56 @@ def test_z_lemma_verdicts_on_the_verify_grid_match_40_digit_arithmetic():
                     slack = min(slack, (bound - one_plus) / bound)
     # no verdict rests on a float rounding: the nearest cases are far from it
     assert dist_gap > 1e-9 and slack > 1e-9
+
+
+def test_near_one_scan_verdicts_match_50_digit_arithmetic():
+    # each comparison of the default `lemma_near_one_scan` (p <= 311), with
+    # its float error bounded: a table entry's error is measured against
+    # mpmath, and a sum of y entries is off by at most y times that plus
+    # gamma_(y-1) = (y-1) u / (1 - (y-1) u) times the sum of |entries|.  A
+    # comparison within its bound is recomputed at 50 digits.
+    u = mpmath.mpf(2) ** -53
+    hits = 0
+    log_gap = count_gap = mpmath.inf
+    with mpmath.workdps(50):
+        for p in primes_between(3, 311):
+            ctx = build_context(p)
+            m, ind = ctx.order, ctx.table
+            y = iroot(p**7, 10)
+            table = characters._log_one_plus_root(m)
+            # log|1 + e^(2 pi i t/m)| = log|2 cos(pi t/m)|, -inf at t = m/2
+            exact = [mpmath.log(abs(2 * mpmath.cos(mpmath.pi * t / m))) if 2 * t != m
+                     else -mpmath.inf for t in range(m)]
+            finite = [t for t in range(m) if 2 * t != m]
+            entry_err = max(abs(mpmath.mpf(table[t]) - exact[t]) for t in finite)
+            largest = max(abs(mpmath.mpf(table[t])) for t in finite)
+            sum_err = y * entry_err + (y - 1) * u / (1 - (y - 1) * u) * y * largest
+            log_thresh = y * math.log(2) - 2 * math.log(p)
+            exact_thresh = y * mpmath.log(2) - 2 * mpmath.log(p)
+            err = sum_err + abs(mpmath.mpf(log_thresh) - exact_thresh)
+            limit = 16 * math.log(p) ** 3
+            exact_limit = 16 * mpmath.log(p) ** 3
+            delta = 1 / mpmath.log(p)
+            for k in range(1, m):
+                angles = [k * ind[n] % m for n in range(1, y + 1)]  # y < p: all units
+                value = log_product_one_plus_chi(ctx, k, y)
+                if value == -math.inf:
+                    assert any(2 * t == m for t in angles)
+                    continue
+                above = value > log_thresh
+                if abs(mpmath.mpf(value) - mpmath.mpf(log_thresh)) <= err:
+                    assert above == (mpmath.fsum(exact[t] for t in angles) > exact_thresh)
+                log_gap = min(log_gap, abs(value - exact_thresh) / abs(exact_thresh))
+                if not above:
+                    continue
+                hits += 1
+                # the count against 50-digit distances |chi(n) - 1| = 2|sin(pi t/m)|
+                count, _ = near_one_exceptions(ctx, k, y, 1 / math.log(p))
+                far = sum(2 * abs(mpmath.sin(mpmath.pi * t / m)) > delta for t in angles)
+                assert count == far, (p, k)
+                assert (count >= limit) == (count >= exact_limit)
+                count_gap = min(count_gap, abs(count - exact_limit) / exact_limit)
+    record = check_lemma_near_one(311)
+    assert record.metrics == {"hypothesis_hits": hits, "violations": 0}
+    # no verdict rests on a float rounding: the nearest cases are far from it
+    assert log_gap > 1e-9 and count_gap > 1e-9

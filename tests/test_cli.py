@@ -465,6 +465,37 @@ def test_work_caps_are_inclusive(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.count("error: ") == 2
 
 
+def test_counts_output_bound_is_inclusive(monkeypatch, capsys, tmp_path):
+    out = str(tmp_path / "out.csv")
+    monkeypatch.setattr(cli, "MAX_COUNT_RESIDUES", 6)
+    assert run_cli("counts", "--p", "7", "--y", "3", "--out", out) == 0
+    assert run_cli("counts", "--p", "11", "--y", "3", "--out", out) == 2
+    assert "11 would print 10 counts, above the output bound 6" in capsys.readouterr().err
+
+
+class FoldStarted(Exception):
+    pass
+
+
+def test_counts_bounds_decide_before_the_fold(monkeypatch, capsys):
+    # the real bounds, with the fold replaced so that no case does its work
+    def no_fold(p, y):
+        raise FoldStarted(p, y)
+
+    monkeypatch.setattr(subsetprod, "subset_product_counts", no_fold)
+    # the README's largest example, and the largest p and y both bounds allow
+    for p, y in ((10007, 999), (262139, 195)):
+        with pytest.raises(FoldStarted):
+            run_cli("counts", "--p", str(p), "--y", str(y))
+    assert run_cli("counts", "--p", "262139", "--y", "196") == 2
+    # the largest table prime passes the work bound but not the output bound
+    assert run_cli("counts", "--p", "16777213", "--y", "1") == 2
+    assert run_cli("counts", "--p", "262147", "--y", "1") == 2
+    err = capsys.readouterr().err
+    assert err.count("exceeds the work bound") == 1
+    assert err.count("above the output bound") == 2
+
+
 def test_factorize_power_cap_is_inclusive(monkeypatch, capsys, tmp_path):
     out = str(tmp_path / "out.csv")
     # kway at y = 10 (4 bits) forms y^(k+1): (k + 1) * 4 bits

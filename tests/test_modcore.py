@@ -4,7 +4,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy.functions.combinatorial.numbers import legendre_symbol
 from sympy.ntheory import discrete_log, primitive_root
@@ -13,6 +13,7 @@ from subproducts import modcore
 from subproducts.modcore import (
     BABY_STEPS_PER_ROOT,
     MAX_TABLE_PRIME,
+    PSI_3,
     PSI_13,
     SMALL_PRIME_LIMIT,
     NotPrimeError,
@@ -88,8 +89,9 @@ def strong_probable_prime(n, a):
     return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, r))
 
 
-# psi_k -> k for each bound where is_prime adds bases: the least odd
-# composite that passes Miller-Rabin to each of the first k prime bases
+# psi_k -> k: the least odd composite that passes Miller-Rabin to each of
+# the first k prime bases.  is_prime runs 3 bases below psi_3 and all 14
+# from there up, so each psi_k above psi_3 is a hard case for the 14.
 PSI = {
     2047: 1,
     1373653: 2,
@@ -116,6 +118,25 @@ def test_is_prime_at_each_tier_boundary(psi, k):
 def test_is_prime_matches_sympy_around_each_tier_boundary(psi):
     for n in range(psi - 1000, min(psi + 1000, PSI_13 + 1)):
         assert is_prime(n) == sympy.isprime(n), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(h=st.integers(PSI_3 // 2, PSI_13 // 2))
+def test_is_prime_matches_sympy_on_odd_n_in_the_14_base_range(h):
+    n = 2 * h + 1
+    assert is_prime(n) == sympy.isprime(n)
+    q = sympy.nextprime(n)
+    if q <= PSI_13:
+        assert is_prime(q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.integers(isqrt(PSI_3), isqrt(PSI_13) - 2**12), gap=st.integers(0, 2**10))
+def test_is_prime_rejects_products_of_two_primes_near_the_root(a, gap):
+    # composites with no small factor: both factors near sqrt(n)
+    n = sympy.nextprime(a) * sympy.nextprime(a + gap)
+    assume(PSI_3 <= n <= PSI_13)
+    assert not is_prime(n)
 
 
 def test_is_prime_refuses_above_its_deterministic_range():
