@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -118,31 +119,54 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
 
     The running sum of chi_k(n) over n = 1, 2, ..., p is kept as separate
     real and imaginary parts, read from the cos and sin of the unit roots;
-    the last step n = p adds chi_k(p) = 0.
+    the last step n = p adds chi_k(p) = 0.  Each k keeps only its largest
+    square magnitude, one comparison per term.  The scan's maximum is that
+    of the first k whose maximum beats every earlier one, at its first t,
+    so ties go to the least (k, t).  Only that k, and any k whose maximum
+    passes the bound (to count its violations), is summed again; a sum
+    repeated in the same order gives the same floats.
     """
     p, m = ctx.p, ctx.order
     bound = polya_vinogradov_bound(p)
     roots = unit_roots(m)
     cos_t = [z.real for z in roots]
     sin_t = [z.imag for z in roots]
-    ind = ctx.table
+    inds = ctx.table[1:].tolist()  # ind(n) for n = 1..p-1
+
+    def partial_sq(k: int) -> list[float]:
+        """|sum of chi_k(n) over n <= t|^2 for t = 1..p-1, summed as below."""
+        re = im = 0.0
+        out = []
+        for i in inds:
+            t = k * i % m
+            re += cos_t[t]
+            im += sin_t[t]
+            out.append(re * re + im * im)
+        return out
+
     best_sq = -1.0
     best_k = best_t = 0
     violations = 0
     bound_sq = bound * bound
     for k in range(1, m):
+        # partial_sq(k), inlined: the scan's one pass over every (k, n)
         re = im = 0.0
-        for n in range(1, p):
-            t = k * ind[n] % m
+        top = -1.0
+        for i in inds:
+            t = k * i % m
             re += cos_t[t]
             im += sin_t[t]
             sq = re * re + im * im
-            if sq > best_sq:
-                best_sq, best_k, best_t = sq, k, n
-            if sq > bound_sq:
-                violations += 1
-        # n = p: chi_k(p) = 0 leaves the sum, so it repeats n = p - 1's test
-        violations += sq > bound_sq
+            if sq > top:
+                top = sq
+        if top > best_sq:
+            best_sq, best_k = top, k
+        if top > bound_sq:
+            sqs = partial_sq(k)
+            # n = p: chi_k(p) = 0 leaves the sum, so it repeats n = p - 1's test
+            violations += sum(sq > bound_sq for sq in sqs) + (sqs[-1] > bound_sq)
+    if best_k:
+        best_t = partial_sq(best_k).index(best_sq) + 1
     return PartialSumScan(
         p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
@@ -232,15 +256,11 @@ def near_one_exceptions(
         raise ValueError(f"character index {k} outside [0, {m - 1}]")
     p = ctx.p
     ind = ctx.table
-    members = []
-    for n in range(1, y + 1):
-        r = n % p
-        if r == 0:
-            members.append(n)
-            continue
-        t = k * ind[r] % m
-        if min(t, m - t) > cutoff:
-            members.append(n)
+    # min(t, m - t) > cutoff, for t = k ind(r) mod m in [0, m)
+    members = [
+        n for n in range(1, y + 1)
+        if (r := n % p) == 0 or cutoff < k * ind[r] % m < m - cutoff
+    ]
     return len(members), members
 
 
@@ -264,18 +284,30 @@ def circle_lemma_bound(k_count: int, delta: float) -> float:
     return math.cos(theta)
 
 
+def z_lemma_failures(angle: Fraction | None, deltas: Iterable[float]) -> int:
+    """Count the deltas for which |z-1| >= delta but |1+z| > 2 e^{-delta^2/8}.
+
+    z is encoded by its angle in turns (|z| = 1) or None (z = 0).  Both
+    distances are computed once; each delta then costs one bound.  A delta
+    fails unless dist < delta or |1+z| <= bound, so a NaN fails and an
+    infinite delta holds vacuously.
+    """
+    if angle is None:
+        dist = one_plus = 1.0  # |z - 1| = |1 + z| = 1
+    else:
+        turns = float(angle)
+        dist = 2.0 * abs(math.sin(math.pi * turns))
+        one_plus = 2.0 * abs(math.cos(math.pi * turns))
+    return sum(
+        1 for delta in deltas
+        if not dist < delta and not one_plus <= 2.0 * math.exp(-delta * delta / 8.0)
+    )
+
+
 def z_lemma_check(angle: Fraction | None, delta: float) -> bool:
     """Check |1+z| <= 2 e^{-delta^2/8} whenever |z-1| >= delta.
 
-    z is encoded by its angle in turns (|z| = 1) or None (z = 0).  Returns
-    True when the implication holds for this pair, including vacuously.
+    Returns True when the implication holds for this pair, including
+    vacuously: `z_lemma_failures` of the one delta.
     """
-    bound = 2.0 * math.exp(-delta * delta / 8.0)
-    if angle is None:
-        # |z - 1| = 1, |1 + z| = 1
-        return True if 1.0 < delta else 1.0 <= bound
-    turns = float(angle)
-    dist = 2.0 * abs(math.sin(math.pi * turns))
-    if dist < delta:
-        return True
-    return 2.0 * abs(math.cos(math.pi * turns)) <= bound
+    return not z_lemma_failures(angle, (delta,))

@@ -151,6 +151,17 @@ def greedy_k_factorization(n: int, y: int, k: int) -> FactorizationResult:
     )
 
 
+def _epsilon_ratio(epsilon: int | Fraction) -> tuple[int, int]:
+    """(a, b) with epsilon = a/b in lowest terms, for an int or a Fraction.
+
+    Any other type raises TypeError before a power of y is formed: a
+    float's binary denominator (2^54 for 0.19) would make y^b enormous.
+    """
+    if not isinstance(epsilon, (int, Fraction)):
+        raise TypeError(f"epsilon {epsilon!r} must be an int or a Fraction")
+    return epsilon.numerator, epsilon.denominator
+
+
 @lru_cache(maxsize=256)
 def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
     """The size bounds of a ranged split with epsilon = a/b, each exact:
@@ -174,8 +185,9 @@ def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
 def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult:
     """Split n into ell factors, k/2 < ell <= k, each in (y^epsilon, y].
 
-    Hypotheses (decided exactly): 0 < epsilon < 1/(k+2) as a rational,
-    n y-friable, and y^(k/2+epsilon) < n < y^((k+1)/2).
+    Hypotheses (decided exactly): epsilon an int or a Fraction (else
+    TypeError) with 0 < epsilon < 1/(k+2), n y-friable, and
+    y^(k/2+epsilon) < n < y^((k+1)/2).
 
     Construction: primes above the working bound y^(1-epsilon) become
     singleton factors (each already sits in (y^epsilon, y]); the rest is
@@ -197,20 +209,19 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     """
     if n < 1 or y < 2 or k < 1:
         raise ValueError("need n >= 1, y >= 2, k >= 1")
-    eps = Fraction(epsilon)
-    if not 0 < eps < Fraction(1, k + 2):
+    a, b = _epsilon_ratio(epsilon)
+    if not (0 < a and a * (k + 2) < b):  # 0 < a/b < 1/(k+2), b > 0
         raise HypothesisViolatedError(
-            f"epsilon={eps} outside (0, 1/{k + 2}) for k={k}"
+            f"epsilon={epsilon} outside (0, 1/{k + 2}) for k={k}"
         )
     primes = prime_factors_desc(n)
     if primes and primes[0] > y:
         raise NotFriableError(f"n={n} has a prime factor above y={y}")
-    lower_root, upper_sq, work_root, small_root = ranged_bounds(
-        y, k, eps.numerator, eps.denominator
-    )
+    lower_root, upper_sq, work_root, small_root = ranged_bounds(y, k, a, b)
     if not (n > lower_root and n * n < upper_sq):
         raise HypothesisViolatedError(
-            f"n={n} outside (y^(k/2+eps), y^((k+1)/2)) for y={y}, k={k}, eps={eps}"
+            f"n={n} outside (y^(k/2+eps), y^((k+1)/2)) for y={y}, k={k}, "
+            f"eps={epsilon}"
         )
 
     bigs = [q for q in primes if q > work_root]
@@ -221,7 +232,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     def give_up(reason: str) -> Exception:
         if guaranteed:
             return InternalContradictionError(
-                f"{reason} for n={n}, y={y}, k={k}, eps={eps}"
+                f"{reason} for n={n}, y={y}, k={k}, eps={epsilon}"
             )
         return HypothesisViolatedError(
             f"prime factor {bigs[0]} of n={n} exceeds y^(1-eps) and the "
@@ -258,7 +269,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     if not ok:
         raise give_up(f"invalid split {parts}")
     return FactorizationResult(
-        n=n, factors=tuple(parts), y=y, k=k, epsilon=eps, mode="RANGED"
+        n=n, factors=tuple(parts), y=y, k=k, epsilon=epsilon, mode="RANGED"
     )
 
 
@@ -308,8 +319,7 @@ def kway_feasible(n: int, y: int, k: int) -> bool:
 def ranged_feasible(n: int, y: int, k: int, epsilon) -> bool:
     """Exhaustive check: does any split into ell in (k/2, k] factors, each
     in (y^epsilon, y], exist?  Bounds decided exactly."""
-    eps = Fraction(epsilon)
-    b = eps.denominator
-    small_bound = y**eps.numerator
+    a, b = _epsilon_ratio(epsilon)
+    small_bound = y**a
     good = [d for d in divisors(n) if 1 < d <= y and d**b > small_bound]
     return _splits(n, good, k // 2 + 1, k)

@@ -173,16 +173,27 @@ def iroot(n: int, k: int) -> int:
 
 
 def prime_factors_desc(n: int) -> list[int]:
-    """Prime factors of n >= 1 with multiplicity, largest first (trial division)."""
+    """Prime factors of n >= 1 with multiplicity, largest first.
+
+    Trial division by the cached `small_primes`, then by the odd d above
+    SMALL_PRIME_LIMIT, until d^2 passes what is left of n.
+    """
     if n < 1:
         raise ValueError(f"n={n} must be >= 1")
     out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1 if d == 2 else 2
+    for q in small_primes():
+        if q * q > n:
+            break
+        while n % q == 0:
+            out.append(q)
+            n //= q
+    else:
+        d = SMALL_PRIME_LIMIT + 1  # odd: the limit is 2^12
+        while d * d <= n:
+            while n % d == 0:
+                out.append(d)
+                n //= d
+            d += 2
     if n > 1:
         out.append(n)
     out.reverse()

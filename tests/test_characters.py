@@ -27,8 +27,9 @@ from subproducts.characters import (
     polya_vinogradov_scan,
     unit_roots,
     z_lemma_check,
+    z_lemma_failures,
 )
-from subproducts.cli import check_lemma_near_one, check_lemma_z_grid
+from subproducts.cli import SweepConfig, check_lemma_circle, check_lemma_near_one, check_lemma_z_grid
 from subproducts.modcore import (
     SMALL_PRIME_LIMIT,
     build_context,
@@ -271,6 +272,37 @@ def test_polya_vinogradov_scan_equals_value_table_scan_drawn(p):
     assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
 
 
+def max_sq_per_k(ctx):
+    """Each nonprincipal k's largest |partial sum|^2 over t < p."""
+    roots, m = unit_roots(ctx.order), ctx.order
+    tops = []
+    for k in range(1, m):
+        re = im = 0.0
+        top = 0.0
+        for n in range(1, ctx.p):
+            z = roots[k * ctx.table[n] % m]
+            re += z.real
+            im += z.imag
+            top = max(top, re * re + im * im)
+        tops.append(top)
+    return tops
+
+
+@pytest.mark.parametrize("p", [31, 101, 211, 311])
+def test_polya_vinogradov_scan_counts_violations_past_a_tight_bound(monkeypatch, p):
+    # a bound at 0.9 times the true maximum: some characters pass it and
+    # are summed again to count their violations, the others are not
+    ctx = build_context(p)
+    top = polya_vinogradov_scan(ctx).max_magnitude
+    monkeypatch.setattr(characters, "polya_vinogradov_bound", lambda p: 0.9 * top)
+    bound_sq = (0.9 * top) ** 2
+    past = sum(t > bound_sq for t in max_sq_per_k(ctx))
+    assert 0 < past < ctx.order - 1
+    scan = polya_vinogradov_scan(ctx)
+    assert scan == scan_by_value_table(ctx)
+    assert scan.violations >= past and scan.max_magnitude == top
+
+
 def test_log_product_examples():
     ctx5 = build_context(5)
     assert log_product_one_plus_chi(ctx5, 0, 3) == pytest.approx(3 * math.log(2))
@@ -319,6 +351,38 @@ def test_near_one_matches_complex_distance():
             if abs(angle_to_complex(char_angle(ctx, k, n)) - 1) > delta
         ]
         assert members == direct
+
+
+def near_one_exceptions_by_loop(ctx, k, y, delta):
+    """`near_one_exceptions` as its per-n loop was first written."""
+    m = ctx.order
+    cutoff = near_one_cutoff(delta, m)
+    members = []
+    for n in range(1, y + 1):
+        r = n % ctx.p
+        if r == 0:
+            members.append(n)
+            continue
+        t = k * ctx.table[r] % m
+        if min(t, m - t) > cutoff:
+            members.append(n)
+    return len(members), members
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.sampled_from(primes_up_to(1009)), data=st.data())
+@example(p=2, data=None)
+@example(p=3, data=None)
+def test_near_one_exceptions_equals_the_per_n_loop(p, data):
+    # y runs past 2p so that multiples of p occur
+    ctx = build_context(p)
+    if data is None:
+        k, y, delta = ctx.order - 1, 2 * p + 3, 1.0
+    else:
+        k = data.draw(st.integers(0, ctx.order - 1))
+        y = data.draw(st.integers(1, 2 * p + 3))
+        delta = data.draw(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True))
+    assert near_one_exceptions(ctx, k, y, delta) == near_one_exceptions_by_loop(ctx, k, y, delta)
 
 
 @settings(max_examples=300, deadline=None)
@@ -381,10 +445,80 @@ def test_circle_lemma_on_character_products():
         assert angle_to_complex(char_angle(ctx, k, prod)).real >= bound - 1e-12
 
 
+def test_circle_check_verdicts_match_50_digit_arithmetic(monkeypatch):
+    # every comparison re < bound - 1e-12 of the default `lemma_circle_bound`,
+    # recomputed at 50 digits from the check's own inputs, recorded as it
+    # makes them: each delta as the exact value of its float, each product
+    # by its exact angle
+    inputs, angles = [], []
+
+    def bound_of(k_count, delta):
+        inputs.append((k_count, delta))
+        return circle_lemma_bound(k_count, delta)
+
+    def angle_of(ctx, k, n):
+        angles.append(char_angle(ctx, k, n))
+        return angles[-1]
+
+    monkeypatch.setattr(characters, "circle_lemma_bound", bound_of)
+    monkeypatch.setattr(characters, "char_angle", angle_of)
+    record = check_lemma_circle(SweepConfig().seed + 1)
+    assert record.metrics == {"failures": 0}
+    assert len(inputs) == len(angles) == record.params["tuples"] == 2000
+    least, float_err = mpmath.inf, 0
+    with mpmath.workdps(50):
+        for (k_count, delta), angle in zip(inputs, angles):
+            re = angle_to_complex(angle).real
+            bound = circle_lemma_bound(k_count, delta)
+            exact_re = mpmath.cos(2 * mpmath.pi * angle.numerator / angle.denominator)
+            exact_bound = mpmath.cos(2 * k_count * mpmath.asin(mpmath.mpf(delta) / 2))
+            # the float verdict (no failure) is the exact one
+            assert not re < bound - 1e-12 and exact_re >= exact_bound
+            least = min(least, (exact_re - exact_bound) / abs(exact_bound))
+            float_err = max(float_err, abs(re - exact_re), abs(bound - exact_bound))
+    # the slack's derivation (in the check) puts the float error below
+    # 5e-15; the nearest case is further from its bound than any rounding
+    assert float_err < 5e-15
+    assert least > 1e-4
+
+
 def test_z_lemma_examples():
     assert z_lemma_check(Fraction(1, 2), 2.0)  # z = -1: |1+z| = 0
     assert z_lemma_check(None, 1.0)  # 1 <= 2 e^{-1/8} ~ 1.765
     assert z_lemma_check(Fraction(0), 0.5)  # hypothesis fails, vacuous
+
+
+def z_lemma_verdict(angle, delta):
+    """`z_lemma_check` as first written, one (angle, delta) pair at a time."""
+    bound = 2.0 * math.exp(-delta * delta / 8.0)
+    if angle is None:
+        return True if 1.0 < delta else 1.0 <= bound
+    turns = float(angle)
+    dist = 2.0 * abs(math.sin(math.pi * turns))
+    if dist < delta:
+        return True
+    return 2.0 * abs(math.cos(math.pi * turns)) <= bound
+
+
+# nan fails every angle; inf holds vacuously; 0 and 2 sit on the lemma's
+# domain edges; negative deltas make some pairs fail
+Z_DELTAS = [math.nan, math.inf, -math.inf, 0.0, 2.0, -1.0, 1e-300, 1.0, 1.999]
+Z_GRID = Z_DELTAS + [2.0 * j / 101 for j in range(1, 101)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    angle=st.one_of(st.none(), st.fractions(min_value=0, max_value=1)),
+    deltas=st.lists(st.one_of(st.floats(), st.sampled_from(Z_DELTAS)), max_size=20),
+)
+@example(angle=None, deltas=Z_GRID)
+@example(angle=Fraction(0), deltas=Z_GRID)
+@example(angle=Fraction(1, 2), deltas=Z_GRID)
+@example(angle=Fraction(1, 3), deltas=Z_GRID)
+def test_z_lemma_failures_count_the_per_pair_verdicts(angle, deltas):
+    verdicts = [z_lemma_verdict(angle, d) for d in deltas]
+    assert z_lemma_failures(angle, deltas) == verdicts.count(False)
+    assert [z_lemma_check(angle, d) for d in deltas] == verdicts
 
 
 def test_z_lemma_grid():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -238,6 +239,27 @@ def test_ranged_epsilon_validation():
         ranged_factorization(60, 10, 3, Fraction(0))
 
 
+class NoPowers(int):
+    """A y whose powers raise: an epsilon refused before any power is formed
+    leaves it untouched, and a regression fails here instead of hanging."""
+
+    def __pow__(self, other, mod=None):
+        raise AssertionError(f"formed y^{other}")
+
+
+@pytest.mark.parametrize("epsilon", [0.19, 0.1, "19/100", None])
+def test_epsilon_must_be_an_int_or_a_fraction(epsilon):
+    # Fraction(0.19) has denominator 2^54, so at k = 3 the lower bound would
+    # form y^(3 * 2^54 + ...): refused with TypeError, as theorem_y refuses
+    y = NoPowers(10)
+    with pytest.raises(TypeError):
+        ranged_factorization(60, y, 3, epsilon)
+    with pytest.raises(TypeError):
+        three_way_factorization(60, y, epsilon)
+    with pytest.raises(TypeError):
+        ranged_feasible(60, y, 3, epsilon)
+
+
 def test_ranged_window_validation():
     eps = Fraction(19, 100)
     with pytest.raises(HypothesisViolatedError):
@@ -324,6 +346,47 @@ def test_oracles_match_multiset_brute_force(n, y, k, num, extra):
     ranged_parts = [d for d in parts if d**b > y**a]
     sizes = range(k // 2 + 1, k + 1)
     assert ranged_feasible(n, y, k, eps) == some_multiset_multiplies_to(n, ranged_parts, sizes)
+
+
+def factorization_batch(seed, draws=1500):
+    """Seeded k-way, ranged and three-way calls, one line per call: the
+    arguments, then the factors or the name of the error raised.  Each
+    draw gives a free instance (often outside a hypothesis) and one from
+    the ranged harness (inside them all)."""
+    rng = random.Random(seed)
+    primes = list(sympy.primerange(2, 300))
+    lines = []
+    for _ in range(draws):
+        y = rng.randint(2, 250)
+        k = rng.randint(1, 6)
+        eps = Fraction(rng.randint(1, 40), rng.choice((100, 1000)))
+        pool = [q for q in primes if q <= y + y // 8]  # some above y
+        n = 1
+        for _ in range(rng.randint(0, k + 2)):
+            n *= rng.choice(pool)
+        for n, y, k, eps in ((n, y, k, eps), _random_ranged_instance(rng)):
+            for mode, call in (
+                ("kway", lambda: greedy_k_factorization(n, y, k)),
+                ("ranged", lambda: ranged_factorization(n, y, k, eps)),
+                ("threeway", lambda: three_way_factorization(n, y, eps)),
+            ):
+                try:
+                    out = call().factors
+                except (ValueError, InternalContradictionError) as exc:
+                    out = type(exc).__name__
+                lines.append(f"{mode} {n} {y} {k} {eps} {out}")
+    return lines
+
+
+def test_factorization_batch_is_pinned():
+    # 9000 calls: 2250 k-way, 1612 ranged and 324 three-way splits, the rest
+    # refused.  The hash was taken before the kernels behind these calls
+    # (trial division, the epsilon test) were last rewritten.
+    lines = factorization_batch(19)
+    assert len(lines) == 9000
+    assert sum(not line.endswith("Error") for line in lines) == 2250 + 1612 + 324
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "32cee8744043ee6c593c432e47b6295d9c506584f123ecf6345cc4ab737a6c4c"
 
 
 # --- three-way corollary -----------------------------------------------------

@@ -347,6 +347,31 @@ def test_prime_factors_match_sympy_factorint(n):
     assert Counter(factors) == sympy.factorint(n)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 10**14))
+@example(n=99_991 * 99_989 * 9_973)  # three primes, two of them past the seam
+def test_prime_factors_match_sympy_factorint_to_10_14(n):
+    assert Counter(prime_factors_desc(n)) == sympy.factorint(n)
+
+
+# where trial division leaves the cached small primes (the largest is 4093)
+# for the odd d above SMALL_PRIME_LIMIT (4097 = 17 * 241, then 4099)
+@pytest.mark.parametrize("n,factors", [
+    (4093**2, [4093, 4093]),
+    (4093 * 4099, [4099, 4093]),
+    (4099**2, [4099, 4099]),
+    (4097, [241, 17]),
+    (2**40, [2] * 40),
+    (1, []),
+    (2, [2]),
+    (3, [3]),
+])
+def test_prime_factors_at_the_small_prime_seam(n, factors):
+    assert small_primes()[-1] == 4093 < SMALL_PRIME_LIMIT
+    assert prime_factors_desc(n) == factors
+    assert Counter(factors) == sympy.factorint(n)
+
+
 @settings(max_examples=300, deadline=None)
 @given(n=st.integers(1, 10**8))
 def test_divisors_match_sympy(n):
