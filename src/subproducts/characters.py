@@ -104,12 +104,15 @@ def polya_vinogradov_bound(p: int) -> float:
 
 @dataclass(frozen=True)
 class PartialSumScan:
-    """Extremal nonprincipal character partial sum over all t <= p."""
+    """Extremal nonprincipal character partial sum over all t <= p.
+
+    `violations` counts the characters whose largest partial sum passes
+    the bound.
+    """
 
     p: int
     max_magnitude: float
     k_at_max: int
-    t_at_max: int
     bound: float
     violations: int
 
@@ -119,12 +122,9 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
 
     The running sum of chi_k(n) over n = 1, 2, ..., p is kept as separate
     real and imaginary parts, read from the cos and sin of the unit roots;
-    the last step n = p adds chi_k(p) = 0.  Each k keeps only its largest
-    square magnitude, one comparison per term.  The scan's maximum is that
-    of the first k whose maximum beats every earlier one, at its first t,
-    so ties go to the least (k, t).  Only that k, and any k whose maximum
-    passes the bound (to count its violations), is summed again; a sum
-    repeated in the same order gives the same floats.
+    the last step n = p adds chi_k(p) = 0, so it is not taken.  Each k is
+    summed once and keeps only its largest square magnitude, one
+    comparison per term.  Ties for the scan's maximum go to the least k.
     """
     p, m = ctx.p, ctx.order
     bound = polya_vinogradov_bound(p)
@@ -132,24 +132,11 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
     cos_t = [z.real for z in roots]
     sin_t = [z.imag for z in roots]
     inds = ctx.table[1:].tolist()  # ind(n) for n = 1..p-1
-
-    def partial_sq(k: int) -> list[float]:
-        """|sum of chi_k(n) over n <= t|^2 for t = 1..p-1, summed as below."""
-        re = im = 0.0
-        out = []
-        for i in inds:
-            t = k * i % m
-            re += cos_t[t]
-            im += sin_t[t]
-            out.append(re * re + im * im)
-        return out
-
     best_sq = -1.0
-    best_k = best_t = 0
+    best_k = 0
     violations = 0
     bound_sq = bound * bound
     for k in range(1, m):
-        # partial_sq(k), inlined: the scan's one pass over every (k, n)
         re = im = 0.0
         top = -1.0
         for i in inds:
@@ -161,17 +148,11 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
                 top = sq
         if top > best_sq:
             best_sq, best_k = top, k
-        if top > bound_sq:
-            sqs = partial_sq(k)
-            # n = p: chi_k(p) = 0 leaves the sum, so it repeats n = p - 1's test
-            violations += sum(sq > bound_sq for sq in sqs) + (sqs[-1] > bound_sq)
-    if best_k:
-        best_t = partial_sq(best_k).index(best_sq) + 1
+        violations += top > bound_sq
     return PartialSumScan(
         p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
         k_at_max=best_k,
-        t_at_max=best_t,
         bound=bound,
         violations=violations,
     )

@@ -29,7 +29,14 @@ from subproducts.characters import (
     z_lemma_check,
     z_lemma_failures,
 )
-from subproducts.cli import SweepConfig, check_lemma_circle, check_lemma_near_one, check_lemma_z_grid
+from subproducts.cli import (
+    SweepConfig,
+    check_burgess_ratio,
+    check_lemma_circle,
+    check_lemma_near_one,
+    check_lemma_z_grid,
+    check_polya_vinogradov,
+)
 from subproducts.modcore import (
     SMALL_PRIME_LIMIT,
     build_context,
@@ -209,13 +216,14 @@ def test_polya_vinogradov_scan_small():
 
 def scan_by_value_table(ctx):
     """The Polya-Vinogradov scan as first written: a p-entry complex table
-    of chi_k per character, summed over n = 1..p with n read mod p.  The
+    of chi_k per character, summed over n = 1..p with n read mod p.  A
+    character violates when its largest partial sum passes the bound.  The
     bound is read through the module, as the scan reads it."""
     p, m = ctx.p, ctx.order
     roots = unit_roots(m)
     bound = characters.polya_vinogradov_bound(p)
     best_sq = -1.0
-    best_k = best_t = 0
+    best_k = 0
     violations = 0
     bound_sq = bound * bound
     for k in range(1, m):
@@ -223,20 +231,20 @@ def scan_by_value_table(ctx):
         for r in range(1, p):
             vals[r] = roots[k * ctx.table[r] % m]
         re = im = 0.0
+        past = False
         for n in range(1, p + 1):
             v = vals[n % p]
             re += v.real
             im += v.imag
             sq = re * re + im * im
             if sq > best_sq:
-                best_sq, best_k, best_t = sq, k, n
-            if sq > bound_sq:
-                violations += 1
+                best_sq, best_k = sq, k
+            past = past or sq > bound_sq
+        violations += past
     return PartialSumScan(
         p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
         k_at_max=best_k,
-        t_at_max=best_t,
         bound=bound,
         violations=violations,
     )
@@ -246,23 +254,13 @@ def test_polya_vinogradov_scan_equals_value_table_scan(monkeypatch):
     for p in primes_up_to(311):
         ctx = build_context(p)
         assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
-    # A zero bound makes every nonzero partial sum a violation.  A full
-    # period sums to zero only up to rounding, so t = p violates for each
-    # k whose rounded sum over n < p is not exactly 0; the scan must count
-    # those as the value table does.
+    # A zero bound makes every character a violation, since |chi(1)|^2 = 1
     monkeypatch.setattr(characters, "polya_vinogradov_bound", lambda p: 0.0)
-    at_p = 0
     for p in primes_up_to(101)[1:]:
         ctx = build_context(p)
         scan = polya_vinogradov_scan(ctx)
-        assert scan.bound == 0.0 and scan.violations > 0
+        assert scan.bound == 0.0 and scan.violations == ctx.order - 1
         assert scan == scan_by_value_table(ctx)
-        roots, m = unit_roots(ctx.order), ctx.order
-        at_p += sum(
-            sum(roots[k * ctx.table[n] % m] for n in range(1, p)) != 0
-            for k in range(1, m)
-        )
-    assert at_p > 0
 
 
 @settings(max_examples=4, deadline=None)
@@ -275,23 +273,25 @@ def test_polya_vinogradov_scan_equals_value_table_scan_drawn(p):
 def max_sq_per_k(ctx):
     """Each nonprincipal k's largest |partial sum|^2 over t < p."""
     roots, m = unit_roots(ctx.order), ctx.order
+    inds = ctx.table[1:].tolist()  # ind(n) for n = 1..p-1
     tops = []
     for k in range(1, m):
-        re = im = 0.0
-        top = 0.0
-        for n in range(1, ctx.p):
-            z = roots[k * ctx.table[n] % m]
+        re = im = top = 0.0
+        for i in inds:
+            z = roots[k * i % m]
             re += z.real
             im += z.imag
-            top = max(top, re * re + im * im)
+            sq = re * re + im * im
+            if sq > top:
+                top = sq
         tops.append(top)
     return tops
 
 
 @pytest.mark.parametrize("p", [31, 101, 211, 311])
 def test_polya_vinogradov_scan_counts_violations_past_a_tight_bound(monkeypatch, p):
-    # a bound at 0.9 times the true maximum: some characters pass it and
-    # are summed again to count their violations, the others are not
+    # a bound at 0.9 times the true maximum: some characters pass it, the
+    # others do not, and the scan counts exactly those that do
     ctx = build_context(p)
     top = polya_vinogradov_scan(ctx).max_magnitude
     monkeypatch.setattr(characters, "polya_vinogradov_bound", lambda p: 0.9 * top)
@@ -300,7 +300,7 @@ def test_polya_vinogradov_scan_counts_violations_past_a_tight_bound(monkeypatch,
     assert 0 < past < ctx.order - 1
     scan = polya_vinogradov_scan(ctx)
     assert scan == scan_by_value_table(ctx)
-    assert scan.violations >= past and scan.max_magnitude == top
+    assert scan.violations == past and scan.max_magnitude == top
 
 
 def test_log_product_examples():
@@ -609,3 +609,92 @@ def test_near_one_scan_verdicts_match_50_digit_arithmetic():
     assert record.metrics == {"hypothesis_hits": hits, "violations": 0}
     # no verdict rests on a float rounding: the nearest cases are far from it
     assert log_gap > 1e-9 and count_gap > 1e-9
+
+
+def exact_unit_roots(m):
+    """e^(2 pi i t/m) for t in [0, m) at mpmath's working precision, as
+    powers of one root: each is off by about m units in its last place."""
+    step = mpmath.expjpi(mpmath.mpf(2) / m)
+    roots = [mpmath.mpc(1)]
+    for _ in range(m - 1):
+        roots.append(roots[-1] * step)
+    return roots
+
+
+def test_polya_vinogradov_verdicts_match_50_digit_arithmetic(monkeypatch):
+    # each character's largest |S_k(t)|^2 in the default scan (p <= 311),
+    # with its float error bounded.  A cos/sin entry's error e is measured
+    # against a 50-digit root table; a running sum of j <= p - 1 entries of
+    # size <= 1 is then off by at most E = (p-1) e + gamma_(p-2) (p-1), where
+    # gamma_n = n u / (1 - n u).  With R^2 = top / (1 - gamma_2) bounding
+    # re^2 + im^2, a squared magnitude is off by at most
+    # err(top) = gamma_2 R^2 + 2 E (2 R + E), which grows with top, so the
+    # prime's largest top bounds the error of every character.
+    scans = []
+
+    def recorded(ctx):
+        scans.append((ctx, polya_vinogradov_scan(ctx)))
+        return scans[-1][1]
+
+    monkeypatch.setattr(characters, "polya_vinogradov_scan", recorded)
+    record = check_polya_vinogradov(311)
+    assert record.metrics["violations"] == 0
+    assert [ctx.p for ctx, _ in scans] == primes_between(3, 311)
+    u = mpmath.mpf(2) ** -53
+    gamma_2 = 2 * u / (1 - 2 * u)
+    worst, least_margin = 0, mpmath.inf
+    with mpmath.workdps(50):
+        for ctx, scan in scans:
+            p, m = ctx.p, ctx.order
+            tops = max_sq_per_k(ctx)
+            best = max(tops)
+            assert scan.k_at_max == tops.index(best) + 1
+            assert scan.max_magnitude == math.sqrt(best)
+            exact = exact_unit_roots(m)
+            e = max(max(abs(z.real - w.real), abs(z.imag - w.imag))
+                    for z, w in zip(unit_roots(m), exact))
+            big_e = (p - 1) * e + (p - 2) * u / (1 - (p - 2) * u) * (p - 1)
+            r = mpmath.sqrt(best / (1 - gamma_2))
+            err = gamma_2 * r * r + 2 * big_e * (2 * r + big_e)
+            exact_bound_sq = p * mpmath.log(p) ** 2
+            bound_err = abs(mpmath.mpf(scan.bound * scan.bound) - exact_bound_sq)
+            # every top_k is below bound^2 by more than the error of either side
+            margin = exact_bound_sq - bound_err - best - err
+            assert margin > 0, p
+            least_margin = min(least_margin, margin / exact_bound_sq)
+            # the exact maximum is that of a character whose top is within
+            # 2 err of the float best; those are summed again at 50 digits
+            inds = ctx.table[1:].tolist()
+            exact_top = 0
+            for k, top in enumerate(tops, start=1):
+                if top < best - 2 * err:
+                    continue
+                s_t = mpmath.mpc(0)
+                for i in inds:
+                    s_t += exact[k * i % m]
+                    exact_top = max(exact_top, abs(s_t) ** 2)
+            worst = max(worst, mpmath.sqrt(exact_top / exact_bound_sq))
+    # the worst ratio is 0.5255, so the least margin is 1 - 0.5255^2 = 0.724
+    assert least_margin > 0.7
+    reported = record.metrics["worst_ratio_to_bound"]
+    assert abs(reported - worst) <= 1e-12 * worst
+
+
+def test_burgess_ratios_match_50_digit_arithmetic():
+    # max over k != 0 of |sum of chi_k(n), n <= t| / t at every p of the
+    # `burgess_cancellation_ratio` check, t = ceil(p^0.6) the least t with
+    # t^5 >= p^3, summed at 50 digits from one root table per modulus
+    metrics = check_burgess_ratio(1009).metrics
+    assert sorted(metrics, key=int) == ["101", "211", "311", "1009"]
+    with mpmath.workdps(50):
+        for p in (101, 211, 311, 1009):
+            t = iroot(p**3, 5)
+            t += t**5 < p**3
+            ctx = build_context(p)
+            m = ctx.order
+            roots = exact_unit_roots(m)
+            inds = [ctx.table[n] for n in range(1, t + 1)]  # t < p: all units
+            exact = max(abs(mpmath.fsum(roots[k * i % m] for i in inds))
+                        for k in range(1, m)) / t
+            assert metrics[str(p)]["t"] == t
+            assert abs(metrics[str(p)]["max_ratio"] - exact) <= 1e-12 * exact, p

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from subproducts import subsetprod
+from subproducts.cli import check_dp_vs_characters
 from subproducts.modcore import SMALL_PRIME_LIMIT, NotPrimeError, build_context, primes_up_to
 from subproducts.subsetprod import (
     BadDifferenceError,
@@ -531,6 +532,35 @@ def test_counts_via_characters_matches_dp():
             tol = 1e-6 * 2**y / (p - 1) + 1e-6
             for b in range(1, p):
                 assert abs(exact[b] - approx[b]) <= tol
+
+
+def test_dp_vs_characters_verdicts_are_far_from_their_tolerance(monkeypatch):
+    # every (p, y) of the default `dp_vs_characters` check (p <= 31,
+    # y <= 30): dev / tol in exact rationals, from the float values the
+    # check compared against counts from a plain residue DP.  A ratio below
+    # 1e-6 leaves dev > tol no room to flip under the rounding of dev or tol.
+    approxes = {}
+
+    def recorded(ctx, y):
+        approxes[ctx.p, y] = counts_via_characters(ctx, y)
+        return approxes[ctx.p, y]
+
+    monkeypatch.setattr(subsetprod, "counts_via_characters", recorded)
+    record = check_dp_vs_characters(31)
+    assert record.metrics["failures"] == 0
+    assert sorted(approxes) == [(p, y) for p in primes_up_to(31)[1:] for y in range(1, 31)]
+    worst = Fraction(0)
+    for p in primes_up_to(31)[1:]:
+        counts = [0, 1] + [0] * (p - 2)  # the empty product is 1
+        for y in range(1, 31):
+            if y % p:
+                counts = [c + counts[b * pow(y, -1, p) % p] for b, c in enumerate(counts)]
+            approx = approxes[p, y]
+            dev = max(abs(counts[b] - Fraction(approx[b])) for b in range(1, p))
+            tol = Fraction(2**y, 10**6 * (p - 1)) + Fraction(1, 10**6)
+            worst = max(worst, dev / tol)
+    assert worst < Fraction(1, 10**6)
+    assert record.metrics["worst_dev_over_tol"] == pytest.approx(float(worst), rel=1e-12, abs=0)
 
 
 def test_counts_via_characters_precision_guard():
