@@ -154,43 +154,40 @@ def parse_y_rule(rule: str):
 
 
 def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
+    """The row (p, n2, g, G, y, yprime) for p, checked against the chain
+    n2 <= G <= g, G <= y <= yprime as it is made."""
     ctx = modcore.build_context(p)
     n2 = modcore.least_nonresidue(p)
     big_g = modcore.group_generation_bound(ctx)
     y = subsetprod.coverage_threshold(ctx)
     yp = subsetprod.prime_coverage_threshold(ctx)
+    if not (n2 <= big_g <= ctx.g and big_g <= y):
+        raise ChainViolationError(
+            f"chain violation at p={p}: n2={n2}, G={big_g}, g={ctx.g}, y={y}"
+        )
+    if yp is not None and yp < y:
+        raise ChainViolationError(f"y'={yp} < y={y} at p={p}")
     return (p, n2, ctx.g, big_g, y, yp)
 
 
 def run_spectrum_sweep(config: SweepConfig) -> list[tuple]:
     """One row per prime in [p_min, p_max], ascending, chain-checked.
 
-    The pool never gets more workers than there are CPUs or primes.
+    The pool never gets more workers than there are CPUs or primes.  Its
+    map raises in prime order, so a ChainViolationError names the least
+    violating prime at any worker count.
     """
     config.validate()
     ps = modcore.primes_between(config.p_min, config.p_max)
     workers = min(config.workers, os.cpu_count() or 1, len(ps))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_spectrum_row, ps, chunksize=32))
-    else:
-        rows = [_spectrum_row(p) for p in ps]
-    for p, n2, g, big_g, y, yp in rows:
-        if not (n2 <= big_g <= g and big_g <= y):
-            raise ChainViolationError(
-                f"chain violation at p={p}: n2={n2}, G={big_g}, g={g}, y={y}"
-            )
-        if yp is not None and yp < y:
-            raise ChainViolationError(f"y'={yp} < y={y} at p={p}")
-    return rows
-
-
-def _spectrum_table(rows: list[tuple]) -> list[dict]:
-    return [dict(zip(SPECTRUM_COLUMNS, row)) for row in rows]
+            return list(pool.map(_spectrum_row, ps, chunksize=32))
+    return [_spectrum_row(p) for p in ps]
 
 
 def spectrum_csv(rows: list[tuple]) -> str:
-    return render("csv", {}, _spectrum_table(rows), SPECTRUM_COLUMNS)
+    return render_csv(SPECTRUM_COLUMNS, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +637,7 @@ def run_verification_suite(config: SweepConfig) -> list[CheckRecord]:
 
 
 def verification_report_json(config: SweepConfig, records: list[CheckRecord]) -> str:
-    return render("json", {
+    return render_json({
         "config": {
             "p_min": config.p_min,
             "p_max": config.p_max,
@@ -658,8 +655,17 @@ def verification_report_json(config: SweepConfig, records: list[CheckRecord]) ->
 
 
 def write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    """Write text to path by renaming a finished temporary file over it.
+
+    A symlink's target is what gets replaced, and a path that exists but is
+    not a regular file (a FIFO, a device) is written through, not replaced.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -685,28 +691,27 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render(fmt: str, fields: dict, rows: Iterable[dict] | None = None,
-           columns: tuple[str, ...] | None = None) -> str:
-    """One result as JSON or CSV text.
+def render_json(fields: dict) -> str:
+    """`fields` with `schema_version` added, as indented JSON."""
+    payload = {"schema_version": SCHEMA_VERSION, **fields}
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    JSON is `fields` with `schema_version` added.  CSV is one line per dict
-    in `rows` (by default `fields` is the one row) under a header of
-    `columns` (by default the first row's keys, so rows given without
-    `columns` must be a list).  None is an empty cell and a list is its
-    items joined by spaces.
-    """
-    if fmt == "json":
-        payload = {"schema_version": SCHEMA_VERSION, **fields}
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    rows = [fields] if rows is None else rows
-    columns = columns or tuple(rows[0])
+
+def render_csv(columns: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """A header of `columns`, then one line per tuple in `rows`, whose
+    values are in column order.  None is an empty cell and a list is its
+    items joined by spaces."""
     lines = [",".join(columns)]
-    lines += [",".join(_csv_cell(row[c]) for c in columns) for row in rows]
+    lines += [",".join(map(_csv_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def emit_record(args: argparse.Namespace, fields: dict) -> None:
-    emit(render(args.format, fields), args.out)
+    if args.format == "json":
+        text = render_json(fields)
+    else:
+        text = render_csv(tuple(fields), [tuple(fields.values())])
+    emit(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +769,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.format == "csv":
         text = spectrum_csv(rows)
     else:
-        text = render("json", {"rows": _spectrum_table(rows)})
+        text = render_json({"rows": [dict(zip(SPECTRUM_COLUMNS, r)) for r in rows]})
     emit(text, args.out)
     return 0
 
@@ -783,11 +788,10 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     counts = subsetprod.subset_product_counts(args.p, args.y).counts
     residues = range(1, args.p)
     if args.format == "json":
-        text = render("json", {"p": args.p, "y": args.y,
-                               "counts": {str(b): str(counts[b]) for b in residues}})
+        text = render_json({"p": args.p, "y": args.y,
+                            "counts": {str(b): str(counts[b]) for b in residues}})
     else:
-        rows = ({"b": b, "count": counts[b]} for b in residues)
-        text = render("csv", {}, rows, ("b", "count"))
+        text = render_csv(("b", "count"), ((b, counts[b]) for b in residues))
     emit(text, args.out)
     return 0
 

@@ -213,11 +213,6 @@ def least_primitive_root(p: int) -> int:
     """Least positive integer of multiplicative order p-1 mod p."""
     if not is_prime(p):
         raise NotPrimeError(f"{p} is not prime")
-    return _least_primitive_root(p)
-
-
-def _least_primitive_root(p: int) -> int:
-    """`least_primitive_root` for a p already known to be prime."""
     order = p - 1
     order_factors = set(prime_factors_desc(order))
     for g in range(1, p):
@@ -334,11 +329,9 @@ def build_context(p: int) -> PrimeContext:
 
     Supports p up to MAX_TABLE_PRIME = 2^24, the dense table's cap.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    if p > MAX_TABLE_PRIME:
+    if p > MAX_TABLE_PRIME and is_prime(p):
         raise TooLargeError(f"p={p} exceeds table limit {MAX_TABLE_PRIME}")
-    return PrimeContext(p=p, g=_least_primitive_root(p), order=p - 1)
+    return PrimeContext(p=p, g=least_primitive_root(p), order=p - 1)
 
 
 def legendre(a: int, p: int) -> int:

@@ -310,6 +310,8 @@ def test_log_product_examples():
     ctx7 = build_context(7)
     # ind(2)=2 so the angle is 1/3 turn and |1 + e^(2pi i/3)| = 1
     assert log_product_one_plus_chi(ctx7, 1, 2) == pytest.approx(math.log(2))
+    for k in range(ctx7.order):  # y = 1 is n = 1 alone: |1 + chi(1)| = 2
+        assert log_product_one_plus_chi(ctx7, k, 1) == pytest.approx(math.log(2))
 
 
 def test_log_product_matches_direct_product():

@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import multiprocessing
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -127,6 +129,42 @@ def test_spectrum_workers_agree(tmp_path):
     assert run_cli("spectrum", "--pmax", "500", "--out", str(one)) == 0
     assert run_cli("spectrum", "--pmax", "500", "--workers", "4", "--out", str(four)) == 0
     assert read(one) == read(four)
+
+
+# A forked worker inherits the patched threshold; a spawned one would not.
+FORK = multiprocessing.get_start_method() == "fork"
+
+
+@pytest.mark.parametrize("workers", [
+    1, pytest.param(2, marks=pytest.mark.skipif(not FORK, reason="needs fork workers")),
+])
+def test_chain_violation_fails_at_the_least_violating_prime(
+    workers, monkeypatch, capsys, tmp_path
+):
+    # y' = y - 1 at two primes in different pool chunks: both commands FAIL
+    # at the smaller one, and spectrum writes nothing
+    real = subsetprod.prime_coverage_threshold
+
+    def short_by_one(ctx):
+        if ctx.p in (101, 523):
+            return subsetprod.coverage_threshold(ctx) - 1
+        return real(ctx)
+
+    monkeypatch.setattr(subsetprod, "prime_coverage_threshold", short_by_one)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    y = subsetprod.coverage_threshold(modcore.build_context(101))
+    violation = f"y'={y - 1} < y={y} at p=101"
+    out = tmp_path / "spectrum.csv"
+    assert run_cli("spectrum", "--pmax", "600", "--workers", str(workers),
+                   "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"FAIL: {violation}\n")
+    assert not out.exists()
+    report = tmp_path / "report.json"
+    assert run_cli("verify", "--checks", "spectrum", "--pmax", "600",
+                   "--workers", str(workers), "--out", str(report)) == 1
+    [record] = json.loads(read(report))["records"]
+    assert record["status"] == "FAIL"
+    assert record["metrics"] == {"primes": 0, "violation": violation}
 
 
 def test_counts_cli(tmp_path):
@@ -452,6 +490,32 @@ def test_bad_input_exits_2(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+def test_out_replaces_the_target_of_a_symlink(tmp_path):
+    target = tmp_path / "data" / "counts.csv"
+    target.parent.mkdir()
+    target.write_text("old\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert run_cli("counts", "--p", "3", "--y", "2", "--out", str(link)) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert read(target) == "b,count\n1,2\n2,2\n"
+    assert os.listdir(target.parent) == ["counts.csv"]
+
+
+def test_out_writes_through_a_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    # a reader that is already open lets the writer's open return at once
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert run_cli("counts", "--p", "3", "--y", "2", "--out", str(fifo)) == 0
+        assert os.read(reader, 1 << 16) == b"b,count\n1,2\n2,2\n"
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["pipe"]
 
 
 def test_work_caps_are_inclusive(monkeypatch, capsys, tmp_path):
