@@ -56,6 +56,38 @@ def unit_roots(m: int) -> tuple[complex, ...]:
     return tuple(cmath.rect(1.0, step * t) for t in range(m))
 
 
+PAIR_MARGIN = 2.0**-40
+"""Times p^3: how far rounding can move a paired character scan's value.
+
+The scans over characters mod p (m = p - 1) read one side of two exact
+symmetries: chi_{m-k} = conj(chi_k), and S(t) = -chi(-1) S(p-1-t) for
+the partial sums S of a nonprincipal chi, whose period sums to 0.  The
+two sides agree in exact arithmetic; their floats differ by less than
+PAIR_MARGIN * p^3.  With u = 2^-53:
+
+- A root cos(2 pi t/m) or sin(2 pi t/m), from three roundings of an
+  argument below 2 pi and a libm cos or sin within one ulp, is off by
+  e <= 6 pi u + 2u < 21u.
+- A running sum of j <= p - 1 such entries, real or imaginary part, is
+  off by at most E = (p-1) e + gamma_(p-2) (p-1), gamma_n = n u/(1 - n u),
+  so E <= 9 p^2 u for p >= 3.
+- Its squared magnitude, with |S| <= R = p, is off by at most
+  err = gamma_2 (R + E)^2 + 2 E (2 R + E) <= 37 p^3 u: the form of the
+  bound that the 50-digit test of the Polya-Vinogradov scan measures.
+  A half-period maximum and the full maxima of k and m - k all lie
+  within err of one exact value, so within 74 p^3 u of each other.
+- A magnitude |S| is off by at most sqrt(2) E + u p < 14 p^2 u.
+- A log-product of y < p entries log|1 + e^(2 pi i t/m)|: near the half
+  turn 2 + 2 cos(2 pi t/m) >= 16/m^2 carries an absolute error under
+  44u, so an entry is off by at most 2 m^2 u, and the sum by at most
+  2 y m^2 u + gamma_(y-1) y log m <= 3 p^3 u.
+
+Every pair therefore differs by less than 2^7 p^3 u = 2^-46 p^3.  The
+margin keeps a factor 64 above that for the rounding of the comparisons
+themselves (one ulp of values below p^2).
+"""
+
+
 def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     """Sum of chi_k(n) over 1 <= n <= t.
 
@@ -84,16 +116,24 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
 def max_nonprincipal_sum(ctx: PrimeContext, t: int) -> tuple[int, float]:
     """Character index k != 0 maximizing |char_sum(ctx, k, t)|, with that magnitude.
 
-    Ties go to the smallest k so results are reproducible.
+    Ties go to the smallest k so results are reproducible.  The sums of
+    k <= m/2 (m = p - 1) are taken first.  chi_{m-k} = conj(chi_k), so a
+    k > m/2 has the magnitude of m - k up to rounding (`PAIR_MARGIN`): it
+    is summed only when that magnitude is within the margin of the
+    running best, since otherwise it cannot pass it.
     """
-    if ctx.order < 2:
+    m = ctx.order
+    if m < 2:
         raise ValueError("p has no nonprincipal characters")
-    best_k = 1
-    best = abs(char_sum(ctx, 1, t))
-    for k in range(2, ctx.order):
-        mag = abs(char_sum(ctx, k, t))
-        if mag > best:
-            best, best_k = mag, k
+    mags = [abs(char_sum(ctx, k, t)) for k in range(1, m // 2 + 1)]
+    best = max(mags)
+    best_k = mags.index(best) + 1
+    margin = PAIR_MARGIN * ctx.p**3
+    for k in range(m // 2 + 1, m):
+        if mags[m - k - 1] >= best - margin:
+            mag = abs(char_sum(ctx, k, t))
+            if mag > best:
+                best, best_k = mag, k
     return best_k, best
 
 
@@ -107,7 +147,9 @@ class PartialSumScan:
     """Extremal nonprincipal character partial sum over all t <= p.
 
     `violations` counts the characters whose largest partial sum passes
-    the bound.
+    the bound.  Every field is the one a full sequential sum of every
+    character gives, bit for bit, though most characters are summed over
+    half a period only (see `polya_vinogradov_scan`).
     """
 
     p: int
@@ -117,14 +159,45 @@ class PartialSumScan:
     violations: int
 
 
+def _largest_partial_sq(
+    inds: list[int], k: int, m: int, cos_t: list[float], sin_t: list[float]
+) -> float:
+    """Largest |chi_k(n_1) + ... + chi_k(n_j)|^2 over the prefixes of `inds`.
+
+    The running sum is kept as separate real and imaginary parts, added
+    in order from the cos and sin of the unit roots; one comparison per
+    term.
+    """
+    re = im = 0.0
+    top = -1.0
+    for i in inds:
+        t = k * i % m
+        re += cos_t[t]
+        im += sin_t[t]
+        sq = re * re + im * im
+        if sq > top:
+            top = sq
+    return top
+
+
 def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
     """Scan every nonprincipal k and every t <= p for partial-sum extremes.
 
-    The running sum of chi_k(n) over n = 1, 2, ..., p is kept as separate
-    real and imaginary parts, read from the cos and sin of the unit roots;
-    the last step n = p adds chi_k(p) = 0, so it is not taken.  Each k is
-    summed once and keeps only its largest square magnitude, one
-    comparison per term.  Ties for the scan's maximum go to the least k.
+    A character's partial sums S(t) over n = 1, 2, ..., t are summed in
+    order; the last step n = p adds chi_k(p) = 0, so it is not taken.
+    Two exact symmetries make most of that work redundant.  chi_{m-k} =
+    conj(chi_k) (m = p - 1), so both have the same |S(t)|.  A
+    nonprincipal period sums to 0, so S(t) = -chi(-1) S(p-1-t), and the
+    largest |S(t)| is reached at some t <= (p-1)/2.
+
+    So each k <= m/2 first takes its largest |S(t)|^2 over those t only:
+    within `PAIR_MARGIN * p**3` of the full sequential maximum of both k
+    and m - k.  Only the characters whose half-period value is within
+    that margin of bound^2, or within twice it of the best half-period
+    value, are summed again over the full period, as the full scan sums
+    them; every other pair takes its violation verdict from the
+    half-period value, which no rounding can move across the bound.  The
+    scan's maximum is the largest full sum, with ties to the least k.
     """
     p, m = ctx.p, ctx.order
     bound = polya_vinogradov_bound(p)
@@ -132,23 +205,25 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
     cos_t = [z.real for z in roots]
     sin_t = [z.imag for z in roots]
     inds = ctx.table[1:].tolist()  # ind(n) for n = 1..p-1
-    best_sq = -1.0
-    best_k = 0
-    violations = 0
     bound_sq = bound * bound
-    for k in range(1, m):
-        re = im = 0.0
-        top = -1.0
-        for i in inds:
-            t = k * i % m
-            re += cos_t[t]
-            im += sin_t[t]
-            sq = re * re + im * im
-            if sq > top:
-                top = sq
-        if top > best_sq:
-            best_sq, best_k = top, k
-        violations += top > bound_sq
+    margin = PAIR_MARGIN * p**3
+    first_half = inds[: m // 2]
+    halves = [
+        _largest_partial_sq(first_half, k, m, cos_t, sin_t)
+        for k in range(1, m // 2 + 1)
+    ]
+    near_best = max(halves, default=0.0) - 2 * margin
+    tops: dict[int, float] = {}  # full-period maxima of the rescanned k
+    violations = 0
+    for k, half in enumerate(halves, start=1):
+        if half >= near_best or abs(half - bound_sq) <= margin:
+            for j in {k, m - k}:
+                tops[j] = _largest_partial_sq(inds, j, m, cos_t, sin_t)
+        elif half > bound_sq:
+            violations += 1 if 2 * k == m else 2
+    violations += sum(top > bound_sq for top in tops.values())
+    best_sq = max(tops.values(), default=-1.0)
+    best_k = min((k for k, top in tops.items() if top == best_sq), default=0)
     return PartialSumScan(
         p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,

@@ -371,12 +371,23 @@ def check_lemma_near_one(p_cap: int) -> CheckRecord:
         y = max(1, modcore.iroot(p**7, 10))  # floor(p^0.7), exactly
         log_thresh = y * math.log(2) - 2 * math.log(p)
         limit = 16 * math.log(p) ** 3
-        for k in range(1, ctx.order):
-            if characters.log_product_one_plus_chi(ctx, k, y) > log_thresh:
-                hypothesis_hits += 1
+        margin = characters.PAIR_MARGIN * p**3
+        m = ctx.order
+        for k in range(1, m // 2 + 1):
+            value = characters.log_product_one_plus_chi(ctx, k, y)
+            hits = int(value > log_thresh)
+            if 2 * k < m:
+                # chi_{m-k} = conj(chi_k) has the same log-product up to
+                # rounding, which can move only a value near the threshold
+                if abs(value - log_thresh) <= margin:
+                    value = characters.log_product_one_plus_chi(ctx, m - k, y)
+                hits += value > log_thresh
+            if hits:
+                hypothesis_hits += hits
+                # the same count for m - k: min(t, m - t) is symmetric
                 count, _ = characters.near_one_exceptions(ctx, k, y, 1 / math.log(p))
                 if count >= limit:
-                    violations += 1
+                    violations += hits
     return CheckRecord(
         name="lemma_near_one_scan",
         params={"p_max": p_cap, "y_rule": "floor(p^0.7)", "delta": "1/log p"},

@@ -205,6 +205,31 @@ def test_max_nonprincipal_sum_examples():
     assert mag <= polya_vinogradov_bound(101) < 46.5
 
 
+def max_nonprincipal_sum_per_k(ctx, t):
+    """`max_nonprincipal_sum` as every k's sum, ties to the least k."""
+    best_k, best = 1, abs(char_sum(ctx, 1, t))
+    for k in range(2, ctx.order):
+        mag = abs(char_sum(ctx, k, t))
+        if mag > best:
+            best, best_k = mag, k
+    return best_k, best
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(primes_between(3, 311)), data=st.data())
+@example(p=3, data=None)
+@example(p=311, data=None)
+def test_max_nonprincipal_sum_equals_every_k_summed(p, data):
+    # a k > m/2 is summed only near the running best; t past p reads the
+    # remaining terms after whole periods
+    ctx = build_context(p)
+    t = p if data is None else data.draw(st.integers(1, 2 * p))
+    assert max_nonprincipal_sum(ctx, t) == max_nonprincipal_sum_per_k(ctx, t)
+    # t = 0 mod p: every nonprincipal sum is 0, so the least k wins
+    for t in (p, 2 * p):
+        assert max_nonprincipal_sum(ctx, t) == (1, 0.0)
+
+
 def test_polya_vinogradov_scan_small():
     for p in primes_up_to(101):
         if p < 3:
@@ -301,6 +326,57 @@ def test_polya_vinogradov_scan_counts_violations_past_a_tight_bound(monkeypatch,
     scan = polya_vinogradov_scan(ctx)
     assert scan == scan_by_value_table(ctx)
     assert scan.violations == past and scan.max_magnitude == top
+
+
+def largest_partial_sq(ctx, k, terms):
+    """Character k's largest |chi_k(1) + ... + chi_k(t)|^2 over t <= terms."""
+    roots, m = unit_roots(ctx.order), ctx.order
+    re = im = top = 0.0
+    for n in range(1, terms + 1):
+        z = roots[k * ctx.table[n] % m]
+        re += z.real
+        im += z.imag
+        top = max(top, re * re + im * im)
+    return top
+
+
+def root_of(sq):
+    """A float b with b * b == sq when sqrt(sq) or a neighbour is one."""
+    b = math.sqrt(sq)
+    for c in (b, math.nextafter(b, 0.0), math.nextafter(b, math.inf)):
+        if c * c == sq:
+            return c
+    return b
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    p=st.sampled_from(primes_between(3, 1009)),
+    at=st.sampled_from(["fraction", "half", "full"]),
+    data=st.data(),
+)
+@example(p=311, at="half", data=None)
+@example(p=311, at="full", data=None)
+@example(p=101, at="fraction", data=None)
+def test_polya_vinogradov_scan_equals_value_table_scan_at_drawn_bounds(p, at, data):
+    # the scan sums most characters over half a period; a bound at a
+    # fraction of the true maximum, or on one character's half-period or
+    # full maximum, sends characters near it through the full rescan, and
+    # the one with the full maximum checks the least-k tie rule
+    ctx = build_context(p)
+    m = ctx.order
+    unpatched = polya_vinogradov_scan(ctx)
+    if at == "fraction":
+        f = 0.9 if data is None else data.draw(st.floats(0.5, 1.05))
+        bound = f * unpatched.max_magnitude
+    else:
+        k = unpatched.k_at_max if data is None else data.draw(st.integers(1, m - 1))
+        bound = root_of(largest_partial_sq(ctx, k, m // 2 if at == "half" else m))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(characters, "polya_vinogradov_bound", lambda p: bound)
+        scan = polya_vinogradov_scan(ctx)
+        assert scan == scan_by_value_table(ctx)
+        assert scan.bound == bound
 
 
 def test_log_product_examples():
@@ -611,6 +687,67 @@ def test_near_one_scan_verdicts_match_50_digit_arithmetic():
     assert record.metrics == {"hypothesis_hits": hits, "violations": 0}
     # no verdict rests on a float rounding: the nearest cases are far from it
     assert log_gap > 1e-9 and count_gap > 1e-9
+
+
+def near_one_scan_per_k(p_cap):
+    """`lemma_near_one_scan`'s metrics from every character's own
+    log-product and exception count, as the check was first written."""
+    violations = 0
+    hypothesis_hits = 0
+    for p in primes_between(3, p_cap):
+        ctx = build_context(p)
+        y = max(1, iroot(p**7, 10))
+        log_thresh = y * math.log(2) - 2 * math.log(p)
+        limit = 16 * math.log(p) ** 3
+        for k in range(1, ctx.order):
+            if characters.log_product_one_plus_chi(ctx, k, y) > log_thresh:
+                hypothesis_hits += 1
+                count, _ = characters.near_one_exceptions(ctx, k, y, 1 / math.log(p))
+                if count >= limit:
+                    violations += 1
+    return {"hypothesis_hits": hypothesis_hits, "violations": violations}
+
+
+@pytest.mark.parametrize("p_cap", [31, 101, 311])
+def test_near_one_scan_pairs_conjugates_as_the_per_k_loop(p_cap):
+    assert check_lemma_near_one(p_cap).metrics == near_one_scan_per_k(p_cap)
+
+
+@pytest.mark.parametrize("k", [3, 97])
+def test_near_one_scan_rereads_a_conjugate_on_the_threshold(monkeypatch, k):
+    # chi_k's log-product is put exactly on the threshold (no hypothesis
+    # hit) and its conjugate's one ulp above it (a hit): the pair's
+    # verdicts differ, so the paired scan must read both
+    p, m = 101, 100
+    y = iroot(p**7, 10)
+    thresh = y * math.log(2) - 2 * math.log(p)
+    real = characters.log_product_one_plus_chi
+
+    read = []
+
+    def on_threshold(ctx, j, y):
+        if ctx.p != p or j not in (k, m - k):
+            return real(ctx, j, y)
+        read.append(j)
+        return thresh if j == k else math.nextafter(thresh, math.inf)
+
+    monkeypatch.setattr(characters, "log_product_one_plus_chi", on_threshold)
+    metrics = check_lemma_near_one(p).metrics
+    assert sorted(read) == sorted([k, m - k])
+    assert metrics == near_one_scan_per_k(p)
+
+
+def test_near_one_scan_on_a_minus_inf_pair():
+    # a k < m/2 whose angle k ind(n) is half a turn for some n <= y has a
+    # zero factor, and so has m - k: the pair is read once, with no hit
+    ctx = build_context(31)
+    m, y = ctx.order, iroot(31**7, 10)
+    pairs = [k for k in range(1, m // 2)
+             if log_product_one_plus_chi(ctx, k, y) == -math.inf]
+    assert pairs
+    for k in pairs:
+        assert log_product_one_plus_chi(ctx, m - k, y) == -math.inf
+    assert check_lemma_near_one(31).metrics == near_one_scan_per_k(31)
 
 
 def exact_unit_roots(m):
