@@ -28,7 +28,6 @@ import tempfile
 import time
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -181,6 +180,10 @@ def run_spectrum_sweep(config: SweepConfig) -> list[tuple]:
     ps = modcore.primes_between(config.p_min, config.p_max)
     workers = min(config.workers, os.cpu_count() or 1, len(ps))
     if workers > 1:
+        # imported here, the only place a pool starts: a single-process
+        # command then loads no multiprocessing, pickle or socket modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_spectrum_row, ps, chunksize=32))
     return [_spectrum_row(p) for p in ps]

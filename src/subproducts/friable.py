@@ -166,7 +166,9 @@ def _epsilon_ratio(epsilon: int | Fraction) -> tuple[int, int]:
 def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
     """The size bounds of a ranged split with epsilon = a/b, each exact:
 
-    - lower root: n > y^(k/2+eps) iff n > iroot(y^(kb+2a), 2b);
+    - lower root: n > y^(k/2+eps) iff n > iroot(y^(kb+2a), 2b), taken
+      with the exponent pair divided by its gcd (the same real power of
+      y, so the same floor, from a power and a root of smaller degree);
     - y^(k+1): n < y^((k+1)/2) iff n^2 < y^(k+1);
     - working root: v <= y^(1-eps) iff v <= iroot(y^(b-a), b);
     - small root: v <= y^eps iff v <= iroot(y^a, b).
@@ -174,8 +176,9 @@ def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
     A harness that draws an instance and then factors it reads the same
     bounds twice; the last few (y, k, a, b) are kept.
     """
+    g = math.gcd(k * b + 2 * a, 2 * b)
     return (
-        iroot(y ** (k * b + 2 * a), 2 * b),
+        iroot(y ** ((k * b + 2 * a) // g), 2 * b // g),
         y ** (k + 1),
         iroot(y ** (b - a), b),
         iroot(y**a, b),

@@ -356,19 +356,32 @@ def subset_product_counts(p: int, y: int) -> SubsetProductCounts:
 def enumerate_subset_counts(p: int, y: int) -> tuple[int, ...]:
     """Brute-force oracle: walk all 2^y subsets and tally product residues.
 
-    Independent of the dynamic program (explicit product list, doubled one
-    element at a time).  Exponential; intended for y <= ~20.
+    Independent of the dynamic program: each half of {1..y} lists the
+    explicit product of every one of its subsets, and every pair (v, t),
+    v from the lower half's list and t from the upper's, is one subset of
+    {1..y}, tallied at v t mod p.  No count vector is convolved.  Holds
+    2^ceil(y/2) products at a time; exponential in time, intended for
+    y <= ~20.
     """
     if y < 1:
         raise YOutOfRangeError(f"y={y} must be >= 1")
+    half = y // 2
+    low = _subset_products(p, range(1, half + 1))
+    high = _subset_products(p, range(half + 1, y + 1))
+    counts = [0] * p
+    for v in low:
+        for t in high:
+            counts[v * t % p] += 1
+    return tuple(counts)
+
+
+def _subset_products(p: int, ns: Iterable[int]) -> list[int]:
+    """The product mod p of every subset of ns, one entry per subset."""
     products = [1]
-    for n in range(1, y + 1):
+    for n in ns:
         r = n % p
         products += [v * r % p for v in products]
-    counts = [0] * p
-    for v in products:
-        counts[v] += 1
-    return tuple(counts)
+    return products
 
 
 # Above this, 1 ulp of relative drift in the complex products could rival

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import json
 import math
@@ -633,7 +634,8 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # the sweep imports the pool class when a pool starts, from this module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     serial = run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=1))
     assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
@@ -674,6 +676,42 @@ modcore.primes_between = spy
 import subproducts.cli as cli
 assert sieved == [], sieved
 assert cli.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_single_process_commands_load_no_pool_stack():
+    # counts and verify run in-process without the pool machinery;
+    # spectrum --workers 2 loads it and writes the --workers 1 bytes
+    src = os.path.dirname(os.path.dirname(subproducts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = """
+import contextlib, io, os, sys, tempfile
+import subproducts.cli as cli
+POOL = ("concurrent.futures.process", "multiprocessing")
+def loaded():
+    return [m for m in POOL if m in sys.modules]
+assert loaded() == [], loaded()
+with tempfile.TemporaryDirectory() as tmp:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["counts", "--p", "101", "--y", "6"]) == 0
+        assert cli.main(["verify", "--pmax", "101",
+                         "--out", os.path.join(tmp, "r.json")]) == 0
+    assert loaded() == [], loaded()
+    one, two = os.path.join(tmp, "w1.csv"), os.path.join(tmp, "w2.csv")
+    assert cli.main(["spectrum", "--pmax", "2000", "--out", one]) == 0
+    assert loaded() == [], loaded()
+    assert cli.main(["spectrum", "--pmax", "2000", "--workers", "2", "--out", two]) == 0
+    # the sweep clamps its pool to the CPUs: on one CPU no pool starts
+    assert loaded() == (list(POOL) if (os.cpu_count() or 1) > 1 else []), loaded()
+    with open(one, "rb") as a, open(two, "rb") as b:
+        assert a.read() == b.read()
 """
     proc = subprocess.run(
         [sys.executable, "-c", code],
