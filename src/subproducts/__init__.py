@@ -1,85 +1,1 @@
 """Exact desk-scale toolkit for subset-product coverage of residue classes mod p."""
-
-from .characters import (
-    char_angle,
-    char_sum,
-    circle_lemma_bound,
-    log_product_one_plus_chi,
-    max_nonprincipal_sum,
-    near_one_exceptions,
-    polya_vinogradov_bound,
-    polya_vinogradov_scan,
-    z_lemma_check,
-)
-from .friable import (
-    FactorizationResult,
-    greedy_k_factorization,
-    largest_prime_factor,
-    psi_asymptotic,
-    psi_exact,
-    psi_prefixes,
-    ranged_factorization,
-    three_way_factorization,
-)
-from .modcore import (
-    PrimeContext,
-    build_context,
-    group_generation_bound,
-    is_prime,
-    least_nonresidue,
-    least_primitive_root,
-    legendre,
-    primes_between,
-    primes_up_to,
-)
-from .subsetprod import (
-    CoverageState,
-    ErrorReport,
-    SubsetProductCounts,
-    counts_via_characters,
-    coverage_consume,
-    error_report,
-    initial_coverage,
-    subset_product_counts,
-    subset_product_prefixes,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "CoverageState",
-    "ErrorReport",
-    "FactorizationResult",
-    "PrimeContext",
-    "SubsetProductCounts",
-    "build_context",
-    "char_angle",
-    "char_sum",
-    "circle_lemma_bound",
-    "counts_via_characters",
-    "coverage_consume",
-    "error_report",
-    "greedy_k_factorization",
-    "group_generation_bound",
-    "initial_coverage",
-    "is_prime",
-    "largest_prime_factor",
-    "least_nonresidue",
-    "least_primitive_root",
-    "legendre",
-    "log_product_one_plus_chi",
-    "max_nonprincipal_sum",
-    "near_one_exceptions",
-    "polya_vinogradov_bound",
-    "polya_vinogradov_scan",
-    "primes_between",
-    "primes_up_to",
-    "psi_asymptotic",
-    "psi_exact",
-    "psi_prefixes",
-    "ranged_factorization",
-    "subset_product_counts",
-    "subset_product_prefixes",
-    "three_way_factorization",
-    "z_lemma_check",
-]

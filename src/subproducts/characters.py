@@ -77,10 +77,6 @@ PAIR_MARGIN * p^3.  With u = 2^-53:
   A half-period maximum and the full maxima of k and m - k all lie
   within err of one exact value, so within 74 p^3 u of each other.
 - A magnitude |S| is off by at most sqrt(2) E + u p < 14 p^2 u.
-- A log-product of y < p entries log|1 + e^(2 pi i t/m)|: near the half
-  turn 2 + 2 cos(2 pi t/m) >= 16/m^2 carries an absolute error under
-  44u, so an entry is off by at most 2 m^2 u, and the sum by at most
-  2 y m^2 u + gamma_(y-1) y log m <= 3 p^3 u.
 
 Every pair therefore differs by less than 2^7 p^3 u = 2^-46 p^3.  The
 margin keeps a factor 64 above that for the rounding of the comparisons
@@ -237,14 +233,17 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
 def _log_one_plus_root(m: int) -> tuple[float, ...]:
     """log|1 + e^{2 pi i t/m}| for t in [0, m); exact -inf at the half turn.
 
-    Scans call this once per character with the same m, so one modulus's
-    table is kept.
+    Computed for t <= m/2 and mirrored, table[m - t] == table[t], so the
+    log-products of chi_k and chi_{m-k} = conj(chi_k) add the same terms
+    in the same order and are equal bit for bit.  Scans call this once
+    per character with the same m, so one modulus's table is kept.
     """
-    return tuple(
+    half = [
         -math.inf if 2 * t == m
         else 0.5 * math.log(2.0 + 2.0 * math.cos(2.0 * math.pi * t / m))
-        for t in range(m)
-    )
+        for t in range(m // 2 + 1)
+    ]
+    return tuple(half + [half[m - t] for t in range(len(half), m)])
 
 
 def log_product_one_plus_chi(ctx: PrimeContext, k: int, y: int) -> float:

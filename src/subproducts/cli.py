@@ -374,20 +374,13 @@ def check_lemma_near_one(p_cap: int) -> CheckRecord:
         y = max(1, modcore.iroot(p**7, 10))  # floor(p^0.7), exactly
         log_thresh = y * math.log(2) - 2 * math.log(p)
         limit = 16 * math.log(p) ** 3
-        margin = characters.PAIR_MARGIN * p**3
         m = ctx.order
         for k in range(1, m // 2 + 1):
-            value = characters.log_product_one_plus_chi(ctx, k, y)
-            hits = int(value > log_thresh)
-            if 2 * k < m:
-                # chi_{m-k} = conj(chi_k) has the same log-product up to
-                # rounding, which can move only a value near the threshold
-                if abs(value - log_thresh) <= margin:
-                    value = characters.log_product_one_plus_chi(ctx, m - k, y)
-                hits += value > log_thresh
-            if hits:
+            # chi_{m-k} = conj(chi_k) has the same log-product, bit for bit
+            # (its log table is mirrored), and the same exception count
+            if characters.log_product_one_plus_chi(ctx, k, y) > log_thresh:
+                hits = 1 if 2 * k == m else 2
                 hypothesis_hits += hits
-                # the same count for m - k: min(t, m - t) is symmetric
                 count, _ = characters.near_one_exceptions(ctx, k, y, 1 / math.log(p))
                 if count >= limit:
                     violations += hits

@@ -154,16 +154,17 @@ def progression_coverage_threshold(
     """Least y <= y_max such that subset products of a, a+d, ..., a+(y-1)d
     cover everything; terms divisible by p are skipped.  None if no y works.
 
-    A difference divisible by p collapses the progression to one residue
-    and is rejected, except when that residue is 0: then every term is
-    skipped and the honest answer is non-coverage.  Only the first p terms
-    are read: with d a unit they hold every unit, and with a = d = 0 mod p
-    every term is skipped.
+    For p > 2 a difference divisible by p collapses the progression to
+    one residue and is rejected, except when that residue is 0: then every
+    term is skipped and the honest answer is non-coverage.  Mod 2 the lone
+    unit 1 is the empty product, covered at y = 1 whatever a and d are.
+    Only the first p terms are read: with d a unit they hold every unit,
+    and with a = d = 0 mod p every term is skipped.
     """
     p = ctx.p
     if y_max < 1:
         raise YOutOfRangeError(f"y_max={y_max} must be >= 1")
-    if d % p == 0 and a % p != 0:
+    if p > 2 and d % p == 0 and a % p != 0:
         raise BadDifferenceError(f"difference {d} is a multiple of {p}")
     terms = (a + j * d for j in range(min(y_max, p)))
     return _first_cover(ctx, enumerate((t if t % p else None for t in terms), 1))

@@ -713,28 +713,18 @@ def test_near_one_scan_pairs_conjugates_as_the_per_k_loop(p_cap):
     assert check_lemma_near_one(p_cap).metrics == near_one_scan_per_k(p_cap)
 
 
-@pytest.mark.parametrize("k", [3, 97])
-def test_near_one_scan_rereads_a_conjugate_on_the_threshold(monkeypatch, k):
-    # chi_k's log-product is put exactly on the threshold (no hypothesis
-    # hit) and its conjugate's one ulp above it (a hit): the pair's
-    # verdicts differ, so the paired scan must read both
-    p, m = 101, 100
-    y = iroot(p**7, 10)
-    thresh = y * math.log(2) - 2 * math.log(p)
-    real = characters.log_product_one_plus_chi
-
-    read = []
-
-    def on_threshold(ctx, j, y):
-        if ctx.p != p or j not in (k, m - k):
-            return real(ctx, j, y)
-        read.append(j)
-        return thresh if j == k else math.nextafter(thresh, math.inf)
-
-    monkeypatch.setattr(characters, "log_product_one_plus_chi", on_threshold)
-    metrics = check_lemma_near_one(p).metrics
-    assert sorted(read) == sorted([k, m - k])
-    assert metrics == near_one_scan_per_k(p)
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from(primes_between(3, 1009)), data=st.data())
+def test_conjugate_log_products_are_equal(p, data):
+    # the log table is mirrored, so chi_k and chi_{m-k} = conj(chi_k) add
+    # the same terms in the same order: equal as floats, not only nearly
+    ctx = build_context(p)
+    m = ctx.order
+    table = characters._log_one_plus_root(m)
+    assert all(table[t] == table[m - t] for t in range(1, m))
+    k = data.draw(st.integers(1, m - 1), label="k")
+    y = data.draw(st.integers(1, 2 * p), label="y")
+    assert log_product_one_plus_chi(ctx, k, y) == log_product_one_plus_chi(ctx, m - k, y)
 
 
 def test_near_one_scan_on_a_minus_inf_pair():

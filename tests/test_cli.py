@@ -194,6 +194,12 @@ def test_coverage_cli(tmp_path):
         "--out", str(out),
     ) == 0
     assert read(out).splitlines()[1] == "5,5,5,10,"
+    # mod 2 the lone unit 1 is the empty product, whatever the difference
+    assert run_cli(
+        "coverage", "--p", "2", "--a", "1", "--d", "2", "--ymax", "5",
+        "--out", str(out),
+    ) == 0
+    assert read(out).splitlines()[1] == "2,1,2,5,1"
 
 
 def test_coverage_cli_huge_ymax_is_fast(tmp_path):

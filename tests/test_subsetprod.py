@@ -223,8 +223,9 @@ def test_progression_equals_y_of_p():
     d=st.integers(min_value=-40, max_value=40),
     y_max=st.integers(min_value=1, max_value=12),
 )
+@example(p=2, a=1, d=2, y_max=5)
 def test_progression_against_brute(p, a, d, y_max):
-    if d % p == 0 and a % p:
+    if p > 2 and d % p == 0 and a % p:
         with pytest.raises(BadDifferenceError):
             progression_coverage_threshold(build_context(p), a, d, y_max)
         return

@@ -40,8 +40,3 @@ def test_every_traced_name_resolves_and_is_put_back():
         tracer.uninstall()
     for name, fn in traced_functions(tracing):
         assert not hasattr(fn, "__wrapped__"), name
-
-
-def test_every_exported_name_resolves():
-    missing = [name for name in subproducts.__all__ if not hasattr(subproducts, name)]
-    assert missing == []
