@@ -18,9 +18,9 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .modcore import SMALL_PRIME_LIMIT, PrimeContext
 
@@ -138,8 +138,7 @@ def polya_vinogradov_bound(p: int) -> float:
     return math.sqrt(p) * math.log(p)
 
 
-@dataclass(frozen=True)
-class PartialSumScan:
+class PartialSumScan(NamedTuple):
     """Extremal nonprincipal character partial sum over all t <= p.
 
     `violations` counts the characters whose largest partial sum passes

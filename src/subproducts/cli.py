@@ -28,8 +28,8 @@ import tempfile
 import time
 from collections import Counter, defaultdict
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import characters, friable, modcore, subsetprod
 
@@ -73,8 +73,7 @@ class ChainViolationError(AssertionError):
     """A spectrum row violated n2 <= G <= g or G <= y."""
 
 
-@dataclass
-class SweepConfig:
+class SweepConfig(NamedTuple):
     p_min: int = 3
     p_max: int = 1009
     checks: tuple[str, ...] = ALL_CHECKS
@@ -110,8 +109,7 @@ class SweepConfig:
                     )
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(NamedTuple):
     """One verification item.  FAIL is reserved for theorem-backed
     invariants; measured quantities with unspecified constants are
     REPORT.  elapsed is console-only metadata (see to_json)."""
@@ -119,7 +117,7 @@ class CheckRecord:
     name: str
     params: dict
     status: str  # PASS | FAIL | REPORT
-    metrics: dict = field(default_factory=dict)
+    metrics: dict
     elapsed: float = 0.0
 
     def to_json(self) -> dict:
@@ -637,9 +635,9 @@ def run_verification_suite(config: SweepConfig) -> list[CheckRecord]:
             continue
         for run in _SUITE[group]:
             t0 = time.perf_counter()
-            batch = run(config)
-            batch[0].elapsed = time.perf_counter() - t0
-            records.extend(batch)
+            first, *rest = run(config)
+            records.append(first._replace(elapsed=time.perf_counter() - t0))
+            records.extend(rest)
     return records
 
 

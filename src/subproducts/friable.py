@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .modcore import divisors, iroot, prime_factors_desc, primes_between
 
@@ -84,15 +84,7 @@ def psi_asymptotic(t: int, y: int) -> float:
     return t * (1.0 - math.log(math.log(t) / math.log(y)))
 
 
-@dataclass(frozen=True)
-class FactorizationResult:
-    """An ordered bounded-part factorization together with its parameters.
-
-    mode KWAY: exactly k factors, each <= y.
-    mode RANGED: ell factors with k/2 < ell <= k, each in (y^epsilon, y].
-    mode THREEWAY: exactly 3 factors, each 1 or in (y^epsilon, y].
-    """
-
+class _Factorization(NamedTuple):
     n: int
     factors: tuple[int, ...]
     y: int
@@ -100,14 +92,24 @@ class FactorizationResult:
     epsilon: Fraction | None
     mode: str
 
-    def __post_init__(self) -> None:
-        prod = 1
-        for f in self.factors:
-            prod *= f
-        if prod != self.n:
+
+class FactorizationResult(_Factorization):
+    """An ordered bounded-part factorization together with its parameters,
+    checked at construction: the factors multiply to n.
+
+    mode KWAY: exactly k factors, each <= y.
+    mode RANGED: ell factors with k/2 < ell <= k, each in (y^epsilon, y].
+    mode THREEWAY: exactly 3 factors, each 1 or in (y^epsilon, y].
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, n, factors, y, k, epsilon, mode) -> FactorizationResult:
+        if math.prod(factors) != n:
             raise InternalContradictionError(
-                f"factors {self.factors} do not multiply to {self.n}"
+                f"factors {factors} do not multiply to {n}"
             )
+        return super().__new__(cls, n, factors, y, k, epsilon, mode)
 
 
 def _greedy_fill(primes_desc: list[int], buckets_n: int, bound: int) -> list[int] | None:

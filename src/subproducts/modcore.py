@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect
-from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import compress, groupby
 from math import gcd, isqrt, log2
@@ -284,7 +283,6 @@ class SparseIndex(dict):
         raise AssertionError("unreachable: g is a primitive root")
 
 
-@dataclass(frozen=True)
 class PrimeContext:
     """Multiplicative-group data for a prime p, g its least primitive root.
 
@@ -297,12 +295,17 @@ class PrimeContext:
     - `table` is the dense `array('i')` of every log (`table[0] = -1`),
       for consumers that sweep all residues.
 
-    Both give the same value for every r in [1, p-1].
+    Both give the same value for every r in [1, p-1].  A context refuses
+    assignment; `cached_property` fills its `__dict__` directly.
     """
 
-    p: int
-    g: int
-    order: int
+    def __init__(self, p: int, g: int, order: int) -> None:
+        self.__dict__.update(p=p, g=g, order=order)
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"PrimeContext is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def full_mask(self) -> int:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, repeat
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .characters import unit_roots
 from .modcore import (
@@ -59,8 +58,7 @@ def _rotate(x: int, shift: int, bits: int, full: int) -> int:
     return ((x << shift) & full) | (x >> (bits - shift))
 
 
-@dataclass(frozen=True)
-class CoverageState:
+class CoverageState(NamedTuple):
     """Set of residues realizable as subset products of consumed elements.
 
     The set is stored as a bitset over discrete-log indices, where
@@ -174,8 +172,7 @@ def progression_coverage_threshold(
 # Exact subset-product counts
 
 
-@dataclass(frozen=True)
-class SubsetProductCounts:
+class SubsetProductCounts(NamedTuple):
     """Exact counts of subsets of {1..y} by product residue mod p.
 
     counts[b] for b in [1, p-1] is S_y(b); counts[0] counts the subsets
@@ -426,8 +423,7 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class ErrorReport:
+class ErrorReport(NamedTuple):
     """Worst-case deviation of S_y(b) from 2^y/(p-1), exactly.
 
     normalized_ratio is max_b |S_y(b) - 2^y/(p-1)| * p^2 / 2^y, computed

@@ -13,7 +13,7 @@ import pytest
 import sympy
 
 import subproducts
-from subproducts import cli, friable, modcore, subsetprod
+from subproducts import characters, cli, friable, modcore, subsetprod
 from subproducts.cli import (
     InvalidRangeError,
     SweepConfig,
@@ -694,12 +694,16 @@ assert cli.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
 
 def test_single_process_commands_load_no_pool_stack():
     # counts and verify run in-process without the pool machinery;
-    # spectrum --workers 2 loads it and writes the --workers 1 bytes
+    # spectrum --workers 2 loads it and writes the --workers 1 bytes.
+    # The records are NamedTuples or plain classes, so the import leaves
+    # out dataclasses and inspect, which every launch and worker would pay
     src = os.path.dirname(os.path.dirname(subproducts.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = """
 import contextlib, io, os, sys, tempfile
 import subproducts.cli as cli
+heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
+assert heavy == [], heavy
 POOL = ("concurrent.futures.process", "multiprocessing")
 def loaded():
     return [m for m in POOL if m in sys.modules]
@@ -726,3 +730,32 @@ with tempfile.TemporaryDirectory() as tmp:
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _context_with_tables():
+    ctx = modcore.build_context(101)
+    ctx.ind, ctx.table
+    return ctx
+
+
+@pytest.mark.parametrize(
+    "make, fields",
+    [
+        (lambda: characters.polya_vinogradov_scan(modcore.build_context(31)),
+         ("max_magnitude", "violations")),
+        (lambda: subsetprod.subset_product_counts(31, 6), ("p", "counts")),
+        (lambda: subsetprod.error_report(31, 6), ("y", "max_abs_error")),
+        (lambda: subsetprod.initial_coverage(modcore.build_context(31)), ("ctx", "mask")),
+        (lambda: friable.greedy_k_factorization(30, 10, 2), ("n", "factors")),
+        (_context_with_tables, ("p", "order", "ind", "table")),
+    ],
+    ids=["PartialSumScan", "SubsetProductCounts", "ErrorReport", "CoverageState",
+         "FactorizationResult", "PrimeContext"],
+)
+def test_frozen_records_refuse_assignment(make, fields):
+    record = make()
+    for name in fields:
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        assert getattr(record, name) is before
