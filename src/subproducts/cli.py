@@ -8,7 +8,8 @@ Subcommands:
   charsum    a single character partial sum
   verify     run the verification suite, emit a JSON report
 
-Exit codes: 0 all pass, 1 any FAIL, 2 usage or I/O error.  Reports are
+Exit codes: 0 all pass, 1 any FAIL, 2 usage or I/O error or a lost
+spectrum worker, 130 interrupted (SIGINT).  Reports are
 deterministic for a fixed config and seed: records are emitted in a fixed
 order, randomized harnesses derive from the seed, and wall-clock timings
 go to the console only, never into the serialized output.
@@ -19,10 +20,12 @@ from __future__ import annotations
 import argparse
 import bisect
 import json
+import marshal
 import math
 import os
 import random
 import re
+import stat
 import sys
 import tempfile
 import time
@@ -71,6 +74,10 @@ class InvalidRangeError(ValueError):
 
 class ChainViolationError(AssertionError):
     """A spectrum row violated n2 <= G <= g or G <= y."""
+
+
+class WorkerLostError(RuntimeError):
+    """A spectrum worker ended before it sent all of its rows."""
 
 
 class SweepConfig(NamedTuple):
@@ -170,21 +177,95 @@ def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
 def run_spectrum_sweep(config: SweepConfig) -> list[tuple]:
     """One row per prime in [p_min, p_max], ascending, chain-checked.
 
-    The pool never gets more workers than there are CPUs or primes.  Its
-    map raises in prime order, so a ChainViolationError names the least
-    violating prime at any worker count.
+    The pool never gets more workers than there are CPUs or primes, and
+    runs in-process where os.fork is missing.  Rows arrive in prime order,
+    so a ChainViolationError names the least violating prime at any
+    worker count.
     """
     config.validate()
     ps = modcore.primes_between(config.p_min, config.p_max)
     workers = min(config.workers, os.cpu_count() or 1, len(ps))
-    if workers > 1:
-        # imported here, the only place a pool starts: a single-process
-        # command then loads no multiprocessing, pickle or socket modules
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_spectrum_row, ps, chunksize=32))
+    if workers > 1 and hasattr(os, "fork"):
+        return _forked_rows(ps, workers)
     return [_spectrum_row(p) for p in ps]
+
+
+def _forked_rows(ps: list[int], workers: int) -> list[tuple]:
+    """The rows of ps from `workers` forked processes, in the order of ps.
+
+    Worker w makes the rows of ps[w::workers] and writes each one, or a
+    ChainViolationError's message, to its own pipe as one marshal record;
+    row i is read from pipe i % workers.  Whatever ends the read, every
+    worker is killed and reaped and every pipe closed.  A worker whose
+    pipe ends before its rows do raises WorkerLostError.
+    """
+    # imported here, where the pool starts: a single-process command
+    # does not load it
+    import signal
+
+    pids: list[int] = []
+    pipes = []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            pipes.append(os.fdopen(read_fd, "rb"))
+            # SIGINT waits until the new worker is in pids, so a worker
+            # that starts is always killed and reaped; a worker keeps it
+            # blocked, since the parent decides how the sweep ends
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _send_rows(ps[w::workers], write_fd, pipes)
+                pids.append(pid)
+            finally:
+                os.close(write_fd)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        rows = []
+        for i in range(len(ps)):
+            try:
+                row = marshal.load(pipes[i % workers])
+            except EOFError:
+                raise WorkerLostError(
+                    f"spectrum worker {i % workers + 1} of {workers} ended before "
+                    f"its row for p={ps[i]}"
+                ) from None
+            if isinstance(row, str):
+                raise ChainViolationError(row)
+            rows.append(row)
+        return rows
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _send_rows(ps: list[int], write_fd: int, pipes: list) -> None:
+    """A forked worker's whole life: write the rows of ps to write_fd, then
+    os._exit, so that no exception, traceback or inherited buffer leaves it.
+
+    The worker closes the read ends it inherited, so that once the parent
+    is gone a write fails rather than waits.
+    """
+    code = 1
+    try:
+        for pipe in pipes:
+            os.close(pipe.fileno())
+        for p in ps:
+            try:
+                row = _spectrum_row(p)
+            except ChainViolationError as exc:
+                os.write(write_fd, marshal.dumps(str(exc)))
+                break
+            # a record of a few dozen bytes, under PIPE_BUF: one write
+            # puts it in the pipe whole
+            os.write(write_fd, marshal.dumps(row))
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def spectrum_csv(rows: list[tuple]) -> str:
@@ -664,9 +745,17 @@ def write_atomic(path: str, text: str) -> None:
 
     A symlink's target is what gets replaced, and a path that exists but is
     not a regular file (a FIFO, a device) is written through, not replaced.
+    A replaced file keeps its mode; a new one gets the mode that
+    open(path, "w") would give it, 0o666 less the umask.
     """
     path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         return
@@ -674,6 +763,7 @@ def write_atomic(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -926,12 +1016,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:  # InvalidRangeError and parser errors too
+    except (ValueError, WorkerLostError) as exc:  # parser and range errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

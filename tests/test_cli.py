@@ -1,9 +1,9 @@
-import concurrent.futures
 import hashlib
 import json
 import math
-import multiprocessing
 import os
+import shutil
+import signal
 import stat
 import subprocess
 import sys
@@ -132,8 +132,9 @@ def test_spectrum_workers_agree(tmp_path):
     assert read(one) == read(four)
 
 
-# A forked worker inherits the patched threshold; a spawned one would not.
-FORK = multiprocessing.get_start_method() == "fork"
+# A forked worker inherits the patched threshold; where os.fork is missing
+# the sweep runs in-process at any worker count.
+FORK = hasattr(os, "fork")
 
 
 @pytest.mark.parametrize("workers", [
@@ -511,6 +512,26 @@ def test_out_replaces_the_target_of_a_symlink(tmp_path):
     assert os.listdir(target.parent) == ["counts.csv"]
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+def test_out_file_modes(umask, tmp_path):
+    # a new file gets the mode open(path, "w") gives, 0o666 less the umask;
+    # a replaced file keeps its own
+    new, old, plain = tmp_path / "new.csv", tmp_path / "old.csv", tmp_path / "plain"
+    old.write_text("old\n")
+    old.chmod(0o604)
+    saved = os.umask(umask)
+    try:
+        assert run_cli("counts", "--p", "3", "--y", "2", "--out", str(new)) == 0
+        assert run_cli("counts", "--p", "3", "--y", "2", "--out", str(old)) == 0
+        plain.write_text("")
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE(new.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert stat.S_IMODE(old.stat().st_mode) == 0o604
+    assert read(old) == read(new) == "b,count\n1,2\n2,2\n"
+
+
 def test_out_writes_through_a_fifo(tmp_path):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
@@ -624,24 +645,15 @@ def test_theorem_error_passes_a_level_ratio(tmp_path):
 
 
 def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
-    # a stand-in pool records its size and maps in-process: no worker starts
+    # a stand-in for the forked pool records its size and makes the rows
+    # in-process: no worker starts
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_pool(ps, workers):
+        sizes.append(workers)
+        return [cli._spectrum_row(p) for p in ps]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    # the sweep imports the pool class when a pool starts, from this module
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_forked_rows", recording_pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     serial = run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=1))
     assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
@@ -651,6 +663,85 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8))
     assert sizes == [4, 3]
+    # without os.fork the rows are made in-process
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(cli.os, "fork")
+    assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8)) == serial
+    assert sizes == [4, 3]
+
+
+def _start_pooled_sweep(out):
+    """`spectrum --pmax 200000 --workers 2 --out out` in a new session, and
+    the pids of its two workers once both have started."""
+    src = os.path.dirname(os.path.dirname(subproducts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "subproducts.cli", "spectrum", "--pmax", "200000",
+         "--workers", "2", "--out", str(out)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        start_new_session=True,
+    )
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline and proc.poll() is None:
+        found = subprocess.run(["pgrep", "-P", str(proc.pid)],
+                               capture_output=True, text=True).stdout.split()
+        if len(found) == 2:
+            return proc, [int(pid) for pid in found]
+        time.sleep(0.02)
+    return proc, []
+
+
+def _finish_in_session(proc):
+    """proc's exit code and stderr, and whether any process of its session
+    outlived it; the whole group is killed if it runs past the timeout."""
+    try:
+        _, err = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+        left = True
+    except ProcessLookupError:
+        left = False
+    return proc.returncode, err, left
+
+
+POOLED = pytest.mark.skipif(
+    not FORK or (os.cpu_count() or 1) < 2 or shutil.which("pgrep") is None,
+    reason="needs os.fork, two CPUs and pgrep",
+)
+
+
+@POOLED
+def test_interrupted_pooled_sweep_exits_130(tmp_path):
+    # SIGINT to the whole group, as a terminal's Ctrl-C sends it
+    out = tmp_path / "rows.csv"
+    proc, workers = _start_pooled_sweep(out)
+    if workers:
+        os.killpg(proc.pid, signal.SIGINT)
+    code, err, left = _finish_in_session(proc)
+    assert workers, "the pool never started"
+    assert (code, err, left) == (130, "interrupted\n", False)
+    assert os.listdir(tmp_path) == []
+
+
+@POOLED
+def test_lost_worker_exits_2(tmp_path):
+    out = tmp_path / "rows.csv"
+    proc, workers = _start_pooled_sweep(out)
+    if workers:
+        os.kill(workers[0], signal.SIGKILL)
+    code, err, left = _finish_in_session(proc)
+    assert workers, "the pool never started"
+    assert (code, left) == (2, False)
+    assert err.startswith("error: spectrum worker ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert os.listdir(tmp_path) == []
 
 
 def test_console_script_runs():
@@ -693,8 +784,9 @@ assert cli.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
 
 
 def test_single_process_commands_load_no_pool_stack():
-    # counts and verify run in-process without the pool machinery;
-    # spectrum --workers 2 loads it and writes the --workers 1 bytes.
+    # no command loads the executor stack: counts and verify run
+    # in-process, and spectrum --workers 2 forks its workers and writes
+    # the --workers 1 bytes.
     # The records are NamedTuples or plain classes, so the import leaves
     # out dataclasses and inspect, which every launch and worker would pay
     src = os.path.dirname(os.path.dirname(subproducts.__file__))
@@ -718,8 +810,7 @@ with tempfile.TemporaryDirectory() as tmp:
     assert cli.main(["spectrum", "--pmax", "2000", "--out", one]) == 0
     assert loaded() == [], loaded()
     assert cli.main(["spectrum", "--pmax", "2000", "--workers", "2", "--out", two]) == 0
-    # the sweep clamps its pool to the CPUs: on one CPU no pool starts
-    assert loaded() == (list(POOL) if (os.cpu_count() or 1) > 1 else []), loaded()
+    assert loaded() == [], loaded()
     with open(one, "rb") as a, open(two, "rb") as b:
         assert a.read() == b.read()
 """
