@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import contextlib
 import json
 import marshal
 import math
@@ -30,8 +31,9 @@ import sys
 import tempfile
 import time
 from collections import Counter, defaultdict
-from collections.abc import Iterable, Sequence
+from collections.abc import Generator, Iterable, Iterator, Sequence
 from fractions import Fraction
+from itertools import chain, islice
 from typing import NamedTuple
 
 from . import characters, friable, modcore, subsetprod
@@ -51,10 +53,11 @@ _DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
 # `counts` folds y steps over p-1 slots of at most y bits and prints p-1
 # y-bit counts: (p-1) y^2 bounds its work (p = 10007, y = 999 takes about
 # half a second, the most the cap allows at that p).  It also holds all p-1
-# counts and their text at once, a few hundred bytes a residue, so p-1 is
-# capped for a memory budget of 256 MB: the largest run the two caps allow
-# (p = 262139, y = 195) peaks at about 180 MB with JSON output, 130 MB with
-# CSV (maximum RSS of the whole process, CPython 3.11 on x86-64).
+# counts at once, and for JSON their text, a few hundred bytes a residue, so
+# p-1 is capped for a memory budget of 256 MB: the largest run the two caps
+# allow (p = 262139, y = 195) peaks at about 180 MB with JSON output, 80 MB
+# with CSV, which streams its lines (maximum RSS of the whole process,
+# CPython 3.11 on x86-64).
 # `factorize` trial-divides n up to sqrt(n), about half a second at n = 10^14.
 MAX_COUNT_WORK = 10**10
 MAX_COUNT_RESIDUES = 1 << 18
@@ -63,6 +66,10 @@ MAX_FACTORIZE_N = 10**14
 # (y^(k+1) in kway mode); (k b + 2a + 1) * bitlen(y) bounds their size in
 # bits.  At the cap the powers and their roots take about a fifth of a second.
 MAX_FACTORIZE_POWER_BITS = 10**6
+# A spectrum sweep sieves its range this many integers at a time, so that it
+# holds one window's primes rather than the range's (78497 Python ints, about
+# 3.8 MB with the sieve, at 10^6): a few thousand primes at most.
+PRIME_WINDOW = 1 << 16
 # The theorem check compares the rule's y against ceil(p^0.25) at these primes.
 THEOREM_PRIMES = (101, 211, 401, 1009)
 QUARTER = Fraction(1, 4)
@@ -174,30 +181,44 @@ def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
     return (p, n2, ctx.g, big_g, y, yp)
 
 
-def run_spectrum_sweep(config: SweepConfig) -> list[tuple]:
+def _sweep_primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes of [lo, hi], ascending, sieved PRIME_WINDOW integers at a
+    time as they are read."""
+    for start in range(lo, hi + 1, PRIME_WINDOW):
+        yield from modcore.primes_between(start, min(hi, start + PRIME_WINDOW - 1))
+
+
+def run_spectrum_sweep(config: SweepConfig) -> Generator[tuple, None, None]:
     """One row per prime in [p_min, p_max], ascending, chain-checked.
 
-    The pool never gets more workers than there are CPUs or primes, and
-    runs in-process where os.fork is missing.  Rows arrive in prime order,
-    so a ChainViolationError names the least violating prime at any
-    worker count.
+    The config is checked at the call; each prime is sieved and its row
+    made as the row is read.  The pool never gets more workers than there
+    are CPUs or primes, and runs in-process where os.fork is missing.  Rows
+    arrive in prime order, so a ChainViolationError names the least
+    violating prime at any worker count.  A caller that may stop early
+    closes the generator, which stops the pool.
     """
     config.validate()
-    ps = modcore.primes_between(config.p_min, config.p_max)
-    workers = min(config.workers, os.cpu_count() or 1, len(ps))
-    if workers > 1 and hasattr(os, "fork"):
-        return _forked_rows(ps, workers)
-    return [_spectrum_row(p) for p in ps]
+    ps = _sweep_primes(config.p_min, config.p_max)
+    head = list(islice(ps, min(config.workers, os.cpu_count() or 1)))
+    ps = chain(head, ps)
+    if len(head) > 1 and hasattr(os, "fork"):
+        return _forked_rows(ps, len(head))
+    return (_spectrum_row(p) for p in ps)
 
 
-def _forked_rows(ps: list[int], workers: int) -> list[tuple]:
-    """The rows of ps from `workers` forked processes, in the order of ps.
+def _forked_rows(ps: Iterator[int], workers: int) -> Generator[tuple, None, None]:
+    """The rows of the primes ps from `workers` forked processes, in the
+    order of ps.
 
-    Worker w makes the rows of ps[w::workers] and writes each one, or a
-    ChainViolationError's message, to its own pipe as one marshal record;
-    row i is read from pipe i % workers.  Whatever ends the read, every
-    worker is killed and reaped and every pipe closed.  A worker whose
-    pipe ends before its rows do raises WorkerLostError.
+    The workers start at the first read, and each reads its own copy of
+    ps as the fork left it: worker w makes the rows of the primes at w,
+    w + workers, ... and writes each one, or a ChainViolationError's
+    message, to its own pipe as one marshal record.  The parent reads ps
+    too, and row i from pipe i % workers.  Whatever ends the read, the last
+    row, an error or close(), every worker is killed and reaped and every
+    pipe closed.  A worker whose pipe ends before its rows do raises
+    WorkerLostError.
     """
     # imported here, where the pool starts: a single-process command
     # does not load it
@@ -216,24 +237,22 @@ def _forked_rows(ps: list[int], workers: int) -> list[tuple]:
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_rows(ps[w::workers], write_fd, pipes)
+                    _send_rows(islice(ps, w, None, workers), write_fd, pipes)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        rows = []
-        for i in range(len(ps)):
+        for i, p in enumerate(ps):
             try:
                 row = marshal.load(pipes[i % workers])
             except EOFError:
                 raise WorkerLostError(
                     f"spectrum worker {i % workers + 1} of {workers} ended before "
-                    f"its row for p={ps[i]}"
+                    f"its row for p={p}"
                 ) from None
             if isinstance(row, str):
                 raise ChainViolationError(row)
-            rows.append(row)
-        return rows
+            yield row
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -243,7 +262,7 @@ def _forked_rows(ps: list[int], workers: int) -> list[tuple]:
             os.waitpid(pid, 0)
 
 
-def _send_rows(ps: list[int], write_fd: int, pipes: list) -> None:
+def _send_rows(ps: Iterable[int], write_fd: int, pipes: list) -> None:
     """A forked worker's whole life: write the rows of ps to write_fd, then
     os._exit, so that no exception, traceback or inherited buffer leaves it.
 
@@ -268,8 +287,21 @@ def _send_rows(ps: list[int], write_fd: int, pipes: list) -> None:
         os._exit(code)
 
 
-def spectrum_csv(rows: list[tuple]) -> str:
+def spectrum_csv(rows: Iterable[tuple]) -> Iterator[str]:
     return render_csv(SPECTRUM_COLUMNS, rows)
+
+
+def spectrum_json(rows: Iterable[tuple]) -> Iterator[str]:
+    """render_json({"rows": [...]}) of the rows, one chunk per row: each
+    row is dumped alone and indented to its depth in the payload."""
+    head, tail = render_json({"rows": []}).split("[]")
+    yield head + "["
+    sep, close = "\n    ", "]"
+    for row in rows:
+        text = json.dumps(dict(zip(SPECTRUM_COLUMNS, row)), sort_keys=True, indent=2)
+        yield sep + text.replace("\n", "\n    ")
+        sep, close = ",\n    ", "\n  ]"
+    yield close + tail
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +368,17 @@ def check_mass_conservation(seed: int, p_cap: int, pairs: int = 1000) -> CheckRe
 
 def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
     config = SweepConfig(p_min=p_min, p_max=p_max, checks=("spectrum",), workers=workers)
-    try:
-        rows = run_spectrum_sweep(config)
-        status, violation = "PASS", ""
-    except ChainViolationError as exc:
-        rows, status, violation = [], "FAIL", str(exc)
+    with contextlib.closing(run_spectrum_sweep(config)) as rows:
+        try:
+            primes = sum(1 for _ in rows)
+            status, violation = "PASS", ""
+        except ChainViolationError as exc:
+            primes, status, violation = 0, "FAIL", str(exc)
     return CheckRecord(
         name="spectrum_chain",
         params={"p_min": p_min, "p_max": p_max},
         status=status,
-        metrics={"primes": len(rows), "violation": violation},
+        metrics={"primes": primes, "violation": violation},
     )
 
 
@@ -740,13 +773,14 @@ def verification_report_json(config: SweepConfig, records: list[CheckRecord]) ->
 # output plumbing
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write text to path by renaming a finished temporary file over it.
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path by renaming a finished temporary file
+    over it; each chunk is written as it is made.
 
     A symlink's target is what gets replaced, and a path that exists but is
-    not a regular file (a FIFO, a device) is written through, not replaced.
-    A replaced file keeps its mode; a new one gets the mode that
-    open(path, "w") would give it, 0o666 less the umask.
+    not a regular file (a FIFO, a device) is written through, not replaced,
+    once every chunk is made.  A replaced file keeps its mode; a new one
+    gets the mode that open(path, "w") would give it, 0o666 less the umask.
     """
     path = os.path.realpath(path)
     try:
@@ -756,13 +790,13 @@ def write_atomic(path: str, text: str) -> None:
         os.umask(umask)
         mode = stat.S_IFREG | (0o666 & ~umask)
     if not stat.S_ISREG(mode):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with _spooled(chunks) as spool, open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(spool)
         return
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
@@ -771,11 +805,23 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def emit(text: str, out_path: str | None) -> None:
+@contextlib.contextmanager
+def _spooled(chunks: Iterable[str]) -> Iterator[Iterable[str]]:
+    """The chunks written to an anonymous temporary file and read back: an
+    error while they are made leaves nothing to copy."""
+    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
+        spool.writelines(chunks)
+        spool.seek(0)
+        yield spool
+
+
+def emit(chunks: Iterable[str], out_path: str | None) -> None:
+    """Write the text chunks to out_path, or to stdout once all are made."""
     if out_path:
-        write_atomic(out_path, text)
+        write_atomic(out_path, chunks)
     else:
-        sys.stdout.write(text)
+        with _spooled(chunks) as spool:
+            sys.stdout.writelines(spool)
 
 
 def _csv_cell(value) -> str:
@@ -792,21 +838,21 @@ def render_json(fields: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def render_csv(columns: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    """A header of `columns`, then one line per tuple in `rows`, whose
+def render_csv(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
+    """A header line of `columns`, then one line per tuple in `rows`, whose
     values are in column order.  None is an empty cell and a list is its
     items joined by spaces."""
-    lines = [",".join(columns)]
-    lines += [",".join(map(_csv_cell, row)) for row in rows]
-    return "\n".join(lines) + "\n"
+    yield ",".join(columns) + "\n"
+    for row in rows:
+        yield ",".join(map(_csv_cell, row)) + "\n"
 
 
 def emit_record(args: argparse.Namespace, fields: dict) -> None:
     if args.format == "json":
-        text = render_json(fields)
+        chunks = [render_json(fields)]
     else:
-        text = render_csv(tuple(fields), [tuple(fields.values())])
-    emit(text, args.out)
+        chunks = render_csv(tuple(fields), [tuple(fields.values())])
+    emit(chunks, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -856,16 +902,13 @@ def _config_from(args: argparse.Namespace, **fields) -> SweepConfig:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _config_from(args, checks=("spectrum",))
-    try:
-        rows = run_spectrum_sweep(cfg)
-    except ChainViolationError as exc:
-        print(f"FAIL: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "csv":
-        text = spectrum_csv(rows)
-    else:
-        text = render_json({"rows": [dict(zip(SPECTRUM_COLUMNS, r)) for r in rows]})
-    emit(text, args.out)
+    render = spectrum_csv if args.format == "csv" else spectrum_json
+    with contextlib.closing(run_spectrum_sweep(cfg)) as rows:
+        try:
+            emit(render(rows), args.out)
+        except ChainViolationError as exc:
+            print(f"FAIL: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 
@@ -883,11 +926,11 @@ def _cmd_counts(args: argparse.Namespace) -> int:
     counts = subsetprod.subset_product_counts(args.p, args.y).counts
     residues = range(1, args.p)
     if args.format == "json":
-        text = render_json({"p": args.p, "y": args.y,
-                            "counts": {str(b): str(counts[b]) for b in residues}})
+        chunks = [render_json({"p": args.p, "y": args.y,
+                               "counts": {str(b): str(counts[b]) for b in residues}})]
     else:
-        text = render_csv(("b", "count"), ((b, counts[b]) for b in residues))
-    emit(text, args.out)
+        chunks = render_csv(("b", "count"), ((b, counts[b]) for b in residues))
+    emit(chunks, args.out)
     return 0
 
 
@@ -949,7 +992,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     records = run_verification_suite(cfg)
     for rec in records:
         print(f"{rec.status:6s} {rec.name}  [{rec.elapsed:.2f}s]", file=sys.stderr)
-    emit(verification_report_json(cfg, records), args.out)
+    emit([verification_report_json(cfg, records)], args.out)
     failed = [r for r in records if r.status == "FAIL"]
     if failed:
         print(f"{len(failed)} check(s) FAILED", file=sys.stderr)

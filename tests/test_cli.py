@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 import sympy
@@ -86,23 +87,36 @@ def test_sweep_config_validation():
 
 
 def test_spectrum_rows_small_range():
-    rows = run_spectrum_sweep(SweepConfig(p_min=5, p_max=7))
+    rows = list(run_spectrum_sweep(SweepConfig(p_min=5, p_max=7)))
     assert rows == [(5, 2, 2, 2, 4, None), (7, 3, 3, 3, 4, None)]
-    text = spectrum_csv(rows)
+    text = "".join(spectrum_csv(rows))
     assert text.splitlines()[0] == "p,n2,g,G,y,yprime"
     assert text.splitlines()[1] == "5,2,2,2,4,"
     assert text.splitlines()[2] == "7,3,3,3,4,"
 
 
 def test_spectrum_single_prime():
-    rows = run_spectrum_sweep(SweepConfig(p_min=3, p_max=3))
+    rows = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=3)))
     assert rows == [(3, 2, 2, 2, 2, 2)]
 
 
 def test_spectrum_empty_range_header_only():
-    rows = run_spectrum_sweep(SweepConfig(p_min=24, p_max=28))
+    rows = list(run_spectrum_sweep(SweepConfig(p_min=24, p_max=28)))
     assert rows == []
-    assert spectrum_csv(rows) == "p,n2,g,G,y,yprime\n"
+    assert "".join(spectrum_csv(rows)) == "p,n2,g,G,y,yprime\n"
+
+
+@pytest.mark.parametrize("window", [1, 7, 64])
+def test_sweep_sieves_its_range_window_by_window(monkeypatch, window):
+    # windows narrower than the range: every prime once, in order, and the
+    # pool's rows are the serial rows
+    monkeypatch.setattr(cli, "PRIME_WINDOW", window)
+    for lo, hi in [(3, 3), (24, 28), (3, 600), (97, 1000)]:
+        assert list(cli._sweep_primes(lo, hi)) == modcore.primes_between(lo, hi)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    serial = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=600)))
+    assert list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=600, workers=2))) == serial
+    assert [row[0] for row in serial] == modcore.primes_between(3, 600)
 
 
 def test_spectrum_cli_csv(tmp_path):
@@ -137,14 +151,13 @@ def test_spectrum_workers_agree(tmp_path):
 FORK = hasattr(os, "fork")
 
 
-@pytest.mark.parametrize("workers", [
-    1, pytest.param(2, marks=pytest.mark.skipif(not FORK, reason="needs fork workers")),
-])
-def test_chain_violation_fails_at_the_least_violating_prime(
-    workers, monkeypatch, capsys, tmp_path
-):
-    # y' = y - 1 at two primes in different pool chunks: both commands FAIL
-    # at the smaller one, and spectrum writes nothing
+NEEDS_FORK = pytest.mark.skipif(not FORK, reason="needs fork workers")
+
+
+def _break_chain_at_101_and_523(monkeypatch):
+    """Make y' = y - 1 at p = 101 and 523, whose rows different workers of
+    a 2-worker pool make, with two CPUs for the pool; the FAIL message at
+    p = 101."""
     real = subsetprod.prime_coverage_threshold
 
     def short_by_one(ctx):
@@ -155,7 +168,15 @@ def test_chain_violation_fails_at_the_least_violating_prime(
     monkeypatch.setattr(subsetprod, "prime_coverage_threshold", short_by_one)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     y = subsetprod.coverage_threshold(modcore.build_context(101))
-    violation = f"y'={y - 1} < y={y} at p=101"
+    return f"y'={y - 1} < y={y} at p=101"
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+def test_chain_violation_fails_at_the_least_violating_prime(
+    workers, monkeypatch, capsys, tmp_path
+):
+    # both commands FAIL at the smaller prime, and spectrum writes nothing
+    violation = _break_chain_at_101_and_523(monkeypatch)
     out = tmp_path / "spectrum.csv"
     assert run_cli("spectrum", "--pmax", "600", "--workers", str(workers),
                    "--out", str(out)) == 1
@@ -167,6 +188,36 @@ def test_chain_violation_fails_at_the_least_violating_prime(
     [record] = json.loads(read(report))["records"]
     assert record["status"] == "FAIL"
     assert record["metrics"] == {"primes": 0, "violation": violation}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+def test_chain_violation_prints_no_rows_to_stdout(workers, fmt, monkeypatch, capsys):
+    # the rows before p = 101 are made before the FAIL, but stdout gets
+    # the spooled text only on success
+    violation = _break_chain_at_101_and_523(monkeypatch)
+    assert run_cli("spectrum", "--pmax", "600", "--workers", str(workers),
+                   "--format", fmt) == 1
+    assert capsys.readouterr() == ("", f"FAIL: {violation}\n")
+
+
+@pytest.mark.skipif(not FORK or not os.path.isdir("/proc/self/fd"),
+                    reason="needs fork workers and /proc")
+def test_pooled_chain_violation_leaves_no_worker_fd_or_temporary(
+    monkeypatch, capsys, tmp_path
+):
+    # the FAIL ends the sweep inside the row generator: its cleanup kills
+    # and reaps both workers, closes both pipes, and the --out temporary
+    # is removed
+    violation = _break_chain_at_101_and_523(monkeypatch)
+    fds = set(os.listdir("/proc/self/fd"))
+    out = tmp_path / "spectrum.csv"
+    assert run_cli("spectrum", "--pmax", "600", "--workers", "2", "--out", str(out)) == 1
+    assert capsys.readouterr() == ("", f"FAIL: {violation}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert set(os.listdir("/proc/self/fd")) - fds == set()
+    assert os.listdir(tmp_path) == []
 
 
 def test_counts_cli(tmp_path):
@@ -232,7 +283,7 @@ def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
         raise AssertionError(f"dense index table built at p={ctx.p}")
 
     monkeypatch.setattr(modcore.PrimeContext, "table", property(no_table))
-    assert len(run_spectrum_sweep(SweepConfig(p_min=3, p_max=2000))) == 302
+    assert len(list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=2000)))) == 302
 
 
 def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
@@ -258,6 +309,64 @@ def test_spectrum_golden_csv(tmp_path):
     assert run_cli("spectrum", "--pmin", "3", "--pmax", "30000", "--out", str(out)) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "b40a5a82d396237ffb7089572616227b45e2b1b3109db87a3931053ee5877e55"
+
+
+@pytest.mark.parametrize("fmt, workers, digest", [
+    ("csv", 2, "b40a5a82d396237ffb7089572616227b45e2b1b3109db87a3931053ee5877e55"),
+    ("json", 1, "6a6a985cbd8392718c29c41373336646279dc5077d3bf3ac925fc2aa269bbf9f"),
+    ("json", 2, "6a6a985cbd8392718c29c41373336646279dc5077d3bf3ac925fc2aa269bbf9f"),
+], ids=["csv-workers2", "json-workers1", "json-workers2"])
+def test_spectrum_golden_streamed_outputs(tmp_path, fmt, workers, digest):
+    # sha256 of the rows for every prime in [3, 30000]: the pooled CSV has
+    # the serial golden bytes, and the JSON is the same at any worker count
+    out = tmp_path / f"spectrum.{fmt}"
+    assert run_cli("spectrum", "--pmin", "3", "--pmax", "30000", "--workers", str(workers),
+                   "--format", fmt, "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_spectrum_stdout_and_out_file_agree(tmp_path, capsys, fmt):
+    out = tmp_path / "spectrum"
+    argv = ["spectrum", "--pmax", "2000", "--workers", "2", "--format", fmt]
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert capsys.readouterr() == ("", "")
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr() == (out.read_bytes().decode(), "")
+
+
+@pytest.mark.parametrize("p_min, p_max", [(24, 28), (3, 3), (3, 600)])
+def test_spectrum_json_is_the_json_dumps_text(tmp_path, p_min, p_max):
+    # the rows are rendered one at a time into the text that dumping the
+    # whole payload at once would give: key order, indents, commas and all
+    out = tmp_path / "spectrum.json"
+    assert run_cli("spectrum", "--pmin", str(p_min), "--pmax", str(p_max),
+                   "--format", "json", "--out", str(out)) == 0
+    rows = list(run_spectrum_sweep(SweepConfig(p_min=p_min, p_max=p_max)))
+    payload = {"schema_version": 1,
+               "rows": [dict(zip(cli.SPECTRUM_COLUMNS, row)) for row in rows]}
+    assert out.read_bytes().decode() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_spectrum_memory_grows_with_the_range_not_the_rows(tmp_path):
+    # tracemalloc's peak over in-process serial sweeps of [3, 2000] (302
+    # rows) and [3, 20000] (2261 rows), caches warm.  The growth is the
+    # primes list, the sieve and the largest prime's tables, about 110 KB;
+    # holding the rows and their text as well takes it to about 300 KB
+    out = str(tmp_path / "spectrum.csv")
+
+    def peak(p_max):
+        tracemalloc.start()
+        try:
+            assert run_cli("spectrum", "--pmax", str(p_max), "--out", out) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for p_max in (2000, 20000):
+        assert run_cli("spectrum", "--pmax", str(p_max), "--out", out) == 0
+    growth = peak(20000) - peak(2000)
+    assert growth < 200 * 1024, growth
 
 
 def test_charsum_cli(tmp_path):
@@ -655,7 +764,7 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
 
     monkeypatch.setattr(cli, "_forked_rows", recording_pool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    serial = run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=1))
+    serial = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=1)))
     assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
     assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=7, workers=64)) == serial[:3]
     run_spectrum_sweep(SweepConfig(p_min=3, p_max=3, workers=8))  # one prime: serial
@@ -666,7 +775,7 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
     # without os.fork the rows are made in-process
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.delattr(cli.os, "fork")
-    assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8)) == serial
+    assert list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8))) == serial
     assert sizes == [4, 3]
 
 
