@@ -59,11 +59,11 @@ def unit_roots(m: int) -> tuple[complex, ...]:
 PAIR_MARGIN = 2.0**-40
 """Times p^3: how far rounding can move a paired character scan's value.
 
-The scans over characters mod p (m = p - 1) read one side of two exact
-symmetries: chi_{m-k} = conj(chi_k), and S(t) = -chi(-1) S(p-1-t) for
-the partial sums S of a nonprincipal chi, whose period sums to 0.  The
-two sides agree in exact arithmetic; their floats differ by less than
-PAIR_MARGIN * p^3.  With u = 2^-53:
+The Polya-Vinogradov scan over characters mod p (m = p - 1) reads one
+side of two exact symmetries: chi_{m-k} = conj(chi_k), and
+S(t) = -chi(-1) S(p-1-t) for the partial sums S of a nonprincipal chi,
+whose period sums to 0.  The two sides agree in exact arithmetic; their
+floats differ by less than PAIR_MARGIN * p^3.  With u = 2^-53:
 
 - A root cos(2 pi t/m) or sin(2 pi t/m), from three roundings of an
   argument below 2 pi and a libm cos or sin within one ulp, is off by
@@ -76,7 +76,6 @@ PAIR_MARGIN * p^3.  With u = 2^-53:
   bound that the 50-digit test of the Polya-Vinogradov scan measures.
   A half-period maximum and the full maxima of k and m - k all lie
   within err of one exact value, so within 74 p^3 u of each other.
-- A magnitude |S| is off by at most sqrt(2) E + u p < 14 p^2 u.
 
 Every pair therefore differs by less than 2^7 p^3 u = 2^-46 p^3.  The
 margin keeps a factor 64 above that for the rounding of the comparisons
@@ -112,25 +111,15 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
 def max_nonprincipal_sum(ctx: PrimeContext, t: int) -> tuple[int, float]:
     """Character index k != 0 maximizing |char_sum(ctx, k, t)|, with that magnitude.
 
-    Ties go to the smallest k so results are reproducible.  The sums of
-    k <= m/2 (m = p - 1) are taken first.  chi_{m-k} = conj(chi_k), so a
-    k > m/2 has the magnitude of m - k up to rounding (`PAIR_MARGIN`): it
-    is summed only when that magnitude is within the margin of the
-    running best, since otherwise it cannot pass it.
+    Every k in [1, p-2] is summed; ties go to the smallest k so results
+    are reproducible.
     """
     m = ctx.order
     if m < 2:
         raise ValueError("p has no nonprincipal characters")
-    mags = [abs(char_sum(ctx, k, t)) for k in range(1, m // 2 + 1)]
+    mags = [abs(char_sum(ctx, k, t)) for k in range(1, m)]
     best = max(mags)
-    best_k = mags.index(best) + 1
-    margin = PAIR_MARGIN * ctx.p**3
-    for k in range(m // 2 + 1, m):
-        if mags[m - k - 1] >= best - margin:
-            mag = abs(char_sum(ctx, k, t))
-            if mag > best:
-                best, best_k = mag, k
-    return best_k, best
+    return mags.index(best) + 1, best
 
 
 def polya_vinogradov_bound(p: int) -> float:

@@ -66,10 +66,6 @@ MAX_FACTORIZE_N = 10**14
 # (y^(k+1) in kway mode); (k b + 2a + 1) * bitlen(y) bounds their size in
 # bits.  At the cap the powers and their roots take about a fifth of a second.
 MAX_FACTORIZE_POWER_BITS = 10**6
-# A spectrum sweep sieves its range this many integers at a time, so that it
-# holds one window's primes rather than the range's (78497 Python ints, about
-# 3.8 MB with the sieve, at 10^6): a few thousand primes at most.
-PRIME_WINDOW = 1 << 16
 # The theorem check compares the rule's y against ceil(p^0.25) at these primes.
 THEOREM_PRIMES = (101, 211, 401, 1009)
 QUARTER = Fraction(1, 4)
@@ -137,12 +133,9 @@ class CheckRecord(NamedTuple):
     def to_json(self) -> dict:
         # elapsed intentionally excluded: reports must be byte-identical
         # across runs with the same config and seed
-        return {
-            "name": self.name,
-            "params": self.params,
-            "status": self.status,
-            "metrics": self.metrics,
-        }
+        record = self._asdict()
+        del record["elapsed"]
+        return record
 
 
 def parse_y_rule(rule: str):
@@ -181,13 +174,6 @@ def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
     return (p, n2, ctx.g, big_g, y, yp)
 
 
-def _sweep_primes(lo: int, hi: int) -> Iterator[int]:
-    """The primes of [lo, hi], ascending, sieved PRIME_WINDOW integers at a
-    time as they are read."""
-    for start in range(lo, hi + 1, PRIME_WINDOW):
-        yield from modcore.primes_between(start, min(hi, start + PRIME_WINDOW - 1))
-
-
 def run_spectrum_sweep(config: SweepConfig) -> Generator[tuple, None, None]:
     """One row per prime in [p_min, p_max], ascending, chain-checked.
 
@@ -199,7 +185,7 @@ def run_spectrum_sweep(config: SweepConfig) -> Generator[tuple, None, None]:
     closes the generator, which stops the pool.
     """
     config.validate()
-    ps = _sweep_primes(config.p_min, config.p_max)
+    ps = modcore.iter_primes(config.p_min, config.p_max)
     head = list(islice(ps, min(config.workers, os.cpu_count() or 1)))
     ps = chain(head, ps)
     if len(head) > 1 and hasattr(os, "fork"):

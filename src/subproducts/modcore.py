@@ -2,6 +2,7 @@
 
 Primality, one prime sieve (over a window [lo, hi], or from 2; the
 primes up to 2^12 and a least-prime-factor table are kept per process),
+one stream of the primes of a range (`iter_primes`),
 trial-division factorization and divisors, least primitive roots, discrete
 logs (one residue at a time, or as a full index table),
 Legendre symbols, and the classical small-generator statistics for a
@@ -14,7 +15,8 @@ into one comparison v <= iroot(N, k).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect
+from bisect import bisect, bisect_left
+from collections.abc import Iterator
 from functools import cache, cached_property
 from itertools import compress, groupby
 from math import gcd, isqrt, log2
@@ -123,6 +125,22 @@ SMALL_PRIME_LIMIT = isqrt(MAX_TABLE_PRIME)
 def small_primes() -> tuple[int, ...]:
     """The primes up to SMALL_PRIME_LIMIT, ascending: one `primes_between`."""
     return tuple(primes_between(2, SMALL_PRIME_LIMIT))
+
+
+# `iter_primes` sieves above SMALL_PRIME_LIMIT this many integers at a time,
+# so that it holds one window's primes rather than the range's (78497 Python
+# ints, about 3.8 MB with the sieve, at 10^6): a few thousand primes at most.
+PRIME_WINDOW = 1 << 16
+
+
+def iter_primes(lo: int, hi: int) -> Iterator[int]:
+    """The primes p with lo <= p <= hi, ascending, made as they are read:
+    the cached `small_primes` in range, then `primes_between` windows of
+    PRIME_WINDOW integers above SMALL_PRIME_LIMIT."""
+    small = small_primes()
+    yield from small[bisect_left(small, lo) : bisect(small, hi)]
+    for start in range(max(lo, SMALL_PRIME_LIMIT + 1), hi + 1, PRIME_WINDOW):
+        yield from primes_between(start, min(hi, start + PRIME_WINDOW - 1))
 
 
 @cache
@@ -299,8 +317,8 @@ class PrimeContext:
     assignment; `cached_property` fills its `__dict__` directly.
     """
 
-    def __init__(self, p: int, g: int, order: int) -> None:
-        self.__dict__.update(p=p, g=g, order=order)
+    def __init__(self, p: int, g: int) -> None:
+        self.__dict__.update(p=p, g=g, order=p - 1)
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"PrimeContext is immutable: cannot change {name!r}")
@@ -334,7 +352,7 @@ def build_context(p: int) -> PrimeContext:
     """
     if p > MAX_TABLE_PRIME and is_prime(p):
         raise TooLargeError(f"p={p} exceeds table limit {MAX_TABLE_PRIME}")
-    return PrimeContext(p=p, g=least_primitive_root(p), order=p - 1)
+    return PrimeContext(p=p, g=least_primitive_root(p))
 
 
 def legendre(a: int, p: int) -> int:

@@ -14,20 +14,12 @@ slot of the count vector, so the full vector always sums to 2^y.
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
 from .characters import unit_roots
-from .modcore import (
-    SMALL_PRIME_LIMIT,
-    PrimeContext,
-    build_context,
-    iroot,
-    primes_between,
-    small_primes,
-)
+from .modcore import PrimeContext, build_context, iroot, iter_primes
 
 
 class NotCoprimeError(ValueError):
@@ -127,22 +119,13 @@ def coverage_threshold(ctx: PrimeContext) -> int:
     return _first_cover(ctx, zip(ns, ns))
 
 
-def _primes_below(p: int) -> Iterator[int]:
-    """The primes below p, ascending: the cached small primes, then, only
-    if a walk gets past them, one sieve window up to p-1."""
-    small = small_primes()
-    yield from islice(small, bisect_left(small, p))
-    if p - 1 > SMALL_PRIME_LIMIT:
-        yield from primes_between(SMALL_PRIME_LIMIT + 1, p - 1)
-
-
 def prime_coverage_threshold(ctx: PrimeContext) -> int | None:
     """Least y' < p whose primes' subset products cover everything, else None.
 
-    The walk steps from prime to prime.  Its first step, y' = 1, consumes
-    nothing: the empty product covers the lone unit mod 2.
+    The walk steps from prime to prime of `iter_primes`.  Its first step,
+    y' = 1, consumes nothing: the empty product covers the lone unit mod 2.
     """
-    primes = ((q, q) for q in _primes_below(ctx.p))
+    primes = ((q, q) for q in iter_primes(2, ctx.p - 1))
     return _first_cover(ctx, chain([(1, None)], primes))
 
 

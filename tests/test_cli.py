@@ -109,14 +109,19 @@ def test_spectrum_empty_range_header_only():
 @pytest.mark.parametrize("window", [1, 7, 64])
 def test_sweep_sieves_its_range_window_by_window(monkeypatch, window):
     # windows narrower than the range: every prime once, in order, and the
-    # pool's rows are the serial rows
-    monkeypatch.setattr(cli, "PRIME_WINDOW", window)
-    for lo, hi in [(3, 3), (24, 28), (3, 600), (97, 1000)]:
-        assert list(cli._sweep_primes(lo, hi)) == modcore.primes_between(lo, hi)
+    # pool's rows are the serial rows.  The sweep's primes come from
+    # modcore.iter_primes, which sieves windows only above the cached small
+    # primes, so some ranges reach past SMALL_PRIME_LIMIT = 4096
+    monkeypatch.setattr(modcore, "PRIME_WINDOW", window)
+    straddle = (4000, 4400)
+    for lo, hi in [(3, 3), (24, 28), (3, 600), (97, 1000), straddle, (4097, 4700)]:
+        assert list(modcore.iter_primes(lo, hi)) == modcore.primes_between(lo, hi)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    serial = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=600)))
-    assert list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=600, workers=2))) == serial
-    assert [row[0] for row in serial] == modcore.primes_between(3, 600)
+    for lo, hi in [(3, 600), straddle]:
+        serial = list(run_spectrum_sweep(SweepConfig(p_min=lo, p_max=hi)))
+        pooled = run_spectrum_sweep(SweepConfig(p_min=lo, p_max=hi, workers=2))
+        assert list(pooled) == serial
+        assert [row[0] for row in serial] == modcore.primes_between(lo, hi)
 
 
 def test_spectrum_cli_csv(tmp_path):
@@ -287,6 +292,11 @@ def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
 
 
 def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
+    # the per-process small-prime caches are built on first use, by a sieve
+    # of (2, 4096); build them before the sieve is recorded, so the windows
+    # are the sweep's alone whether or not an earlier test built them
+    modcore.small_primes()
+    modcore._least_factors()
     windows = []
     sieve = modcore.primes_between
 

@@ -24,6 +24,7 @@ from subproducts.modcore import (
     group_generation_bound,
     iroot,
     is_prime,
+    iter_primes,
     least_nonresidue,
     least_primitive_root,
     legendre,
@@ -184,6 +185,19 @@ prime_squares = st.integers(2, 3000).map(sympy.nextprime).map(lambda q: q * q)
 def test_primes_between_matches_sympy_primerange(lo, width):
     hi = lo + width
     assert primes_between(lo, hi) == list(sympy.primerange(lo, hi + 1))
+
+
+@pytest.mark.parametrize("window", [1, 7, modcore.PRIME_WINDOW])
+def test_iter_primes_is_primes_between_across_the_cache(monkeypatch, window):
+    # the cached small primes end at 4093 < SMALL_PRIME_LIMIT = 4096, the
+    # windows start at 4097, and 4099 is the first prime in them
+    monkeypatch.setattr(modcore, "PRIME_WINDOW", window)
+    bounds = (4093, 4096, 4097, 4099)
+    ranges = [(lo, hi) for lo in bounds for hi in bounds]  # hi < lo included
+    ranges += [(lo, hi) for lo in (-5, 0, 1, 2) for hi in (-1, 1, 2, 3, 4093, 4099)]
+    ranges += [(100, 50), (3, 2), (5000, 4500), (8999, 8998), (24, 28), (4000, 10007)]
+    for lo, hi in ranges:
+        assert list(iter_primes(lo, hi)) == primes_between(lo, hi), (lo, hi)
 
 
 def test_build_context_examples():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subproducts import subsetprod
+from subproducts import modcore, subsetprod
 from subproducts.cli import check_dp_vs_characters
 from subproducts.modcore import SMALL_PRIME_LIMIT, NotPrimeError, build_context, primes_up_to
 from subproducts.subsetprod import (
@@ -156,11 +156,14 @@ def test_y_prime_examples():
     assert prime_coverage_threshold(build_context(11)) == 7
 
 
-def test_prime_walk_goes_past_the_cached_primes():
+def test_prime_walk_goes_past_the_cached_primes(monkeypatch):
     # no y' found so far reaches SMALL_PRIME_LIMIT, so only this test walks
-    # into the sieve window above the cached primes
-    for p in (2, 3, 4091, SMALL_PRIME_LIMIT + 1, SMALL_PRIME_LIMIT + 2, 10007):
-        assert list(subsetprod._primes_below(p)) == primes_up_to(p - 1)
+    # into the sieve windows above the cached primes, as the walk at p reads
+    # them: iter_primes(2, p - 1), in one window and in many
+    for window in (modcore.PRIME_WINDOW, 7):
+        monkeypatch.setattr(modcore, "PRIME_WINDOW", window)
+        for p in (2, 3, 4091, SMALL_PRIME_LIMIT + 1, SMALL_PRIME_LIMIT + 2, 10007):
+            assert list(modcore.iter_primes(2, p - 1)) == primes_up_to(p - 1)
 
 
 def test_y_prime_at_least_y():
@@ -512,6 +515,22 @@ def test_positivity_boundary_matches_coverage():
         assert min(below.counts[1:]) == 0
         assert min(at.counts[1:]) > 0
         assert at.reached() == list(range(1, p))
+
+
+@settings(max_examples=21, deadline=None)
+@given(p=st.sampled_from(primes_up_to(10**5)))
+@example(p=2)
+@example(p=3)
+@example(p=99991)
+def test_coverage_walk_and_count_dp_agree(p):
+    # the bitset walk's y is the first y whose exact counts S_y have no zero
+    # unit count: S_y has none, and S_{y-1} has one whenever y > 1
+    ctx = build_context(p)
+    y = coverage_threshold(ctx)
+    *below, at = subset_product_prefixes(ctx, [y - 1, y] if y > 1 else [y])
+    assert at.y == y and min(at.counts[1:]) > 0
+    if y > 1:
+        assert below[0].y == y - 1 and min(below[0].counts[1:]) == 0
 
 
 def test_counts_via_characters_examples():
