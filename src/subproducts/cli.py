@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import bisect
 import contextlib
-import json
 import marshal
 import math
 import os
@@ -36,7 +35,11 @@ from fractions import Fraction
 from itertools import chain, islice
 from typing import NamedTuple
 
-from . import characters, friable, modcore, subsetprod
+import subproducts
+
+# characters, friable and json load in the checks and commands that use
+# them, so a spectrum sweep and its workers carry none of them
+from . import modcore, subsetprod
 
 SPECTRUM_COLUMNS = ("p", "n2", "g", "G", "y", "yprime")
 SCHEMA_VERSION = 1
@@ -280,6 +283,7 @@ def spectrum_csv(rows: Iterable[tuple]) -> Iterator[str]:
 def spectrum_json(rows: Iterable[tuple]) -> Iterator[str]:
     """render_json({"rows": [...]}) of the rows, one chunk per row: each
     row is dumped alone and indented to its depth in the payload."""
+    import json
     head, tail = render_json({"rows": []}).split("[]")
     yield head + "["
     sep, close = "\n    ", "]"
@@ -415,6 +419,7 @@ def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
 
 
 def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
+    from . import characters
     rng = random.Random(seed)
     ctx = modcore.build_context(101)
     m = ctx.order
@@ -430,9 +435,9 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
         for _ in range(k_count):
             prod = prod * rng.choice(pool) % ctx.p
         angle = characters.char_angle(ctx, kchar, prod)
-        re = characters.angle_to_complex(angle).real
+        real = characters.angle_to_complex(angle).real
         # The slack absorbs the rounding of both sides, under 5e-15 in all:
-        # re = cos(2 pi t/m) takes a float t/m (off by 2^-53 relatively)
+        # real = cos(2 pi t/m) takes a float t/m (off by 2^-53 relatively)
         # times a float 2 pi, so its argument is off by a few ulp of 2 pi,
         # under 2e-15; the bound's argument k * 2.0 * asin(delta/2), k <= 6,
         # carries 2k times asin's one-ulp error (of a value <= pi/2) plus one
@@ -440,7 +445,7 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
         # The pool's float threshold arcsin(delta/2)/pi may pass the exact
         # one by an ulp, which moves the product's angle by k ulps at most.
         # Any true violation deeper than 1e-12 is still counted.
-        if re < bound - 1e-12:
+        if real < bound - 1e-12:
             failures += 1
     return CheckRecord(
         name="lemma_circle_bound",
@@ -451,6 +456,7 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
 
 
 def check_lemma_z_grid(angles: int = 1000, deltas: int = 100) -> CheckRecord:
+    from . import characters
     grid = [2.0 * j / (deltas + 1) for j in range(1, deltas + 1)]
     failures = sum(
         characters.z_lemma_failures(None if i == 0 else Fraction(i, angles), grid)
@@ -465,6 +471,7 @@ def check_lemma_z_grid(angles: int = 1000, deltas: int = 100) -> CheckRecord:
 
 
 def check_lemma_near_one(p_cap: int) -> CheckRecord:
+    from . import characters
     violations = 0
     hypothesis_hits = 0
     for p in modcore.primes_between(3, p_cap):
@@ -491,6 +498,7 @@ def check_lemma_near_one(p_cap: int) -> CheckRecord:
 
 
 def check_polya_vinogradov(p_cap: int) -> CheckRecord:
+    from . import characters
     violations = 0
     worst_ratio = 0.0
     for p in modcore.primes_between(3, p_cap):
@@ -506,6 +514,7 @@ def check_polya_vinogradov(p_cap: int) -> CheckRecord:
 
 
 def check_burgess_ratio(p_max: int) -> CheckRecord:
+    from . import characters
     out = {}
     for p in (101, 211, 311, 1009):
         if p > p_max:
@@ -548,6 +557,7 @@ def _random_kway_instance(rng: random.Random) -> tuple[int, int, int]:
 
 
 def check_kway_random(seed: int, instances: int = 10_000) -> CheckRecord:
+    from . import friable
     rng = random.Random(seed)
     failures = 0
     for _ in range(instances):
@@ -565,12 +575,15 @@ def check_kway_random(seed: int, instances: int = 10_000) -> CheckRecord:
 
 def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction]:
     """Instance satisfying the ranged-factorization hypotheses exactly."""
+    # through the package root, which loads friable on first use: no
+    # import statement runs once per instance
+    ranged_bounds = subproducts.friable.ranged_bounds
     while True:
         y = rng.randint(8, HARNESS_Y_MAX)
         k = rng.randint(1, 6)
         num_max = math.ceil(100 / (k + 2)) - 1
         eps = Fraction(rng.randint(1, num_max), 100)
-        lower_root, upper, work_root, _ = friable.ranged_bounds(
+        lower_root, upper, work_root, _ = ranged_bounds(
             y, k, eps.numerator, eps.denominator
         )
         usable = _primes_to(work_root)  # work_root <= y <= HARNESS_Y_MAX
@@ -585,6 +598,7 @@ def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction
 
 
 def check_ranged_random(seed: int, instances: int = 10_000) -> CheckRecord:
+    from . import friable
     rng = random.Random(seed)
     failures = 0
     contradictions = 0
@@ -614,6 +628,7 @@ def check_ranged_random(seed: int, instances: int = 10_000) -> CheckRecord:
 
 
 def check_kway_sharpness(y_values: Sequence[int] = (10, 30, 100)) -> CheckRecord:
+    from . import friable
     bad = 0
     cases = 0
     for y in y_values:
@@ -645,6 +660,7 @@ def _kway_witness(y: int, k: int) -> int:
 
 
 def check_ranged_sharpness() -> CheckRecord:
+    from . import friable
     bad = 0
     cases = []
     # q prime with 2^(k/2) < q < y^eps, times k/2 primes in (y/2, y) each:
@@ -674,6 +690,7 @@ def check_ranged_sharpness() -> CheckRecord:
 
 
 def check_friable_count() -> CheckRecord:
+    from . import friable
     worst = 0.0
     details = {}
     for y in (50, 100, 200):
@@ -820,6 +837,7 @@ def _csv_cell(value) -> str:
 
 def render_json(fields: dict) -> str:
     """`fields` with `schema_version` added, as indented JSON."""
+    import json
     payload = {"schema_version": SCHEMA_VERSION, **fields}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -928,6 +946,7 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
+    from . import friable
     if args.n > MAX_FACTORIZE_N:
         raise InvalidRangeError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
     try:
@@ -960,6 +979,7 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
 
 
 def _cmd_charsum(args: argparse.Namespace) -> int:
+    from . import characters
     total = characters.char_sum(modcore.build_context(args.p), args.k, args.t)
     emit_record(args, {
         "p": args.p, "k": args.k, "t": args.t,

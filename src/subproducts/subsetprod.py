@@ -18,7 +18,6 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple
 
-from .characters import unit_roots
 from .modcore import PrimeContext, build_context, iroot, iter_primes
 
 
@@ -385,6 +384,8 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
         raise PrecisionRangeError(
             f"y={y} exceeds the double-precision guarantee ({MAX_CROSSCHECK_Y})"
         )
+    # imported here, not at the top: the sweep never loads characters
+    from .characters import unit_roots
     p, m, ind = ctx.p, ctx.order, ctx.table
     roots = unit_roots(m)
     prods = []

@@ -942,6 +942,69 @@ with tempfile.TemporaryDirectory() as tmp:
     assert proc.returncode == 0, proc.stderr
 
 
+def _run_fresh(code):
+    """Run code in a new interpreter that imports this checkout's package;
+    assert that it exits 0."""
+    src = os.path.dirname(os.path.dirname(subproducts.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # the sweep, its forked workers, counts and coverage load neither the
+    # character nor the factorization stack, nor json; factorize, charsum
+    # and verify load what they run and nothing more of these
+    _run_fresh("""
+import os, sys, tempfile
+import subproducts.cli as cli
+LAZY = ("subproducts.characters", "subproducts.friable", "json", "cmath")
+def loaded():
+    return [m for m in LAZY if m in sys.modules]
+assert loaded() == [], loaded()
+with tempfile.TemporaryDirectory() as tmp:
+    out = os.path.join(tmp, "out.csv")
+    for argv in (["spectrum", "--pmax", "2000"],
+                 ["spectrum", "--pmax", "2000", "--workers", "2"],
+                 ["counts", "--p", "101", "--y", "6"],
+                 ["coverage", "--p", "101", "--a", "1", "--d", "1", "--ymax", "100"]):
+        assert cli.main(argv + ["--out", out]) == 0, argv
+        assert loaded() == [], (argv, loaded())
+    assert cli.main(["factorize", "--mode", "kway", "--n", "30", "--y", "10", "--k", "2",
+                     "--out", out]) == 0
+    assert loaded() == ["subproducts.friable"], loaded()
+    assert cli.main(["charsum", "--p", "101", "--k", "3", "--t", "50", "--out", out]) == 0
+    assert loaded() == ["subproducts.characters", "subproducts.friable", "cmath"], loaded()
+    assert cli.main(["verify", "--pmax", "101", "--out", out]) == 0
+    assert loaded() == list(LAZY), loaded()
+""")
+
+
+def test_package_root_loads_its_modules_on_first_use():
+    _run_fresh("""
+import sys
+import subproducts
+assert [m for m in sys.modules if m.startswith("subproducts.")] == []
+assert callable(subproducts.friable.psi_prefixes)
+assert callable(subproducts.characters.char_sum)
+assert callable(subproducts.cli.main)
+for name in ("modcore", "subsetprod"):
+    assert getattr(subproducts, name) is sys.modules["subproducts." + name]
+try:
+    subproducts.nope
+except AttributeError:
+    pass
+else:
+    raise AssertionError("subproducts.nope resolved")
+assert not hasattr(subproducts, "nope")
+""")
+
+
 def _context_with_tables():
     ctx = modcore.build_context(101)
     ctx.ind, ctx.table
