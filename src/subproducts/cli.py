@@ -30,7 +30,7 @@ import sys
 import tempfile
 import time
 from collections import Counter, defaultdict
-from collections.abc import Generator, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from itertools import chain, islice
 from typing import NamedTuple
@@ -177,41 +177,43 @@ def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
     return (p, n2, ctx.g, big_g, y, yp)
 
 
-def run_spectrum_sweep(config: SweepConfig) -> Generator[tuple, None, None]:
+def run_spectrum_sweep(config: SweepConfig) -> Iterator[tuple]:
     """One row per prime in [p_min, p_max], ascending, chain-checked.
 
     The config is checked at the call; each prime is sieved and its row
-    made as the row is read.  The pool never gets more workers than there
-    are CPUs or primes, and runs in-process where os.fork is missing.  Rows
-    arrive in prime order, so a ChainViolationError names the least
+    made as the row is read, by a pool of config.workers (`_fork_map`).
+    Rows arrive in prime order, so a ChainViolationError names the least
     violating prime at any worker count.  A caller that may stop early
     closes the generator, which stops the pool.
     """
     config.validate()
-    ps = modcore.iter_primes(config.p_min, config.p_max)
-    head = list(islice(ps, min(config.workers, os.cpu_count() or 1)))
-    ps = chain(head, ps)
-    if len(head) > 1 and hasattr(os, "fork"):
-        return _forked_rows(ps, len(head))
-    return (_spectrum_row(p) for p in ps)
+    return _fork_map(_spectrum_row, modcore.iter_primes(config.p_min, config.p_max),
+                     config.workers)
 
 
-def _forked_rows(ps: Iterator[int], workers: int) -> Generator[tuple, None, None]:
-    """The rows of the primes ps from `workers` forked processes, in the
-    order of ps.
+def _fork_map(fn, items: Iterable, workers: int) -> Iterator:
+    """fn(item) for each of the items, in their order, from a pool of
+    forked processes with one pipe each.
 
-    The workers start at the first read, and each reads its own copy of
-    ps as the fork left it: worker w makes the rows of the primes at w,
-    w + workers, ... and writes each one, or a ChainViolationError's
-    message, to its own pipe as one marshal record.  The parent reads ps
-    too, and row i from pipe i % workers.  Whatever ends the read, the last
-    row, an error or close(), every worker is killed and reaped and every
-    pipe closed.  A worker whose pipe ends before its rows do raises
-    WorkerLostError.
+    The pool never gets more workers than there are CPUs or items; fn runs
+    in-process where fewer than two remain or os.fork is missing.  The
+    workers start at the first read, and worker w maps its own copy of the
+    items at w, w + workers, ..., writing each result whole to its pipe as
+    one marshal record.  An exception that fn raises goes as one tagged
+    record and ends the worker; the parent raises it again, with the type
+    and message it has in-process.  The parent reads result i from pipe
+    i % workers.  Whatever ends the read, the last result, an exception or
+    close(), every worker is killed and reaped and every pipe closed.  A
+    worker whose pipe ends before its results do raises WorkerLostError.
     """
-    # imported here, where the pool starts: a single-process command
-    # does not load it
-    import signal
+    items = iter(items)
+    head = list(islice(items, min(workers, os.cpu_count() or 1)))
+    items = chain(head, items)
+    workers = len(head)
+    if workers < 2 or not hasattr(os, "fork"):
+        yield from map(fn, items)
+        return
+    import signal  # here, where the pool starts: an in-process run does not load it
 
     pids: list[int] = []
     pipes = []
@@ -221,27 +223,48 @@ def _forked_rows(ps: Iterator[int], workers: int) -> Generator[tuple, None, None
             pipes.append(os.fdopen(read_fd, "rb"))
             # SIGINT waits until the new worker is in pids, so a worker
             # that starts is always killed and reaped; a worker keeps it
-            # blocked, since the parent decides how the sweep ends
+            # blocked, since the parent decides how the pool ends
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _send_rows(islice(ps, w, None, workers), write_fd, pipes)
+                    # the worker ends by os._exit: no exception, traceback or
+                    # inherited buffer leaves it.  With the inherited read
+                    # ends closed, a write fails once the parent is gone
+                    code = 1
+                    try:
+                        for pipe in pipes:
+                            os.close(pipe.fileno())
+                        for item in islice(items, w, None, workers):
+                            try:
+                                record = (True, fn(item))
+                            except Exception as exc:
+                                import pickle
+                                record = (False, pickle.dumps(exc))
+                            data = marshal.dumps(record)
+                            while data:  # a write may take only part of a record
+                                data = data[os.write(write_fd, data):]
+                            if not record[0]:
+                                break
+                        code = 0
+                    finally:
+                        os._exit(code)
                 pids.append(pid)
             finally:
                 os.close(write_fd)
                 signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i, p in enumerate(ps):
+        for i, item in enumerate(items):
             try:
-                row = marshal.load(pipes[i % workers])
+                ok, result = marshal.load(pipes[i % workers])
             except EOFError:
                 raise WorkerLostError(
                     f"spectrum worker {i % workers + 1} of {workers} ended before "
-                    f"its row for p={p}"
+                    f"its result for {item!r}"
                 ) from None
-            if isinstance(row, str):
-                raise ChainViolationError(row)
-            yield row
+            if not ok:
+                import pickle
+                raise pickle.loads(result)
+            yield result
     finally:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -249,31 +272,6 @@ def _forked_rows(ps: Iterator[int], workers: int) -> Generator[tuple, None, None
             pipe.close()
         for pid in pids:
             os.waitpid(pid, 0)
-
-
-def _send_rows(ps: Iterable[int], write_fd: int, pipes: list) -> None:
-    """A forked worker's whole life: write the rows of ps to write_fd, then
-    os._exit, so that no exception, traceback or inherited buffer leaves it.
-
-    The worker closes the read ends it inherited, so that once the parent
-    is gone a write fails rather than waits.
-    """
-    code = 1
-    try:
-        for pipe in pipes:
-            os.close(pipe.fileno())
-        for p in ps:
-            try:
-                row = _spectrum_row(p)
-            except ChainViolationError as exc:
-                os.write(write_fd, marshal.dumps(str(exc)))
-                break
-            # a record of a few dozen bytes, under PIPE_BUF: one write
-            # puts it in the pipe whole
-            os.write(write_fd, marshal.dumps(row))
-        code = 0
-    finally:
-        os._exit(code)
 
 
 def spectrum_csv(rows: Iterable[tuple]) -> Iterator[str]:
@@ -1064,6 +1062,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if args.out and os.path.isdir(args.out):  # refused before any work
+            raise IsADirectoryError(f"--out {args.out!r} is a directory")
         return args.func(args)
     except (ValueError, WorkerLostError) as exc:  # parser and range errors too
         print(f"error: {exc}", file=sys.stderr)

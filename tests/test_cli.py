@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import select
 import shutil
 import signal
 import stat
@@ -16,6 +17,7 @@ import sympy
 import subproducts
 from subproducts import characters, cli, friable, modcore, subsetprod
 from subproducts.cli import (
+    ChainViolationError,
     InvalidRangeError,
     SweepConfig,
     main,
@@ -665,6 +667,30 @@ def test_out_writes_through_a_fifo(tmp_path):
     assert os.listdir(tmp_path) == ["pipe"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--pmax", "60000"],
+    ["spectrum", "--pmax", "60000", "--workers", "2"],
+    ["verify"],
+], ids=["spectrum", "spectrum-workers2", "verify"])
+def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, capsys,
+                                                            tmp_path):
+    # no row is made, no worker forked and no check run: the spies record
+    # every call, and nothing is written into the directory
+    calls = []
+
+    def spy(real):
+        return lambda *args: calls.append(args) or real(*args)
+
+    monkeypatch.setattr(cli, "_spectrum_row", spy(cli._spectrum_row))
+    monkeypatch.setattr(cli, "run_verification_suite", spy(cli.run_verification_suite))
+    if FORK:
+        monkeypatch.setattr(cli.os, "fork", spy(os.fork))
+    assert run_cli(*argv, "--out", str(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and calls == [] and os.listdir(tmp_path) == []
+    assert err == f"i/o error: --out {str(tmp_path)!r} is a directory\n"
+
+
 def test_work_caps_are_inclusive(monkeypatch, capsys, tmp_path):
     out = str(tmp_path / "out.csv")
     monkeypatch.setattr(cli, "MAX_COUNT_WORK", 4 * 3**2)
@@ -763,30 +789,84 @@ def test_theorem_error_passes_a_level_ratio(tmp_path):
     assert ratio["ratio"] == ratio["ratio_small"]
 
 
+@NEEDS_FORK
 def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
-    # a stand-in for the forked pool records its size and makes the rows
-    # in-process: no worker starts
-    sizes = []
+    # _fork_map's pool sizes, counted at os.fork: each sweep that forks
+    # records how many workers it started
+    sizes, forks = [], []
+    fork = os.fork
 
-    def recording_pool(ps, workers):
-        sizes.append(workers)
-        return [cli._spectrum_row(p) for p in ps]
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    monkeypatch.setattr(cli, "_forked_rows", recording_pool)
+    def sweep(config):
+        forks.clear()
+        rows = list(run_spectrum_sweep(config))
+        if forks:
+            sizes.append(len(forks))
+        return rows
+
+    monkeypatch.setattr(cli.os, "fork", counting_fork)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    serial = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=1)))
-    assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
-    assert run_spectrum_sweep(SweepConfig(p_min=3, p_max=7, workers=64)) == serial[:3]
-    run_spectrum_sweep(SweepConfig(p_min=3, p_max=3, workers=8))  # one prime: serial
+    serial = sweep(SweepConfig(p_min=3, p_max=100, workers=1))
+    assert sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
+    assert sweep(SweepConfig(p_min=3, p_max=7, workers=64)) == serial[:3]
+    sweep(SweepConfig(p_min=3, p_max=3, workers=8))  # one prime: serial
     assert sizes == [4, 3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8))
+    sweep(SweepConfig(p_min=3, p_max=100, workers=8))
     assert sizes == [4, 3]
     # without os.fork the rows are made in-process
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.delattr(cli.os, "fork")
-    assert list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=100, workers=8))) == serial
+    assert sweep(SweepConfig(p_min=3, p_max=100, workers=8)) == serial
     assert sizes == [4, 3]
+
+
+def _double_or_raise(n):
+    if n < 0:
+        raise ChainViolationError(f"negative item {n}")
+    return 2 * n
+
+
+@NEEDS_FORK
+def test_fork_map_keeps_item_order(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    items = range(1000)
+    assert list(cli._fork_map(_double_or_raise, items, 3)) == [2 * n for n in items]
+
+
+@NEEDS_FORK
+def test_fork_map_sends_a_result_above_pipe_buf_whole(monkeypatch):
+    # a 100 KB result crosses the pipe as one record, also when each write
+    # takes at most 1000 bytes of it (the workers inherit the short write)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    size = 100_000
+    assert size > select.PIPE_BUF
+    expected = [bytes([n]) * size for n in range(4)]
+    assert list(cli._fork_map(lambda n: bytes([n]) * size, range(4), 2)) == expected
+    write = os.write
+    monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:1000]))
+    assert list(cli._fork_map(lambda n: bytes([n]) * size, range(4), 2)) == expected
+
+
+@pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
+def test_fork_map_raises_a_worker_exception_as_in_process(workers, monkeypatch):
+    # the item -3 falls to the second worker; the parent raises its
+    # exception with the in-process type and message, after the results
+    # before it
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    results = cli._fork_map(_double_or_raise, [1, 2, 3, -3, 4, -5], workers)
+    assert [next(results) for _ in range(3)] == [2, 4, 6]
+    with pytest.raises(ChainViolationError) as caught:
+        next(results)
+    assert type(caught.value) is ChainViolationError
+    assert str(caught.value) == "negative item -3"
+    with pytest.raises(ValueError, match="^invalid literal for int"):
+        list(cli._fork_map(int, ["7", "x"], workers))
 
 
 def _start_pooled_sweep(out):
