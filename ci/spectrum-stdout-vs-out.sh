@@ -7,8 +7,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmd="python -X dev -W error -m subproducts.cli spectrum --pmax 20000 --workers 2"
-$cmd > "$RUNNER_TEMP/spectrum-stdout.csv" 2> "$RUNNER_TEMP/spectrum-stdout.err"
-$cmd --out "$RUNNER_TEMP/spectrum-out.csv" 2> "$RUNNER_TEMP/spectrum-out.err"
+$cmd > "$RUNNER_TEMP/spectrum-stdout.csv" 2> "$RUNNER_TEMP/spectrum-stdout.err" \
+    || { cat "$RUNNER_TEMP/spectrum-stdout.err"; exit 1; }
+$cmd --out "$RUNNER_TEMP/spectrum-out.csv" 2> "$RUNNER_TEMP/spectrum-out.err" \
+    || { cat "$RUNNER_TEMP/spectrum-out.err"; exit 1; }
 cat "$RUNNER_TEMP/spectrum-stdout.err" "$RUNNER_TEMP/spectrum-out.err"
 test ! -s "$RUNNER_TEMP/spectrum-stdout.err" && test ! -s "$RUNNER_TEMP/spectrum-out.err"
 cmp "$RUNNER_TEMP/spectrum-stdout.csv" "$RUNNER_TEMP/spectrum-out.csv"

@@ -6,12 +6,10 @@ wrote it).  Two windows are swept again here through the 2-worker pool,
 and five rows of the second are recomputed with no discrete log.
 """
 
-from math import lcm
-
 import sympy
 
 from subproducts import cli
-from test_thresholds import prefix_covers
+from test_thresholds import prefix_covers, sympy_chain
 from window_digests import P_MAX, WINDOW, read_digests, window_digests
 
 WHOLE, WINDOWS = read_digests()
@@ -45,9 +43,8 @@ def least_cover(p, terms):
 
 def test_rows_near_10_6_without_a_discrete_log():
     # five rows of the last whole window, chosen for their spread: y' = 97,
-    # g above G, and n2 from 2 to 19.  n2 from Legendre symbols, g from
-    # sympy's primitive root, G as the least bound whose orders' lcm is
-    # p - 1, y and y' from the residue walk
+    # g above G, and n2 from 2 to 19.  n2, g and G from sympy, y and y'
+    # from the residue walk
     rows = {
         995369: (995369, 3, 6, 3, 35, 97),
         996361: (996361, 13, 31, 13, 34, 89),
@@ -57,12 +54,8 @@ def test_rows_near_10_6_without_a_discrete_log():
     }
     primes = list(sympy.primerange(2, 100))
     for p, row in rows.items():
-        n2 = next(n for n in range(2, p) if sympy.legendre_symbol(n, p) == -1)
-        big_g, generated = 1, 1
-        while generated != p - 1:
-            big_g += 1
-            generated = lcm(generated, sympy.n_order(big_g, p))
+        n2, g, big_g = sympy_chain(p)
         y = least_cover(p, range(1, p))
         y_prime = primes[least_cover(p, primes) - 1]
-        assert (p, n2, sympy.primitive_root(p), big_g, y, y_prime) == row
+        assert (p, n2, g, big_g, y, y_prime) == row
         assert cli._spectrum_row(p) == row

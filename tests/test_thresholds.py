@@ -55,19 +55,23 @@ def assert_least_cover(p, terms, y):
     assert covers[y] and not covers[y - 1]
 
 
-def check_spectrum_chain(ctx, y):
-    """n2 <= G <= min(g, y), with n2, g and G from sympy equal to the
-    program's.  In the cyclic group mod p, the lcm of the orders of 2..G is
-    the order of the subgroup they generate, so G is the least G at which
-    that lcm reaches p - 1."""
-    p = ctx.p
+def sympy_chain(p):
+    """(n2, g, G) mod p from sympy, with no discrete log.  In the cyclic
+    group mod p, the lcm of the orders of 2..G is the order of the subgroup
+    they generate, so G is the least G at which that lcm reaches p - 1."""
     n2 = next(n for n in range(2, p) if sympy.legendre_symbol(n, p) == -1)
-    g = sympy.primitive_root(p)
     big_g, generated = 1, 1
     while generated != p - 1:
         big_g += 1
         generated = lcm(generated, sympy.n_order(big_g, p))
-    assert (n2, g, big_g) == (least_nonresidue(p), ctx.g, group_generation_bound(ctx))
+    return n2, sympy.primitive_root(p), big_g
+
+
+def check_spectrum_chain(ctx, y):
+    """n2 <= G <= min(g, y), with n2, g and G from sympy equal to the
+    program's."""
+    n2, g, big_g = sympy_chain(ctx.p)
+    assert (n2, g, big_g) == (least_nonresidue(ctx.p), ctx.g, group_generation_bound(ctx))
     assert n2 <= big_g <= min(g, y)
 
 

@@ -2,20 +2,16 @@
 CSV, and of the rows of each window of primes k*4096 <= p < (k+1)*4096.
 
 Writes tests/spectrum_window_digests.txt, which tests/test_known_answers.py
-reads:
+reads, from the CSV of the sweep (about two minutes at --workers 2 on a
+2-core host):
 
-    PYTHONPATH=src python tests/window_digests.py [--workers N] [--csv PATH]
-
-With --csv the digests are taken from a CSV that
-`subproducts spectrum --pmax 1000000` already wrote; otherwise the script
-runs that sweep itself (about two minutes at --workers 2 on a 2-core host).
+    subproducts spectrum --pmax 1000000 --out spectrum.csv
+    python tests/window_digests.py spectrum.csv
 """
 
-import argparse
 import hashlib
 import os
 import sys
-import tempfile
 from collections import Counter, defaultdict
 
 P_MAX = 10**6
@@ -69,24 +65,12 @@ def write_digests(text, path=DIGESTS):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--csv", help="digest this CSV rather than run the sweep")
-    args = parser.parse_args(argv)
-    if args.csv:
-        with open(args.csv, encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    else:
-        from subproducts import cli
-        with tempfile.TemporaryDirectory() as tmp:
-            out = os.path.join(tmp, "spectrum.csv")
-            code = cli.main(["spectrum", "--pmax", str(P_MAX), "--workers",
-                             str(args.workers), "--out", out])
-            if code:
-                return code
-            with open(out, encoding="utf-8", newline="") as fh:
-                text = fh.read()
-    write_digests(text)
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(f"usage: python {sys.argv[0]} SPECTRUM_CSV", file=sys.stderr)
+        return 2
+    with open(argv[0], encoding="utf-8", newline="") as fh:
+        write_digests(fh.read())
     return 0
 
 
