@@ -594,6 +594,18 @@ BAD_INPUTS = [
                  "4423-bit integer is above", id="charsum-p-mersenne-4423"),
     pytest.param(["charsum", "--p", "7", "--k", "1", "--t", "0"], "t must be >= 1",
                  id="charsum-t-0"),
+    pytest.param(["coverage", "--p", "7", "--a", "2", "--d", "14", "--ymax", "5"],
+                 "difference 14 is a multiple of 7", id="coverage-d-multiple-of-p"),
+    pytest.param(["counts", "--p", "7", "--y", "0"], "y=0 must be >= 1", id="counts-y-0"),
+    pytest.param(["charsum", "--p", "101", "--k", "100", "--t", "5"],
+                 "character index 100 outside [0, 99]", id="charsum-k-out-of-range"),
+    # 16777259 is the least prime above 2^24, the index-table limit
+    pytest.param(["coverage", "--p", "16777259", "--a", "1", "--d", "1", "--ymax", "1"],
+                 "exceeds table limit", id="coverage-p-above-table-limit"),
+    pytest.param(["charsum", "--p", "16777259", "--k", "1", "--t", "1"],
+                 "exceeds table limit", id="charsum-p-above-table-limit"),
+    pytest.param(["factorize", "--n", "202", "--y", "10", "--mode", "kway"],
+                 "has a prime factor above y=10", id="factorize-kway-not-friable"),
     # only spectrum and verify take the sweep flags; factorize also --epsilon
     pytest.param(["counts", "--p", "5", "--y", "3", "--y-rule", "p^abc",
                   "--workers", "0"],
