@@ -3,10 +3,11 @@
 # be the line count of the source.  The window and prime-stream tests read
 # per-process caches (the small primes and the least-factor table), so each
 # also runs in a fresh interpreter, where no earlier test has built them.
-# So do the tests of what a launch loads: in the full suite an earlier test
-# module has imported every subproducts module, so a missing package-root
-# hook (which the tracer's lookups of subproducts.friable and
-# subproducts.characters need) shows only when they run alone.
+# So do the tracer's tests: in the full suite an earlier test module has
+# imported every subproducts module, so a missing package-root hook (which
+# their lookups of subproducts.friable and subproducts.characters need)
+# shows only when they run alone.  The tests of what a launch loads need no
+# lone run, since each runs its assertions in a new interpreter of its own.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,9 +22,7 @@ for t in \
   tests/test_subsetprod.py::test_prime_walk_goes_past_the_cached_primes \
   tests/test_modcore.py::test_iter_primes_is_primes_between_across_the_cache \
   tests/test_tracing_names.py \
-  tests/test_traced_run.py \
-  tests/test_cli.py::test_each_command_loads_only_the_modules_it_runs \
-  tests/test_cli.py::test_package_root_loads_its_modules_on_first_use
+  tests/test_traced_run.py
 do
   PYTHONPATH=src python -m pytest -q -p no:cacheprovider "$t"
 done

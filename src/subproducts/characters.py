@@ -25,14 +25,6 @@ from typing import NamedTuple
 from .modcore import SMALL_PRIME_LIMIT, PrimeContext
 
 
-class InvalidDeltaError(ValueError):
-    """Raised when a near-one threshold delta is outside (0, 2)."""
-
-
-class OutOfDomainError(ValueError):
-    """Raised when an accumulated rotation can wrap past a half turn."""
-
-
 def char_angle(ctx: PrimeContext, k: int, n: int) -> Fraction | None:
     """Exact angle of chi_k(n) in turns, or None when p divides n."""
     m = ctx.order
@@ -265,7 +257,7 @@ def log_product_one_plus_chi(ctx: PrimeContext, k: int, y: int) -> float:
 def near_one_threshold_turns(delta: float) -> float:
     """Angle (in turns) at which |e^{i theta} - 1| = delta: arcsin(delta/2)/pi."""
     if not 0 < delta < 2:
-        raise InvalidDeltaError(f"delta={delta} outside (0, 2)")
+        raise ValueError(f"delta={delta} outside (0, 2)")
     return math.asin(delta / 2.0) / math.pi
 
 
@@ -292,7 +284,7 @@ def near_one_exceptions(
     counted as exceptions.
     """
     m = ctx.order
-    cutoff = near_one_cutoff(delta, m)  # InvalidDeltaError comes first
+    cutoff = near_one_cutoff(delta, m)  # a bad delta is refused first
     if y < 1:
         raise ValueError("y must be >= 1")
     if not 0 <= k < m:
@@ -312,18 +304,16 @@ def circle_lemma_bound(k_count: int, delta: float) -> float:
 
     Each factor's angle is at most 2 arcsin(delta/2) in absolute value, so
     the product's angle is at most k times that; the bound is its cosine.
-    Raises OutOfDomainError when the accumulated angle can pass pi, where
+    Raises ValueError when the accumulated angle can pass pi, where
     no bound better than -1 holds.
     """
     if not 0 < delta < 2:
-        raise InvalidDeltaError(f"delta={delta} outside (0, 2)")
+        raise ValueError(f"delta={delta} outside (0, 2)")
     if k_count < 1:
         raise ValueError("k_count must be >= 1")
     theta = k_count * 2.0 * math.asin(delta / 2.0)
     if theta > math.pi:
-        raise OutOfDomainError(
-            f"k={k_count}, delta={delta}: angle sum {theta:.6f} exceeds pi"
-        )
+        raise ValueError(f"k={k_count}, delta={delta}: angle sum {theta:.6f} exceeds pi")
     return math.cos(theta)
 
 

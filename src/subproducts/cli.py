@@ -74,10 +74,6 @@ THEOREM_PRIMES = (101, 211, 401, 1009)
 QUARTER = Fraction(1, 4)
 
 
-class InvalidRangeError(ValueError):
-    """Raised for an unusable prime range, epsilon, y-rule or worker count."""
-
-
 class ChainViolationError(AssertionError):
     """A spectrum row violated n2 <= G <= g or G <= y."""
 
@@ -96,27 +92,25 @@ class SweepConfig(NamedTuple):
 
     def validate(self) -> None:
         if not 3 <= self.p_min <= self.p_max:
-            raise InvalidRangeError(
-                f"need 3 <= pmin <= pmax, got [{self.p_min}, {self.p_max}]"
-            )
+            raise ValueError(f"need 3 <= pmin <= pmax, got [{self.p_min}, {self.p_max}]")
         if self.p_max > modcore.MAX_TABLE_PRIME:
-            raise InvalidRangeError(
+            raise ValueError(
                 f"pmax={self.p_max} exceeds the index-table cap "
                 f"{modcore.MAX_TABLE_PRIME}"
             )
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
-            raise InvalidRangeError(f"unknown checks: {sorted(unknown)}")
+            raise ValueError(f"unknown checks: {sorted(unknown)}")
         if self.workers < 1:
-            raise InvalidRangeError("workers must be >= 1")
+            raise ValueError("workers must be >= 1")
         try:
             y_rule = parse_y_rule(self.y_rule)
         except ValueError as exc:
-            raise InvalidRangeError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
+            raise ValueError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
         if "theorem" in self.checks:
             for p in THEOREM_PRIMES:
                 if p <= self.p_max and y_rule(p) <= subsetprod.theorem_y(p, QUARTER):
-                    raise InvalidRangeError(
+                    raise ValueError(
                         f"y-rule {self.y_rule!r} gives y={y_rule(p)} at p={p}; the "
                         f"theorem check needs y above ceil(p^0.25)"
                     )
@@ -916,23 +910,31 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 def _cmd_counts(args: argparse.Namespace) -> int:
     if (args.p - 1) * args.y**2 > MAX_COUNT_WORK:
-        raise InvalidRangeError(
+        raise ValueError(
             f"(p-1)*y^2 for p={args.p}, y={args.y} exceeds the work bound "
             f"{MAX_COUNT_WORK}"
         )
     if args.p - 1 > MAX_COUNT_RESIDUES:
-        raise InvalidRangeError(
+        raise ValueError(
             f"p={args.p} would print {args.p - 1} counts, above the output "
             f"bound {MAX_COUNT_RESIDUES}"
         )
     counts = subsetprod.subset_product_counts(args.p, args.y).counts
     residues = range(1, args.p)
-    if args.format == "json":
-        chunks = [render_json({"p": args.p, "y": args.y,
-                               "counts": {str(b): str(counts[b]) for b in residues}})]
-    else:
-        chunks = render_csv(("b", "count"), ((b, counts[b]) for b in residues))
-    emit(chunks, args.out)
+    # a count may pass str()'s digit limit (CPython 3.10.7+; 0 is none): lift it here only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        if args.format == "json":
+            chunks = [render_json({"p": args.p, "y": args.y,
+                                   "counts": {str(b): str(counts[b]) for b in residues}})]
+        else:
+            chunks = render_csv(("b", "count"), ((b, counts[b]) for b in residues))
+        emit(chunks, args.out)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -946,16 +948,16 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 def _cmd_factorize(args: argparse.Namespace) -> int:
     from . import friable
     if args.n > MAX_FACTORIZE_N:
-        raise InvalidRangeError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
+        raise ValueError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
     try:
         eps = parse_fraction(args.epsilon)
     except ValueError as exc:
-        raise InvalidRangeError(f"bad epsilon {args.epsilon!r}: {exc}") from exc
+        raise ValueError(f"bad epsilon {args.epsilon!r}: {exc}") from exc
     # kway forms y^(k+1); ranged and threeway (k = 3) form y^(k b + 2a)
     k = 3 if args.mode == "threeway" else args.k
     a, b = (0, 1) if args.mode == "kway" else (eps.numerator, eps.denominator)
     if (k * b + 2 * a + 1) * args.y.bit_length() > MAX_FACTORIZE_POWER_BITS:
-        raise InvalidRangeError(
+        raise ValueError(
             f"y={args.y}, k={k}, epsilon={eps} would form powers of y above "
             f"the cap of {MAX_FACTORIZE_POWER_BITS} bits"
         )

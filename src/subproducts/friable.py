@@ -19,10 +19,6 @@ from typing import NamedTuple
 from .modcore import divisors, iroot, prime_factors_desc, primes_between
 
 
-class NotFriableError(ValueError):
-    """Raised when n has a prime factor above the required smoothness bound."""
-
-
 class BoundViolatedError(ValueError):
     """Raised when n exceeds the size bound that guarantees a k-way split."""
 
@@ -35,10 +31,6 @@ class HypothesisViolatedError(ValueError):
 class InternalContradictionError(AssertionError):
     """The construction produced an invalid result under valid hypotheses.
     Should be unreachable; any occurrence is a bug, and tests treat it so."""
-
-
-class RangeViolationError(ValueError):
-    """Raised when (t, y) falls outside the validity range y <= t <= y^2."""
 
 
 def largest_prime_factor(n: int) -> int:
@@ -80,7 +72,7 @@ def psi_asymptotic(t: int, y: int) -> float:
     if y < 2:
         raise ValueError("y must be >= 2")
     if not y <= t <= y * y:
-        raise RangeViolationError(f"need y <= t <= y^2, got t={t}, y={y}")
+        raise ValueError(f"need y <= t <= y^2, got t={t}, y={y}")
     return t * (1.0 - math.log(math.log(t) / math.log(y)))
 
 
@@ -140,7 +132,7 @@ def greedy_k_factorization(n: int, y: int, k: int) -> FactorizationResult:
         raise ValueError("need n >= 1, y >= 2, k >= 1")
     primes = prime_factors_desc(n)
     if primes and primes[0] > y:
-        raise NotFriableError(f"n={n} has a prime factor above y={y}")
+        raise ValueError(f"n={n} has a prime factor above y={y}")
     if n * n > y ** (k + 1):
         raise BoundViolatedError(f"n={n} exceeds y^((k+1)/2) for y={y}, k={k}")
     buckets = _greedy_fill(primes, k, y)
@@ -221,7 +213,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
         )
     primes = prime_factors_desc(n)
     if primes and primes[0] > y:
-        raise NotFriableError(f"n={n} has a prime factor above y={y}")
+        raise ValueError(f"n={n} has a prime factor above y={y}")
     lower_root, upper_sq, work_root, small_root = ranged_bounds(y, k, a, b)
     if not (n > lower_root and n * n < upper_sq):
         raise HypothesisViolatedError(

@@ -26,14 +26,6 @@ from math import gcd, isqrt, log2
 MAX_TABLE_PRIME = 1 << 24
 
 
-class NotPrimeError(ValueError):
-    """Raised when an argument required to be prime is not."""
-
-
-class TooLargeError(ValueError):
-    """Raised when an index table would exceed the supported prime cap."""
-
-
 # Miller-Rabin to bases 2, 3 and 5 is exact below PSI_3, the least odd
 # composite that is a strong pseudoprime to all three (Jaeschke 1993); it is
 # above MAX_TABLE_PRIME, so three bases decide every prime a context can
@@ -229,7 +221,7 @@ def divisors(n: int) -> list[int]:
 def least_primitive_root(p: int) -> int:
     """Least positive integer of multiplicative order p-1 mod p."""
     if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
+        raise ValueError(f"{p} is not prime")
     order = p - 1
     order_factors = set(prime_factors_desc(order))
     for g in range(1, p):
@@ -351,7 +343,7 @@ def build_context(p: int) -> PrimeContext:
     Supports p up to MAX_TABLE_PRIME = 2^24, the dense table's cap.
     """
     if p > MAX_TABLE_PRIME and is_prime(p):
-        raise TooLargeError(f"p={p} exceeds table limit {MAX_TABLE_PRIME}")
+        raise ValueError(f"p={p} exceeds table limit {MAX_TABLE_PRIME}")
     return PrimeContext(p=p, g=least_primitive_root(p))
 
 

@@ -21,22 +21,6 @@ from typing import Iterable, Iterator, NamedTuple
 from .modcore import PrimeContext, build_context, iroot, iter_primes
 
 
-class NotCoprimeError(ValueError):
-    """Raised when a coverage element is divisible by p."""
-
-
-class YOutOfRangeError(ValueError):
-    """Raised when y is outside the supported range of an operation."""
-
-
-class PrecisionRangeError(ValueError):
-    """Raised when 2^y would overrun the double-precision cross-check."""
-
-
-class BadDifferenceError(ValueError):
-    """Raised when a progression's common difference is a multiple of p."""
-
-
 # ---------------------------------------------------------------------------
 # One index-coordinate kernel.  With s = ind(n), multiplying by n rotates
 # Z/(p-1) by s.  Coverage holds a bitset over indices and ORs in its
@@ -80,7 +64,7 @@ def _consume(ctx: PrimeContext, mask: int, n: int) -> int:
     """The coverage mask after consuming n: mask OR mask rotated by ind(n)."""
     r = n % ctx.p
     if r == 0:
-        raise NotCoprimeError(f"element {n} is divisible by {ctx.p}")
+        raise ValueError(f"element {n} is divisible by {ctx.p}")
     return mask | _rotate(mask, ctx.ind[r], ctx.order, ctx.full_mask)
 
 
@@ -143,9 +127,9 @@ def progression_coverage_threshold(
     """
     p = ctx.p
     if y_max < 1:
-        raise YOutOfRangeError(f"y_max={y_max} must be >= 1")
+        raise ValueError(f"y_max={y_max} must be >= 1")
     if p > 2 and d % p == 0 and a % p != 0:
-        raise BadDifferenceError(f"difference {d} is a multiple of {p}")
+        raise ValueError(f"difference {d} is a multiple of {p}")
     terms = (a + j * d for j in range(min(y_max, p)))
     return _first_cover(ctx, enumerate((t if t % p else None for t in terms), 1))
 
@@ -313,7 +297,7 @@ def subset_product_prefixes(
     """
     ys = sorted(set(ys))
     if ys and ys[0] < 1:
-        raise YOutOfRangeError(f"y={ys[0]} must be >= 1")
+        raise ValueError(f"y={ys[0]} must be >= 1")
     return (
         SubsetProductCounts(p=ctx.p, y=y, counts=counts)
         for y, counts in zip(ys, _count_dp(ctx, ys))
@@ -344,7 +328,7 @@ def enumerate_subset_counts(p: int, y: int) -> tuple[int, ...]:
     y <= ~20.
     """
     if y < 1:
-        raise YOutOfRangeError(f"y={y} must be >= 1")
+        raise ValueError(f"y={y} must be >= 1")
     half = y // 2
     low = _subset_products(p, range(1, half + 1))
     high = _subset_products(p, range(half + 1, y + 1))
@@ -379,9 +363,9 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
     dynamic program is the ground truth.
     """
     if y < 1:
-        raise YOutOfRangeError(f"y={y} must be >= 1")
+        raise ValueError(f"y={y} must be >= 1")
     if y > MAX_CROSSCHECK_Y:
-        raise PrecisionRangeError(
+        raise ValueError(
             f"y={y} exceeds the double-precision guarantee ({MAX_CROSSCHECK_Y})"
         )
     # imported here, not at the top: the sweep never loads characters
@@ -425,7 +409,7 @@ def counts_error_report(dp: SubsetProductCounts) -> ErrorReport:
     """Exact-rational worst-case error of one snapshot of the counts."""
     p, y, counts = dp.p, dp.y, dp.counts
     if not 1 <= y < p:
-        raise YOutOfRangeError(f"need 1 <= y < p, got y={y}, p={p}")
+        raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
     two_y = 1 << y
     m = p - 1
     # compare over integers: |S(b) * (p-1) - 2^y|, then scale by 1/(p-1)
@@ -444,7 +428,7 @@ def counts_error_report(dp: SubsetProductCounts) -> ErrorReport:
 def error_report(p: int, y: int) -> ErrorReport:
     """Exact-rational worst-case error of the subset-product counts."""
     if not 1 <= y < p:
-        raise YOutOfRangeError(f"need 1 <= y < p, got y={y}, p={p}")
+        raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
     return counts_error_report(subset_product_counts(p, y))
 
 

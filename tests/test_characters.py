@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from subproducts import characters
 from subproducts.characters import (
-    InvalidDeltaError,
-    OutOfDomainError,
     PartialSumScan,
     angle_to_complex,
     char_angle,
@@ -480,15 +478,15 @@ def test_near_one_cutoff_matches_fraction_comparison(delta, m):
 
 def test_near_one_cutoff_invalid_delta():
     for delta in (0.0, 2.0, -1.0, math.nan):
-        with pytest.raises(InvalidDeltaError):
+        with pytest.raises(ValueError, match=rf"^delta={delta} outside \(0, 2\)$"):
             near_one_cutoff(delta, 10)
 
 
 def test_near_one_invalid_delta():
     ctx = build_context(7)
-    with pytest.raises(InvalidDeltaError):
+    with pytest.raises(ValueError, match=r"^delta=0.0 outside \(0, 2\)$"):
         near_one_exceptions(ctx, 1, 5, 0.0)
-    with pytest.raises(InvalidDeltaError):
+    with pytest.raises(ValueError, match=r"^delta=2.0 outside \(0, 2\)$"):
         near_one_exceptions(ctx, 1, 5, 2.0)
 
 
@@ -496,9 +494,9 @@ def test_circle_lemma_bound_examples():
     assert circle_lemma_bound(1, 1.0) == pytest.approx(0.5)  # arcsin(1/2) = pi/6
     assert circle_lemma_bound(2, 1.0) == pytest.approx(-0.5)
     assert circle_lemma_bound(3, 1e-9) == pytest.approx(1.0)
-    with pytest.raises(OutOfDomainError):
+    with pytest.raises(ValueError, match="^k=4, delta=1.0: angle sum 4.188790 exceeds pi$"):
         circle_lemma_bound(4, 1.0)  # 4 * pi/3 > pi
-    with pytest.raises(InvalidDeltaError):
+    with pytest.raises(ValueError, match=r"^delta=2.5 outside \(0, 2\)$"):
         circle_lemma_bound(2, 2.5)
 
 

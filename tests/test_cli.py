@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import select
 import shutil
 import signal
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 import sympy
@@ -18,7 +20,6 @@ import subproducts
 from subproducts import characters, cli, friable, modcore, subsetprod
 from subproducts.cli import (
     ChainViolationError,
-    InvalidRangeError,
     SweepConfig,
     main,
     parse_y_rule,
@@ -67,16 +68,20 @@ def test_parse_y_rule_is_exact():
 
 
 def test_sweep_config_validation():
-    with pytest.raises(InvalidRangeError):
+    with pytest.raises(ValueError, match=r"^need 3 <= pmin <= pmax, got \[2, 10\]$"):
         SweepConfig(p_min=2, p_max=10).validate()
-    with pytest.raises(InvalidRangeError):
+    with pytest.raises(ValueError, match=r"^need 3 <= pmin <= pmax, got \[11, 5\]$"):
         SweepConfig(p_min=11, p_max=5).validate()
-    with pytest.raises(InvalidRangeError):
+    with pytest.raises(ValueError, match=r"^unknown checks: \['nonsense'\]$"):
         SweepConfig(checks=("nonsense",)).validate()
     # a y-rule must parse and evaluate up to pmax; with the theorem check it
     # must also put y above ceil(p^0.25) at every theorem prime <= pmax
-    for rule in ("p^abc", "p^inf", "p^nan", "p^1e308", "0", "p^0.25"):
-        with pytest.raises(InvalidRangeError):
+    for rule in ("p^abc", "p^inf", "p^nan", "p^1e308"):
+        with pytest.raises(ValueError, match=re.escape(f"bad y-rule {rule!r}: ")):
+            SweepConfig(y_rule=rule).validate()
+    for rule in ("0", "p^0.25"):
+        gives = re.escape(f"y-rule {rule!r} gives y=")
+        with pytest.raises(ValueError, match=gives + ".*; the theorem check needs y above"):
             SweepConfig(y_rule=rule).validate()
     SweepConfig(y_rule="0", checks=("spectrum", "lemmas")).validate()
     SweepConfig(y_rule="0", p_max=100).validate()  # no theorem prime <= 100
@@ -84,7 +89,8 @@ def test_sweep_config_validation():
     # pmax is capped before anything is sieved
     SweepConfig(p_max=modcore.MAX_TABLE_PRIME).validate()
     for p_max in (modcore.MAX_TABLE_PRIME + 1, 10**30):
-        with pytest.raises(InvalidRangeError):
+        cap = f"^pmax={p_max} exceeds the index-table cap {modcore.MAX_TABLE_PRIME}$"
+        with pytest.raises(ValueError, match=cap):
             SweepConfig(p_max=p_max).validate()
 
 
@@ -238,6 +244,25 @@ def test_counts_cli(tmp_path):
     ) == 0
     payload = json.loads(read(out_json))
     assert payload["counts"] == {"1": "4", "2": "2", "3": "2", "4": "0"}
+
+
+def test_counts_print_counts_past_the_int_str_digit_limit(capsys, tmp_path):
+    # every count at p = 3, y = 50000 is 2^33333, 10035 digits, past the 4300
+    # that CPython 3.10.7+ lets str() make by default; counts lifts the limit
+    # while it renders and puts it back, even when the output cannot be written
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert run_cli("counts", "--p", "3", "--y", "50000") == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "b,count" and [row.split(",")[0] for row in rows] == ["1", "2"]
+    assert all(Decimal(row.split(",")[1]) == 2**33333 for row in rows)
+    assert run_cli("counts", "--p", "3", "--y", "50000", "--format", "json") == 0
+    counts = json.loads(capsys.readouterr().out)["counts"]
+    assert sorted(counts) == ["1", "2"]
+    assert all(Decimal(count) == 2**33333 for count in counts.values())
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert run_cli("counts", "--p", "3", "--y", "2", "--out", str(tmp_path / "no" / "c")) == 2
+    assert capsys.readouterr().err.startswith("i/o error: ")
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
 
 
 def test_coverage_cli(tmp_path):
@@ -956,24 +981,13 @@ def test_lost_worker_exits_2(tmp_path):
 
 
 def test_console_script_runs():
-    # the child imports the same package as this test, installed or not
-    src = os.path.dirname(os.path.dirname(subproducts.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "subproducts.cli", "counts", "--p", "3", "--y", "2"],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0
+    proc = _run_fresh(None, "-m", "subproducts.cli", "counts", "--p", "3", "--y", "2")
     assert proc.stdout == "b,count\n1,2\n2,2\n"
 
 
 def test_importing_cli_runs_no_sieve():
     # the random harnesses slice modcore.small_primes(), built on first use
-    src = os.path.dirname(os.path.dirname(subproducts.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = """
+    _run_fresh("""
 import subproducts.modcore as modcore
 sieved = []
 real = modcore.primes_between
@@ -984,14 +998,7 @@ modcore.primes_between = spy
 import subproducts.cli as cli
 assert sieved == [], sieved
 assert cli.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
+""")
 
 
 def test_single_process_commands_load_no_pool_stack():
@@ -1000,9 +1007,7 @@ def test_single_process_commands_load_no_pool_stack():
     # the --workers 1 bytes.
     # The records are NamedTuples or plain classes, so the import leaves
     # out dataclasses and inspect, which every launch and worker would pay
-    src = os.path.dirname(os.path.dirname(subproducts.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = """
+    _run_fresh("""
 import contextlib, io, os, sys, tempfile
 import subproducts.cli as cli
 heavy = [m for m in ("dataclasses", "inspect") if m in sys.modules]
@@ -1024,28 +1029,23 @@ with tempfile.TemporaryDirectory() as tmp:
     assert loaded() == [], loaded()
     with open(one, "rb") as a, open(two, "rb") as b:
         assert a.read() == b.read()
-"""
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-    )
-    assert proc.returncode == 0, proc.stderr
+""")
 
 
-def _run_fresh(code):
-    """Run code in a new interpreter that imports this checkout's package;
-    assert that it exits 0."""
+def _run_fresh(code, *argv):
+    """Run `python -c code`, or `python *argv` when code is None, in a new
+    interpreter that imports this checkout's package, installed or not;
+    assert that it exits 0, and return the finished process."""
     src = os.path.dirname(os.path.dirname(subproducts.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *(["-c", code] if code is not None else argv)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+    return proc
 
 
 def test_each_command_loads_only_the_modules_it_runs():

@@ -16,9 +16,7 @@ from subproducts.modcore import (
     PSI_3,
     PSI_13,
     SMALL_PRIME_LIMIT,
-    NotPrimeError,
     SparseIndex,
-    TooLargeError,
     build_context,
     divisors,
     group_generation_bound,
@@ -213,12 +211,12 @@ def test_build_context_examples():
 
 
 def test_build_context_rejects():
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(ValueError, match="^10 is not prime$"):
         build_context(10)
     # primality is decided before size: 2^24 + 1 = 97 * 257 * 673
-    with pytest.raises(NotPrimeError):
+    with pytest.raises(ValueError, match="^16777217 is not prime$"):
         build_context(2**24 + 1)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError, match="^p=2147483647 exceeds table limit 16777216$"):
         build_context(2**31 - 1)
     assert MAX_TABLE_PRIME >= 2**24
 

@@ -24,7 +24,6 @@ from subproducts.modcore import (
     primes_up_to,
 )
 from subproducts.subsetprod import (
-    BadDifferenceError,
     coverage_threshold,
     prime_coverage_threshold,
     progression_coverage_threshold,
@@ -87,7 +86,7 @@ def check_all_thresholds(p, a, d, y_max):
     if yp is not None:
         assert sympy.isprime(yp)
     if d % p == 0 and a % p:
-        with pytest.raises(BadDifferenceError):
+        with pytest.raises(ValueError, match=f"^difference {d} is a multiple of {p}$"):
             progression_coverage_threshold(ctx, a, d, y_max)
         return
     terms = [a + j * d for j in range(y_max)]
