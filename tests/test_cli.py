@@ -250,7 +250,8 @@ def test_counts_print_counts_past_the_int_str_digit_limit(capsys, tmp_path):
     # every count at p = 3, y = 50000 is 2^33333, 10035 digits, past the 4300
     # that CPython 3.10.7+ lets str() make by default; counts lifts the limit
     # while it renders and puts it back, even when the output cannot be written
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = digit_limit()
     assert run_cli("counts", "--p", "3", "--y", "50000") == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert header == "b,count" and [row.split(",")[0] for row in rows] == ["1", "2"]
@@ -259,10 +260,10 @@ def test_counts_print_counts_past_the_int_str_digit_limit(capsys, tmp_path):
     counts = json.loads(capsys.readouterr().out)["counts"]
     assert sorted(counts) == ["1", "2"]
     assert all(Decimal(count) == 2**33333 for count in counts.values())
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert digit_limit() == limit
     assert run_cli("counts", "--p", "3", "--y", "2", "--out", str(tmp_path / "no" / "c")) == 2
     assert capsys.readouterr().err.startswith("i/o error: ")
-    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+    assert digit_limit() == limit
 
 
 def test_coverage_cli(tmp_path):
