@@ -947,14 +947,20 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
     from . import friable
+    # a flag the mode does not read is refused, as argparse refuses unknown ones
+    if args.mode == "threeway" and args.k is not None:
+        raise ValueError("--k is not read in threeway mode, whose k is 3")
+    if args.mode == "kway" and args.epsilon is not None:
+        raise ValueError("--epsilon is not read in kway mode")
     if args.n > MAX_FACTORIZE_N:
         raise ValueError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
+    epsilon = str(DEFAULT_EPSILON) if args.epsilon is None else args.epsilon
     try:
-        eps = parse_fraction(args.epsilon)
+        eps = parse_fraction(epsilon)
     except ValueError as exc:
-        raise ValueError(f"bad epsilon {args.epsilon!r}: {exc}") from exc
+        raise ValueError(f"bad epsilon {epsilon!r}: {exc}") from exc
     # kway forms y^(k+1); ranged and threeway (k = 3) form y^(k b + 2a)
-    k = 3 if args.mode == "threeway" else args.k
+    k = 3 if args.k is None else args.k
     a, b = (0, 1) if args.mode == "kway" else (eps.numerator, eps.denominator)
     if (k * b + 2 * a + 1) * args.y.bit_length() > MAX_FACTORIZE_POWER_BITS:
         raise ValueError(
@@ -962,9 +968,9 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
             f"the cap of {MAX_FACTORIZE_POWER_BITS} bits"
         )
     if args.mode == "kway":
-        res = friable.greedy_k_factorization(args.n, args.y, args.k)
+        res = friable.greedy_k_factorization(args.n, args.y, k)
     elif args.mode == "ranged":
-        res = friable.ranged_factorization(args.n, args.y, args.k, eps)
+        res = friable.ranged_factorization(args.n, args.y, k, eps)
     else:
         res = friable.three_way_factorization(args.n, args.y, eps)
     emit_record(args, {
@@ -1033,11 +1039,12 @@ def build_parser() -> argparse.ArgumentParser:
     sv.set_defaults(func=_cmd_coverage)
 
     sf = subs.add_parser("factorize", help="bounded-part factorization")
-    sf.add_argument("--epsilon", default=str(DEFAULT_EPSILON))
+    # None until _cmd_factorize, which refuses a flag the mode does not read
+    sf.add_argument("--epsilon", default=None)
     _add_output(sf)
     sf.add_argument("--n", type=int, required=True)
     sf.add_argument("--y", type=int, required=True)
-    sf.add_argument("--k", type=int, default=3)
+    sf.add_argument("--k", type=int, default=None)
     sf.add_argument("--mode", choices=("kway", "ranged", "threeway"), default="threeway")
     sf.set_defaults(func=_cmd_factorize)
 
@@ -1066,6 +1073,8 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.out and os.path.isdir(args.out):  # refused before any work
             raise IsADirectoryError(f"--out {args.out!r} is a directory")
+        if args.out and not os.path.isdir(os.path.dirname(os.path.realpath(args.out))):
+            raise FileNotFoundError(f"--out {args.out!r} is not in an existing directory")
         return args.func(args)
     except (ValueError, WorkerLostError) as exc:  # parser and range errors too
         print(f"error: {exc}", file=sys.stderr)

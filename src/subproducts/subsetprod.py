@@ -55,39 +55,29 @@ class CoverageState(NamedTuple):
         return [r for r in range(1, p) if self.mask >> ind[r] & 1]
 
 
-def initial_coverage(ctx: PrimeContext) -> CoverageState:
-    """Coverage before any element: only the empty product, residue 1."""
-    return CoverageState(ctx=ctx, mask=1)
-
-
-def _consume(ctx: PrimeContext, mask: int, n: int) -> int:
-    """The coverage mask after consuming n: mask OR mask rotated by ind(n)."""
-    r = n % ctx.p
-    if r == 0:
-        raise ValueError(f"element {n} is divisible by {ctx.p}")
-    return mask | _rotate(mask, ctx.ind[r], ctx.order, ctx.full_mask)
-
-
 def coverage_consume(state: CoverageState, n: int) -> CoverageState:
     """Extend the reached set with every product reached-element * n."""
-    return CoverageState(ctx=state.ctx, mask=_consume(state.ctx, state.mask, n))
+    ctx, mask = state
+    if (r := n % ctx.p) == 0:
+        raise ValueError(f"element {n} is divisible by {ctx.p}")
+    return CoverageState(ctx, mask | _rotate(mask, ctx.ind[r], ctx.order, ctx.full_mask))
 
 
 def _first_cover(
     ctx: PrimeContext, steps: Iterable[tuple[int, int | None]]
 ) -> int | None:
     """The first y of the (y, n) steps after which the subset products of
-    the consumed terms reach every unit, else None.  A step consumes n, or
-    nothing when n is None.
+    the consumed terms reach every unit, else None.  A step consumes n, a
+    unit mod p, or nothing when n is None.
 
-    The steps of `coverage_consume` from `initial_coverage`, on the bare
-    mask: no state object per term.
+    The steps of `coverage_consume` from `CoverageState(ctx, 1)`, on the
+    bare mask: no state object per term.
     """
-    full = ctx.full_mask
+    p, ind, m, full = ctx.p, ctx.ind, ctx.order, ctx.full_mask
     mask = 1
     for y, n in steps:
         if n is not None:
-            mask = _consume(ctx, mask, n)
+            mask |= _rotate(mask, ind[n % p], m, full)
         if mask == full:
             return y
     return None

@@ -539,7 +539,13 @@ BAD_INPUTS = [
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
     pytest.param(["verify", "--checks", ""], "unknown checks: ['']", id="verify-checks-empty"),
     pytest.param(["verify", "--y-rule", "p^abc"], "bad y-rule", id="verify-y-rule-abc"),
-    # only factorize reads --epsilon
+    # only factorize reads --epsilon, and only in the modes that read it;
+    # threeway mode reads no --k
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--k", "5"],
+                 "error: --k is not read in threeway mode, whose k is 3\n",
+                 id="factorize-threeway-k"),
+    pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "kway", "--epsilon", "1/7"],
+                 "error: --epsilon is not read in kway mode\n", id="factorize-kway-epsilon"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/0"],
                  "bad epsilon '1/0'", id="factorize-epsilon-zero-denominator"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "ranged",
@@ -709,11 +715,13 @@ def test_out_writes_through_a_fifo(tmp_path):
     ["spectrum", "--pmax", "60000"],
     ["spectrum", "--pmax", "60000", "--workers", "2"],
     ["verify"],
-], ids=["spectrum", "spectrum-workers2", "verify"])
+    ["counts", "--p", "10007", "--y", "999"],
+], ids=["spectrum", "spectrum-workers2", "verify", "counts"])
 def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, capsys,
                                                             tmp_path):
-    # no row is made, no worker forked and no check run: the spies record
-    # every call, and nothing is written into the directory
+    # no row is made, no worker forked, no check run and no fold started: the
+    # spies record every call, and nothing is written into the directory.  A
+    # path in a directory that does not exist is refused the same way.
     calls = []
 
     def spy(real):
@@ -721,12 +729,16 @@ def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, ca
 
     monkeypatch.setattr(cli, "_spectrum_row", spy(cli._spectrum_row))
     monkeypatch.setattr(cli, "run_verification_suite", spy(cli.run_verification_suite))
+    monkeypatch.setattr(subsetprod, "_count_dp", spy(subsetprod._count_dp))
     if FORK:
         monkeypatch.setattr(cli.os, "fork", spy(os.fork))
-    assert run_cli(*argv, "--out", str(tmp_path)) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and calls == [] and os.listdir(tmp_path) == []
-    assert err == f"i/o error: --out {str(tmp_path)!r} is a directory\n"
+    missing = str(tmp_path / "missing" / "r.json")
+    for target, refusal in ((str(tmp_path), "is a directory"),
+                            (missing, "is not in an existing directory")):
+        assert run_cli(*argv, "--out", target) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and calls == [] and os.listdir(tmp_path) == []
+        assert err == f"i/o error: --out {target!r} {refusal}\n"
 
 
 def test_work_caps_are_inclusive(monkeypatch, capsys, tmp_path):
@@ -1111,7 +1123,7 @@ def _context_with_tables():
          ("max_magnitude", "violations")),
         (lambda: subsetprod.subset_product_counts(31, 6), ("p", "counts")),
         (lambda: subsetprod.error_report(31, 6), ("y", "max_abs_error")),
-        (lambda: subsetprod.initial_coverage(modcore.build_context(31)), ("ctx", "mask")),
+        (lambda: subsetprod.CoverageState(modcore.build_context(31), 1), ("ctx", "mask")),
         (lambda: friable.greedy_k_factorization(30, 10, 2), ("n", "factors")),
         (_context_with_tables, ("p", "order", "ind", "table")),
     ],

@@ -13,12 +13,12 @@ from subproducts.cli import check_dp_vs_characters
 from subproducts.modcore import SMALL_PRIME_LIMIT, build_context, primes_up_to
 from subproducts.subsetprod import (
     counts_via_characters,
+    CoverageState,
     coverage_consume,
     counts_error_report,
     coverage_threshold,
     enumerate_subset_counts,
     error_report,
-    initial_coverage,
     subset_product_counts,
     subset_product_prefixes,
     prime_coverage_threshold,
@@ -57,7 +57,7 @@ def residue_walk_counts(p, elements, start=None):
 
 def reach(ctx, elements):
     """Coverage after consuming the elements in order."""
-    state = initial_coverage(ctx)
+    state = CoverageState(ctx, 1)
     for n in elements:
         state = coverage_consume(state, n)
     return state
@@ -68,7 +68,7 @@ def reach(ctx, elements):
 
 def test_coverage_consume_examples():
     ctx5 = build_context(5)
-    assert initial_coverage(ctx5).residues() == [1]
+    assert CoverageState(ctx5, 1).residues() == [1]
     assert reach(ctx5, [1]).residues() == [1]
 
     s = reach(ctx5, [2, 3])
@@ -86,7 +86,7 @@ def test_coverage_consume_examples():
 def test_coverage_rejects_multiples():
     ctx = build_context(5)
     with pytest.raises(ValueError, match="element 10 is divisible by 5"):
-        coverage_consume(initial_coverage(ctx), 10)
+        coverage_consume(CoverageState(ctx, 1), 10)
     with pytest.raises(ValueError, match="element -5 is divisible by 5"):
         reach(ctx, [2, 3, -5])
 
@@ -94,7 +94,7 @@ def test_coverage_rejects_multiples():
 def test_coverage_matches_brute_enumeration():
     for p in (5, 7, 11, 13):
         ctx = build_context(p)
-        state = initial_coverage(ctx)
+        state = CoverageState(ctx, 1)
         for y in range(1, 13):
             if y % p != 0:  # callers skip multiples of p
                 state = coverage_consume(state, y)
@@ -104,7 +104,7 @@ def test_coverage_matches_brute_enumeration():
 
 def test_coverage_monotone():
     ctx = build_context(101)
-    state = initial_coverage(ctx)
+    state = CoverageState(ctx, 1)
     prev = set(state.residues())
     for n in range(1, 40):
         state = coverage_consume(state, n)
@@ -168,7 +168,7 @@ def test_y_prime_at_least_y():
             continue
         ctx = build_context(p)
         yp = None
-        state = initial_coverage(ctx)
+        state = CoverageState(ctx, 1)
         primes = set(primes_up_to(p - 1))
         for v in range(1, p):
             if v in primes:
@@ -478,7 +478,7 @@ def test_prefix_fold_requests():
 @given(p=st.sampled_from(primes_up_to(211)), data=st.data())
 def test_counts_reached_equals_coverage(p, data):
     y = data.draw(st.integers(min_value=1, max_value=2 * p + 5))
-    state = initial_coverage(build_context(p))
+    state = CoverageState(build_context(p), 1)
     for n in range(1, y + 1):
         if n % p:  # multiples of p only add products divisible by p
             state = coverage_consume(state, n)

@@ -1,9 +1,11 @@
 """Every source and test file parses as Python 3.10, the oldest version
-that pyproject.toml's requires-python admits, and every exception class of
-the package is one that some code catches."""
+that pyproject.toml's requires-python admits, every exception class of
+the package is one that some code catches, and every module-level name of
+the package is one that some other code in it reads."""
 
 import ast
 import builtins
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -45,3 +47,54 @@ def test_every_exception_class_is_caught_by_name():
               if isinstance(node, ast.ExceptHandler) and node.type is not None
               for name in _names(node.type)}
     assert defined and not defined - caught, sorted(defined - caught)
+
+
+def _traced_names():
+    """The module.function names that bench/tracing.py looks up by string,
+    with the tracer loaded from its file as the benchmark loads it; none
+    once it has no TRACED table."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = getattr(tracing, "TRACED", {})
+    return {f"{module}.{name}" for module, names in traced.items() for name in names}
+
+
+def _defined_names(statement):
+    """The names a module-level function, class or assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
+def _read_names(statement):
+    """Every name a statement reads, bare or as an attribute."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def test_every_helper_has_a_caller_in_src():
+    # a name that only tests read is dead code to the program: a reference
+    # inside the name's own definition (recursion, a method naming its class)
+    # does not count; the names the benchmark's tracer looks up by string
+    # are spared until the tracer stops doing so
+    statements = [(path.stem, statement, _read_names(statement))
+                  for path in sorted((ROOT / "src" / "subproducts").glob("*.py"))
+                  for statement in ast.parse(path.read_text(encoding="utf-8")).body]
+    spared = _traced_names()
+    unread = []
+    for module, statement, _ in statements:
+        for name in _defined_names(statement):
+            if name.startswith("__") and name.endswith("__") or f"{module}.{name}" in spared:
+                continue
+            if not any(name in read for _, other, read in statements if other is not statement):
+                unread.append(f"{module}.{name}")
+    assert not unread, unread
