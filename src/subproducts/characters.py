@@ -100,18 +100,12 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     return total
 
 
-def max_nonprincipal_sum(ctx: PrimeContext, t: int) -> tuple[int, float]:
-    """Character index k != 0 maximizing |char_sum(ctx, k, t)|, with that magnitude.
-
-    Every k in [1, p-2] is summed; ties go to the smallest k so results
-    are reproducible.
-    """
+def max_nonprincipal_sum(ctx: PrimeContext, t: int) -> float:
+    """The largest |char_sum(ctx, k, t)| over every k in [1, p-2]."""
     m = ctx.order
     if m < 2:
         raise ValueError("p has no nonprincipal characters")
-    mags = [abs(char_sum(ctx, k, t)) for k in range(1, m)]
-    best = max(mags)
-    return mags.index(best) + 1, best
+    return max(abs(char_sum(ctx, k, t)) for k in range(1, m))
 
 
 def polya_vinogradov_bound(p: int) -> float:
@@ -128,9 +122,7 @@ class PartialSumScan(NamedTuple):
     half a period only (see `polya_vinogradov_scan`).
     """
 
-    p: int
     max_magnitude: float
-    k_at_max: int
     bound: float
     violations: int
 
@@ -173,7 +165,7 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
     value, are summed again over the full period, as the full scan sums
     them; every other pair takes its violation verdict from the
     half-period value, which no rounding can move across the bound.  The
-    scan's maximum is the largest full sum, with ties to the least k.
+    scan's maximum is the largest full sum.
     """
     p, m = ctx.p, ctx.order
     bound = polya_vinogradov_bound(p)
@@ -199,11 +191,8 @@ def polya_vinogradov_scan(ctx: PrimeContext) -> PartialSumScan:
             violations += 1 if 2 * k == m else 2
     violations += sum(top > bound_sq for top in tops.values())
     best_sq = max(tops.values(), default=-1.0)
-    best_k = min((k for k, top in tops.items() if top == best_sq), default=0)
     return PartialSumScan(
-        p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
-        k_at_max=best_k,
         bound=bound,
         violations=violations,
     )

@@ -82,7 +82,19 @@ class WorkerLostError(RuntimeError):
     """A spectrum worker ended before it sent all of its rows."""
 
 
+def _check_range(p_min: int, p_max: int, workers: int) -> None:
+    """Refuse a prime range outside [3, MAX_TABLE_PRIME] or an empty pool."""
+    if not 3 <= p_min <= p_max:
+        raise ValueError(f"need 3 <= pmin <= pmax, got [{p_min}, {p_max}]")
+    if p_max > modcore.MAX_TABLE_PRIME:
+        raise ValueError(f"pmax={p_max} exceeds the index-table cap {modcore.MAX_TABLE_PRIME}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+
+
 class SweepConfig(NamedTuple):
+    """The config of a `verify` run."""
+
     p_min: int = 3
     p_max: int = 1009
     checks: tuple[str, ...] = ALL_CHECKS
@@ -91,18 +103,10 @@ class SweepConfig(NamedTuple):
     seed: int = 0
 
     def validate(self) -> None:
-        if not 3 <= self.p_min <= self.p_max:
-            raise ValueError(f"need 3 <= pmin <= pmax, got [{self.p_min}, {self.p_max}]")
-        if self.p_max > modcore.MAX_TABLE_PRIME:
-            raise ValueError(
-                f"pmax={self.p_max} exceeds the index-table cap "
-                f"{modcore.MAX_TABLE_PRIME}"
-            )
+        _check_range(self.p_min, self.p_max, self.workers)
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         try:
             y_rule = parse_y_rule(self.y_rule)
         except ValueError as exc:
@@ -171,18 +175,17 @@ def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
     return (p, n2, ctx.g, big_g, y, yp)
 
 
-def run_spectrum_sweep(config: SweepConfig) -> Iterator[tuple]:
+def run_spectrum_sweep(p_min: int, p_max: int, workers: int = 1) -> Iterator[tuple]:
     """One row per prime in [p_min, p_max], ascending, chain-checked.
 
-    The config is checked at the call; each prime is sieved and its row
-    made as the row is read, by a pool of config.workers (`_fork_map`).
+    The range and pool are checked at the call; each prime is sieved and
+    its row made as the row is read, by a pool of workers (`_fork_map`).
     Rows arrive in prime order, so a ChainViolationError names the least
     violating prime at any worker count.  A caller that may stop early
     closes the generator, which stops the pool.
     """
-    config.validate()
-    return _fork_map(_spectrum_row, modcore.iter_primes(config.p_min, config.p_max),
-                     config.workers)
+    _check_range(p_min, p_max, workers)
+    return _fork_map(_spectrum_row, modcore.iter_primes(p_min, p_max), workers)
 
 
 def _fork_map(fn, items: Iterable, workers: int) -> Iterator:
@@ -349,8 +352,7 @@ def check_mass_conservation(seed: int, p_cap: int, pairs: int = 1000) -> CheckRe
 
 
 def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
-    config = SweepConfig(p_min=p_min, p_max=p_max, checks=("spectrum",), workers=workers)
-    with contextlib.closing(run_spectrum_sweep(config)) as rows:
+    with contextlib.closing(run_spectrum_sweep(p_min, p_max, workers)) as rows:
         try:
             primes = sum(1 for _ in rows)
             status, violation = "PASS", ""
@@ -383,7 +385,7 @@ def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
         y_small = subsetprod.theorem_y(p, QUARTER)
         ctx = modcore.build_context(p)
         ratio = {
-            dp.y: subsetprod.counts_error_report(dp).normalized_ratio
+            dp.y: subsetprod.counts_error_report(dp)
             for dp in subsetprod.subset_product_prefixes(ctx, (y_small, y_main))
         }
         r_main, r_small = ratio[y_main], ratio[y_small]
@@ -513,7 +515,7 @@ def check_burgess_ratio(p_max: int) -> CheckRecord:
             continue
         ctx = modcore.build_context(p)
         t = subsetprod.theorem_y(p)  # ceil(p^0.6), comfortably above p^(1/4+eps)
-        _, mag = characters.max_nonprincipal_sum(ctx, t)
+        mag = characters.max_nonprincipal_sum(ctx, t)
         out[str(p)] = {"t": t, "max_ratio": mag / t}
     return CheckRecord(
         name="burgess_cancellation_ratio",
@@ -812,7 +814,7 @@ def _spooled(chunks: Iterable[str]) -> Iterator[Iterable[str]]:
 
 def emit(chunks: Iterable[str], out_path: str | None) -> None:
     """Write the text chunks to out_path, or to stdout once all are made."""
-    if out_path:
+    if out_path is not None:
         write_atomic(out_path, chunks)
     else:
         with _spooled(chunks) as spool:
@@ -891,15 +893,9 @@ def parse_fraction(text: str) -> Fraction:
     return value
 
 
-def _config_from(args: argparse.Namespace, **fields) -> SweepConfig:
-    """The command line's config; the sweep and the suite validate it."""
-    return SweepConfig(p_min=args.pmin, p_max=args.pmax, workers=args.workers, **fields)
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _config_from(args, checks=("spectrum",))
     render = spectrum_csv if args.format == "csv" else spectrum_json
-    with contextlib.closing(run_spectrum_sweep(cfg)) as rows:
+    with contextlib.closing(run_spectrum_sweep(args.pmin, args.pmax, args.workers)) as rows:
         try:
             emit(render(rows), args.out)
         except ChainViolationError as exc:
@@ -995,12 +991,9 @@ def _cmd_charsum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config_from(
-        args,
-        checks=ALL_CHECKS if args.checks is None else tuple(args.checks.split(",")),
-        y_rule=args.y_rule,
-        seed=args.seed,
-    )
+    checks = ALL_CHECKS if args.checks is None else tuple(args.checks.split(","))
+    cfg = SweepConfig(p_min=args.pmin, p_max=args.pmax, checks=checks, y_rule=args.y_rule,
+                      workers=args.workers, seed=args.seed)
     records = run_verification_suite(cfg)
     for rec in records:
         print(f"{rec.status:6s} {rec.name}  [{rec.elapsed:.2f}s]", file=sys.stderr)
@@ -1071,7 +1064,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.out and os.path.isdir(args.out):  # refused before any work
+        if args.out == "":  # refused before any work, as are the two below
+            raise FileNotFoundError("--out '' names no file")
+        if args.out and os.path.isdir(args.out):
             raise IsADirectoryError(f"--out {args.out!r} is a directory")
         if args.out and not os.path.isdir(os.path.dirname(os.path.realpath(args.out))):
             raise FileNotFoundError(f"--out {args.out!r} is not in an existing directory")

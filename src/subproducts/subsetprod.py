@@ -45,15 +45,6 @@ class CoverageState(NamedTuple):
     ctx: PrimeContext
     mask: int
 
-    @property
-    def covered(self) -> bool:
-        return self.mask == self.ctx.full_mask
-
-    def residues(self) -> list[int]:
-        """The reached residues, ascending."""
-        p, ind = self.ctx.p, self.ctx.table
-        return [r for r in range(1, p) if self.mask >> ind[r] & 1]
-
 
 def coverage_consume(state: CoverageState, n: int) -> CoverageState:
     """Extend the reached set with every product reached-element * n."""
@@ -143,10 +134,6 @@ class SubsetProductCounts(NamedTuple):
     def unit_mass(self) -> int:
         """Number of subsets whose product is coprime to p."""
         return sum(self.counts[1:])
-
-    def reached(self) -> list[int]:
-        """Residues b >= 1 with S_y(b) > 0, ascending."""
-        return [b for b in range(1, self.p) if self.counts[b] > 0]
 
 
 # Unit steps of the count fold between two rebiases of its slots.
@@ -381,42 +368,20 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
     return out
 
 
-class ErrorReport(NamedTuple):
-    """Worst-case deviation of S_y(b) from 2^y/(p-1), exactly.
-
-    normalized_ratio is max_b |S_y(b) - 2^y/(p-1)| * p^2 / 2^y, computed
-    as an exact rational and converted to float once at the end.
-    """
-
-    p: int
-    y: int
-    main_term: Fraction
-    max_abs_error: Fraction
-    normalized_ratio: float
-
-
-def counts_error_report(dp: SubsetProductCounts) -> ErrorReport:
-    """Exact-rational worst-case error of one snapshot of the counts."""
+def counts_error_report(dp: SubsetProductCounts) -> float:
+    """The normalized worst-case error max_b |S_y(b) - 2^y/(p-1)| * p^2 / 2^y
+    of one snapshot of the counts: one exact rational, converted to float
+    once."""
     p, y, counts = dp.p, dp.y, dp.counts
     if not 1 <= y < p:
         raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
-    two_y = 1 << y
-    m = p - 1
-    # compare over integers: |S(b) * (p-1) - 2^y|, then scale by 1/(p-1)
-    max_scaled = max(abs(counts[b] * m - two_y) for b in range(1, p))
-    max_err = Fraction(max_scaled, m)
-    ratio = max_err * p * p / two_y
-    return ErrorReport(
-        p=p,
-        y=y,
-        main_term=Fraction(two_y, m),
-        max_abs_error=max_err,
-        normalized_ratio=float(ratio),
-    )
+    # compare over integers: |S(b) (p-1) - 2^y| is (p-1) |S(b) - 2^y/(p-1)|
+    max_scaled = max(abs(counts[b] * (p - 1) - (1 << y)) for b in range(1, p))
+    return float(Fraction(max_scaled * p * p, (p - 1) << y))
 
 
-def error_report(p: int, y: int) -> ErrorReport:
-    """Exact-rational worst-case error of the subset-product counts."""
+def error_report(p: int, y: int) -> float:
+    """`counts_error_report` of the subset-product counts S_y mod p."""
     if not 1 <= y < p:
         raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
     return counts_error_report(subset_product_counts(p, y))

@@ -176,6 +176,6 @@ def test_criterion_12_verify_determinism():
 def test_spectrum_sweep_parallel_smoke():
     # not a numbered criterion: the worker pool itself must produce the
     # same rows the serial path does
-    serial = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=200, workers=1)))
-    parallel = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=200, workers=4)))
+    serial = list(run_spectrum_sweep(3, 200, 1))
+    parallel = list(run_spectrum_sweep(3, 200, 4))
     assert serial == parallel

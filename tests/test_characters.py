@@ -194,23 +194,17 @@ def test_principal_char_sum_counts_units_exactly():
 
 
 def test_max_nonprincipal_sum_examples():
-    ctx5 = build_context(5)
-    _, mag = max_nonprincipal_sum(ctx5, 5)
-    assert mag == pytest.approx(0, abs=1e-9)
-    _, mag = max_nonprincipal_sum(build_context(3), 1)
-    assert mag == pytest.approx(1)
-    _, mag = max_nonprincipal_sum(build_context(101), 10)
-    assert mag <= polya_vinogradov_bound(101) < 46.5
+    assert max_nonprincipal_sum(build_context(5), 5) == pytest.approx(0, abs=1e-9)
+    assert max_nonprincipal_sum(build_context(3), 1) == pytest.approx(1)
+    assert max_nonprincipal_sum(build_context(101), 10) <= polya_vinogradov_bound(101) < 46.5
 
 
 def max_nonprincipal_sum_per_k(ctx, t):
-    """`max_nonprincipal_sum` as every k's sum, ties to the least k."""
-    best_k, best = 1, abs(char_sum(ctx, 1, t))
+    """`max_nonprincipal_sum` as every k's sum, one at a time."""
+    best = abs(char_sum(ctx, 1, t))
     for k in range(2, ctx.order):
-        mag = abs(char_sum(ctx, k, t))
-        if mag > best:
-            best, best_k = mag, k
-    return best_k, best
+        best = max(best, abs(char_sum(ctx, k, t)))
+    return best
 
 
 @settings(max_examples=60, deadline=None)
@@ -223,9 +217,9 @@ def test_max_nonprincipal_sum_equals_every_k_summed(p, data):
     ctx = build_context(p)
     t = p if data is None else data.draw(st.integers(1, 2 * p))
     assert max_nonprincipal_sum(ctx, t) == max_nonprincipal_sum_per_k(ctx, t)
-    # t = 0 mod p: every nonprincipal sum is 0, so the least k wins
+    # t = 0 mod p: every nonprincipal sum is 0
     for t in (p, 2 * p):
-        assert max_nonprincipal_sum(ctx, t) == (1, 0.0)
+        assert max_nonprincipal_sum(ctx, t) == 0.0
 
 
 def test_polya_vinogradov_scan_small():
@@ -246,7 +240,6 @@ def scan_by_value_table(ctx):
     roots = unit_roots(m)
     bound = characters.polya_vinogradov_bound(p)
     best_sq = -1.0
-    best_k = 0
     violations = 0
     bound_sq = bound * bound
     for k in range(1, m):
@@ -260,14 +253,11 @@ def scan_by_value_table(ctx):
             re += v.real
             im += v.imag
             sq = re * re + im * im
-            if sq > best_sq:
-                best_sq, best_k = sq, k
+            best_sq = max(best_sq, sq)
             past = past or sq > bound_sq
         violations += past
     return PartialSumScan(
-        p=p,
         max_magnitude=math.sqrt(best_sq) if best_sq > 0 else 0.0,
-        k_at_max=best_k,
         bound=bound,
         violations=violations,
     )
@@ -359,16 +349,19 @@ def root_of(sq):
 def test_polya_vinogradov_scan_equals_value_table_scan_at_drawn_bounds(p, at, data):
     # the scan sums most characters over half a period; a bound at a
     # fraction of the true maximum, or on one character's half-period or
-    # full maximum, sends characters near it through the full rescan, and
-    # the one with the full maximum checks the least-k tie rule
+    # full maximum, sends characters near it through the full rescan; the
+    # examples put the bound on the character with the full maximum
     ctx = build_context(p)
     m = ctx.order
-    unpatched = polya_vinogradov_scan(ctx)
     if at == "fraction":
         f = 0.9 if data is None else data.draw(st.floats(0.5, 1.05))
-        bound = f * unpatched.max_magnitude
+        bound = f * polya_vinogradov_scan(ctx).max_magnitude
     else:
-        k = unpatched.k_at_max if data is None else data.draw(st.integers(1, m - 1))
+        if data is None:
+            tops = max_sq_per_k(ctx)
+            k = tops.index(max(tops)) + 1
+        else:
+            k = data.draw(st.integers(1, m - 1))
         bound = root_of(largest_partial_sq(ctx, k, m // 2 if at == "half" else m))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(characters, "polya_vinogradov_bound", lambda p: bound)
@@ -775,7 +768,6 @@ def test_polya_vinogradov_verdicts_match_50_digit_arithmetic(monkeypatch):
             p, m = ctx.p, ctx.order
             tops = max_sq_per_k(ctx)
             best = max(tops)
-            assert scan.k_at_max == tops.index(best) + 1
             assert scan.max_magnitude == math.sqrt(best)
             exact = exact_unit_roots(m)
             e = max(max(abs(z.real - w.real), abs(z.imag - w.imag))

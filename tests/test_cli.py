@@ -94,8 +94,31 @@ def test_sweep_config_validation():
             SweepConfig(p_max=p_max).validate()
 
 
+def test_sweep_refuses_its_range_and_pool_at_the_call(monkeypatch):
+    # each refusal comes from the call, before a row is read: no prime is
+    # streamed and no worker forked.  A call that passes makes its stream
+    calls = []
+    monkeypatch.setattr(modcore, "iter_primes", lambda *args: calls.append(args))
+    if FORK:
+        monkeypatch.setattr(cli.os, "fork", lambda: calls.append("fork"))
+    cap = modcore.MAX_TABLE_PRIME
+    for args, message in (
+        ((2, 10), r"need 3 <= pmin <= pmax, got \[2, 10\]"),
+        ((11, 5, 2), r"need 3 <= pmin <= pmax, got \[11, 5\]"),
+        ((3, cap + 1, 2), f"pmax={cap + 1} exceeds the index-table cap {cap}"),
+        ((3, 10**30), f"pmax={10**30} exceeds the index-table cap {cap}"),
+        ((3, 100, 0), "workers must be >= 1"),
+        ((3, 100, -1), "workers must be >= 1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_spectrum_sweep(*args)
+    assert calls == []
+    run_spectrum_sweep(3, 100, 2)
+    assert calls == [(3, 100)]
+
+
 def test_spectrum_rows_small_range():
-    rows = list(run_spectrum_sweep(SweepConfig(p_min=5, p_max=7)))
+    rows = list(run_spectrum_sweep(5, 7))
     assert rows == [(5, 2, 2, 2, 4, None), (7, 3, 3, 3, 4, None)]
     text = "".join(spectrum_csv(rows))
     assert text.splitlines()[0] == "p,n2,g,G,y,yprime"
@@ -104,12 +127,12 @@ def test_spectrum_rows_small_range():
 
 
 def test_spectrum_single_prime():
-    rows = list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=3)))
+    rows = list(run_spectrum_sweep(3, 3))
     assert rows == [(3, 2, 2, 2, 2, 2)]
 
 
 def test_spectrum_empty_range_header_only():
-    rows = list(run_spectrum_sweep(SweepConfig(p_min=24, p_max=28)))
+    rows = list(run_spectrum_sweep(24, 28))
     assert rows == []
     assert "".join(spectrum_csv(rows)) == "p,n2,g,G,y,yprime\n"
 
@@ -126,8 +149,8 @@ def test_sweep_sieves_its_range_window_by_window(monkeypatch, window):
         assert list(modcore.iter_primes(lo, hi)) == modcore.primes_between(lo, hi)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
     for lo, hi in [(3, 600), straddle]:
-        serial = list(run_spectrum_sweep(SweepConfig(p_min=lo, p_max=hi)))
-        pooled = run_spectrum_sweep(SweepConfig(p_min=lo, p_max=hi, workers=2))
+        serial = list(run_spectrum_sweep(lo, hi))
+        pooled = run_spectrum_sweep(lo, hi, 2)
         assert list(pooled) == serial
         assert [row[0] for row in serial] == modcore.primes_between(lo, hi)
 
@@ -316,7 +339,7 @@ def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
         raise AssertionError(f"dense index table built at p={ctx.p}")
 
     monkeypatch.setattr(modcore.PrimeContext, "table", property(no_table))
-    assert len(list(run_spectrum_sweep(SweepConfig(p_min=3, p_max=2000)))) == 302
+    assert len(list(run_spectrum_sweep(3, 2000))) == 302
 
 
 def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
@@ -333,7 +356,7 @@ def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
         return sieve(lo, hi)
 
     monkeypatch.setattr(modcore, "primes_between", recording)
-    rows = run_spectrum_sweep(SweepConfig(p_min=1_000_000, p_max=1_000_200))
+    rows = run_spectrum_sweep(1_000_000, 1_000_200)
     assert [row[0] for row in rows] == list(sympy.primerange(1_000_000, 1_000_201))
     # the sweep's window, then only the base primes up to isqrt(p_max)
     assert windows[0] == (1_000_000, 1_000_200)
@@ -380,7 +403,7 @@ def test_spectrum_json_is_the_json_dumps_text(tmp_path, p_min, p_max):
     out = tmp_path / "spectrum.json"
     assert run_cli("spectrum", "--pmin", str(p_min), "--pmax", str(p_max),
                    "--format", "json", "--out", str(out)) == 0
-    rows = list(run_spectrum_sweep(SweepConfig(p_min=p_min, p_max=p_max)))
+    rows = list(run_spectrum_sweep(p_min, p_max))
     payload = {"schema_version": 1,
                "rows": [dict(zip(cli.SPECTRUM_COLUMNS, row)) for row in rows]}
     assert out.read_bytes().decode() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -721,7 +744,8 @@ def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, ca
                                                             tmp_path):
     # no row is made, no worker forked, no check run and no fold started: the
     # spies record every call, and nothing is written into the directory.  A
-    # path in a directory that does not exist is refused the same way.
+    # path in a directory that does not exist is refused the same way, and so
+    # is an empty path, which names no file.
     calls = []
 
     def spy(real):
@@ -734,7 +758,8 @@ def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, ca
         monkeypatch.setattr(cli.os, "fork", spy(os.fork))
     missing = str(tmp_path / "missing" / "r.json")
     for target, refusal in ((str(tmp_path), "is a directory"),
-                            (missing, "is not in an existing directory")):
+                            (missing, "is not in an existing directory"),
+                            ("", "names no file")):
         assert run_cli(*argv, "--out", target) == 2
         out, err = capsys.readouterr()
         assert out == "" and calls == [] and os.listdir(tmp_path) == []
@@ -823,8 +848,8 @@ def test_theorem_error_one_fold_per_prime(monkeypatch):
     assert folds == [(101, [4, 16]), (211, [4, 25]), (401, [5, 37]), (1009, [6, 64])]
     assert shrinks.status == "PASS"
     for p, row in report.metrics.items():
-        assert row["ratio"] == subsetprod.error_report(int(p), row["y"]).normalized_ratio
-        assert row["ratio_small"] == subsetprod.error_report(int(p), row["y_small"]).normalized_ratio
+        assert row["ratio"] == subsetprod.error_report(int(p), row["y"])
+        assert row["ratio_small"] == subsetprod.error_report(int(p), row["y_small"])
 
 
 def test_theorem_error_passes_a_level_ratio(tmp_path):
@@ -852,27 +877,27 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
             forks.append(pid)
         return pid
 
-    def sweep(config):
+    def sweep(p_min, p_max, workers):
         forks.clear()
-        rows = list(run_spectrum_sweep(config))
+        rows = list(run_spectrum_sweep(p_min, p_max, workers))
         if forks:
             sizes.append(len(forks))
         return rows
 
     monkeypatch.setattr(cli.os, "fork", counting_fork)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    serial = sweep(SweepConfig(p_min=3, p_max=100, workers=1))
-    assert sweep(SweepConfig(p_min=3, p_max=100, workers=10**6)) == serial
-    assert sweep(SweepConfig(p_min=3, p_max=7, workers=64)) == serial[:3]
-    sweep(SweepConfig(p_min=3, p_max=3, workers=8))  # one prime: serial
+    serial = sweep(3, 100, 1)
+    assert sweep(3, 100, 10**6) == serial
+    assert sweep(3, 7, 64) == serial[:3]
+    sweep(3, 3, 8)  # one prime: serial
     assert sizes == [4, 3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    sweep(SweepConfig(p_min=3, p_max=100, workers=8))
+    sweep(3, 100, 8)
     assert sizes == [4, 3]
     # without os.fork the rows are made in-process
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.delattr(cli.os, "fork")
-    assert sweep(SweepConfig(p_min=3, p_max=100, workers=8)) == serial
+    assert sweep(3, 100, 8) == serial
     assert sizes == [4, 3]
 
 
@@ -1122,12 +1147,11 @@ def _context_with_tables():
         (lambda: characters.polya_vinogradov_scan(modcore.build_context(31)),
          ("max_magnitude", "violations")),
         (lambda: subsetprod.subset_product_counts(31, 6), ("p", "counts")),
-        (lambda: subsetprod.error_report(31, 6), ("y", "max_abs_error")),
         (lambda: subsetprod.CoverageState(modcore.build_context(31), 1), ("ctx", "mask")),
         (lambda: friable.greedy_k_factorization(30, 10, 2), ("n", "factors")),
         (_context_with_tables, ("p", "order", "ind", "table")),
     ],
-    ids=["PartialSumScan", "SubsetProductCounts", "ErrorReport", "CoverageState",
+    ids=["PartialSumScan", "SubsetProductCounts", "CoverageState",
          "FactorizationResult", "PrimeContext"],
 )
 def test_frozen_records_refuse_assignment(make, fields):

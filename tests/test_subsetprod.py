@@ -55,6 +55,18 @@ def residue_walk_counts(p, elements, start=None):
     return tuple(counts)
 
 
+def residues(state):
+    """The residues a coverage state reaches, ascending: those whose index
+    bit is set in its mask."""
+    ind = state.ctx.table
+    return [r for r in range(1, state.ctx.p) if state.mask >> ind[r] & 1]
+
+
+def reached(dp):
+    """The residues b >= 1 with S_y(b) > 0, ascending."""
+    return [b for b in range(1, dp.p) if dp.counts[b] > 0]
+
+
 def reach(ctx, elements):
     """Coverage after consuming the elements in order."""
     state = CoverageState(ctx, 1)
@@ -68,19 +80,19 @@ def reach(ctx, elements):
 
 def test_coverage_consume_examples():
     ctx5 = build_context(5)
-    assert CoverageState(ctx5, 1).residues() == [1]
-    assert reach(ctx5, [1]).residues() == [1]
+    assert residues(CoverageState(ctx5, 1)) == [1]
+    assert residues(reach(ctx5, [1])) == [1]
 
     s = reach(ctx5, [2, 3])
-    assert s.residues() == [1, 2, 3]
-    assert coverage_consume(s, 4).residues() == [1, 2, 3, 4]
+    assert residues(s) == [1, 2, 3]
+    assert residues(coverage_consume(s, 4)) == [1, 2, 3, 4]
 
     ctx7 = build_context(7)
     s = reach(ctx7, [2, 3])
-    assert s.residues() == [1, 2, 3, 6]
-    assert coverage_consume(s, 4).residues() == [1, 2, 3, 4, 5, 6]
+    assert residues(s) == [1, 2, 3, 6]
+    assert residues(coverage_consume(s, 4)) == [1, 2, 3, 4, 5, 6]
     # cross-check: exhaustive enumeration over subsets of {2,3,4}
-    assert set(coverage_consume(s, 4).residues()) == brute_reachable(7, [2, 3, 4])
+    assert set(residues(coverage_consume(s, 4))) == brute_reachable(7, [2, 3, 4])
 
 
 def test_coverage_rejects_multiples():
@@ -98,17 +110,17 @@ def test_coverage_matches_brute_enumeration():
         for y in range(1, 13):
             if y % p != 0:  # callers skip multiples of p
                 state = coverage_consume(state, y)
-            assert set(state.residues()) == brute_reachable(p, range(1, y + 1))
+            assert set(residues(state)) == brute_reachable(p, range(1, y + 1))
             assert state.mask & 1  # the empty product
 
 
 def test_coverage_monotone():
     ctx = build_context(101)
     state = CoverageState(ctx, 1)
-    prev = set(state.residues())
+    prev = set(residues(state))
     for n in range(1, 40):
         state = coverage_consume(state, n)
-        cur = set(state.residues())
+        cur = set(residues(state))
         assert prev <= cur
         prev = cur
 
@@ -173,7 +185,7 @@ def test_y_prime_at_least_y():
         for v in range(1, p):
             if v in primes:
                 state = coverage_consume(state, v)
-            if state.covered:
+            if state.mask == ctx.full_mask:
                 yp = v
                 break
         assert prime_coverage_threshold(ctx) == yp
@@ -482,7 +494,7 @@ def test_counts_reached_equals_coverage(p, data):
     for n in range(1, y + 1):
         if n % p:  # multiples of p only add products divisible by p
             state = coverage_consume(state, n)
-    assert subset_product_counts(p, y).reached() == state.residues()
+    assert reached(subset_product_counts(p, y)) == residues(state)
 
 
 def test_counts_mass_conservation():
@@ -510,7 +522,7 @@ def test_positivity_boundary_matches_coverage():
         at = subset_product_counts(p, threshold)
         assert min(below.counts[1:]) == 0
         assert min(at.counts[1:]) > 0
-        assert at.reached() == list(range(1, p))
+        assert reached(at) == list(range(1, p))
 
 
 @settings(max_examples=21, deadline=None)
@@ -589,25 +601,17 @@ def test_counts_via_characters_precision_guard():
 
 
 def test_error_report_examples():
-    rep = error_report(5, 3)
-    assert rep.main_term == Fraction(8, 4)
-    assert rep.max_abs_error == Fraction(2)
-    assert rep.normalized_ratio == 6.25
-
-    rep = error_report(3, 2)
-    assert rep.max_abs_error == 0
-    assert rep.normalized_ratio == 0.0
-
-    rep = error_report(101, 60)
-    assert 0 < rep.normalized_ratio < 1
+    # S_3(b) mod 5 is 4, 2, 2, 0 for b = 1..4, about the mean 2^3/4 = 2: the
+    # worst error is 2, so the ratio is 2 * 5^2 / 2^3
+    assert error_report(5, 3) == 6.25
+    assert error_report(3, 2) == 0.0
+    assert 0 < error_report(101, 60) < 1
 
 
 def test_error_report_recomputable():
-    rep = error_report(13, 9)
     counts = subset_product_counts(13, 9).counts
     worst = max(abs(Fraction(c) - Fraction(2**9, 12)) for c in counts[1:])
-    assert rep.max_abs_error == worst
-    assert rep.normalized_ratio == float(worst * 13 * 13 / 2**9)
+    assert error_report(13, 9) == float(worst * 13 * 13 / 2**9)
     with pytest.raises(ValueError, match="need 1 <= y < p, got y=13, p=13"):
         error_report(13, 13)
 

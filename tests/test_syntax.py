@@ -1,12 +1,15 @@
 """Every source and test file parses as Python 3.10, the oldest version
 that pyproject.toml's requires-python admits, every exception class of
-the package is one that some code catches, and every module-level name of
-the package is one that some other code in it reads."""
+the package is one that some code catches, every module-level name of the
+package is one that some other code in it reads, and so is every method
+and property of its classes."""
 
 import ast
 import builtins
+import importlib
 import importlib.util
 import pathlib
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -97,4 +100,41 @@ def test_every_helper_has_a_caller_in_src():
                 continue
             if not any(name in read for _, other, read in statements if other is not statement):
                 unread.append(f"{module}.{name}")
+    assert not unread, unread
+
+
+def _attribute_reads(node):
+    """The attribute names (x.name) that the code under node reads."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def test_every_class_member_is_read_in_src():
+    # a method or property that only tests read is dead code to the program.
+    # Only reads as an attribute count, since a bare name that happens to
+    # match (a local variable) does not call the member; a read inside the
+    # member's own definition does not count either.  Dunders and overrides
+    # of a base class's attribute are spared: Python or the base class calls
+    # them.  NamedTuple fields are left out, since a positional unpack
+    # (ctx, mask = state) reads them without naming them
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted((ROOT / "src" / "subproducts").glob("*.py"))}
+    reads = sum(map(_attribute_reads, modules.values()), Counter())
+    unread = []
+    for stem, tree in modules.items():
+        module = importlib.import_module(f"subproducts.{stem}")
+        classes = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        # module-level, so that each class and its bases can be looked up
+        assert all(node in tree.body for node in classes), stem
+        for node in classes:
+            bases = getattr(module, node.name).__mro__[1:]
+            for member in node.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("__") and name.endswith("__") or any(
+                        hasattr(base, name) for base in bases):
+                    continue
+                if reads[name] == _attribute_reads(member)[name]:
+                    unread.append(f"{stem}.{node.name}.{name}")
     assert not unread, unread
