@@ -262,15 +262,13 @@ def near_one_cutoff(delta: float, m: int) -> int:
     return num * m // den
 
 
-def near_one_exceptions(
-    ctx: PrimeContext, k: int, y: int, delta: float
-) -> tuple[int, list[int]]:
-    """Count (and list) n <= y with |chi_k(n) - 1| > delta.
+def near_one_exceptions(ctx: PrimeContext, k: int, y: int, delta: float) -> list[int]:
+    """The n <= y with |chi_k(n) - 1| > delta, in ascending order.
 
     Decided by comparing the exact angle, in units of 1/m turn, against
     the integer `near_one_cutoff`, so no complex arithmetic enters the
     test.  Multiples of p (character value 0, distance 1 from 1) are
-    counted as exceptions.
+    listed as exceptions.
     """
     m = ctx.order
     cutoff = near_one_cutoff(delta, m)  # a bad delta is refused first
@@ -281,11 +279,10 @@ def near_one_exceptions(
     p = ctx.p
     ind = ctx.table
     # min(t, m - t) > cutoff, for t = k ind(r) mod m in [0, m)
-    members = [
+    return [
         n for n in range(1, y + 1)
         if (r := n % p) == 0 or cutoff < k * ind[r] % m < m - cutoff
     ]
-    return len(members), members
 
 
 def circle_lemma_bound(k_count: int, delta: float) -> float:

@@ -423,7 +423,7 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
         delta = rng.uniform(0.05, 1.999 * math.sin(math.pi / (2 * k_count)))
         bound = characters.circle_lemma_bound(k_count, delta)
         kchar = rng.randrange(1, m)
-        _, far = characters.near_one_exceptions(ctx, kchar, ctx.p - 1, delta)
+        far = characters.near_one_exceptions(ctx, kchar, ctx.p - 1, delta)
         pool = sorted(set(range(1, ctx.p)).difference(far))
         prod = 1
         for _ in range(k_count):
@@ -480,8 +480,8 @@ def check_lemma_near_one(p_cap: int) -> CheckRecord:
             if characters.log_product_one_plus_chi(ctx, k, y) > log_thresh:
                 hits = 1 if 2 * k == m else 2
                 hypothesis_hits += hits
-                count, _ = characters.near_one_exceptions(ctx, k, y, 1 / math.log(p))
-                if count >= limit:
+                far = characters.near_one_exceptions(ctx, k, y, 1 / math.log(p))
+                if len(far) >= limit:
                     violations += hits
     return CheckRecord(
         name="lemma_near_one_scan",
@@ -556,8 +556,8 @@ def check_kway_random(seed: int, instances: int = 10_000) -> CheckRecord:
     failures = 0
     for _ in range(instances):
         n, y, k = _random_kway_instance(rng)
-        res = friable.greedy_k_factorization(n, y, k)
-        if len(res.factors) != k or any(f > y for f in res.factors):
+        factors = friable.greedy_k_factorization(n, y, k)
+        if len(factors) != k or any(f > y for f in factors):
             failures += 1
     return CheckRecord(
         name="kway_random_harness",
@@ -600,16 +600,16 @@ def check_ranged_random(seed: int, instances: int = 10_000) -> CheckRecord:
         n, y, k, eps = _random_ranged_instance(rng)
         a, b = eps.numerator, eps.denominator
         try:
-            res = friable.ranged_factorization(n, y, k, eps)
+            factors = friable.ranged_factorization(n, y, k, eps)
         except friable.InternalContradictionError:
             contradictions += 1
             continue
-        ell = len(res.factors)
+        ell = len(factors)
         small_bound = y**a
         ok = (
             2 * ell > k
             and ell <= k
-            and all(f <= y and f**b > small_bound for f in res.factors)
+            and all(f <= y and f**b > small_bound for f in factors)
         )
         if not ok:
             failures += 1
@@ -964,18 +964,18 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
             f"the cap of {MAX_FACTORIZE_POWER_BITS} bits"
         )
     if args.mode == "kway":
-        res = friable.greedy_k_factorization(args.n, args.y, k)
+        factors = friable.greedy_k_factorization(args.n, args.y, k)
     elif args.mode == "ranged":
-        res = friable.ranged_factorization(args.n, args.y, k, eps)
+        factors = friable.ranged_factorization(args.n, args.y, k, eps)
     else:
-        res = friable.three_way_factorization(args.n, args.y, eps)
+        factors = friable.three_way_factorization(args.n, args.y, eps)
     emit_record(args, {
-        "n": res.n,
-        "y": res.y,
-        "k": res.k,
-        "epsilon": None if res.epsilon is None else str(res.epsilon),
-        "mode": res.mode,
-        "factors": list(res.factors),
+        "n": args.n,
+        "y": args.y,
+        "k": k,
+        "epsilon": None if args.mode == "kway" else str(eps),
+        "mode": args.mode.upper(),
+        "factors": list(factors),
     })
     return 0
 

@@ -14,7 +14,6 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .modcore import divisors, iroot, prime_factors_desc, primes_between
 
@@ -76,32 +75,12 @@ def psi_asymptotic(t: int, y: int) -> float:
     return t * (1.0 - math.log(math.log(t) / math.log(y)))
 
 
-class _Factorization(NamedTuple):
-    n: int
-    factors: tuple[int, ...]
-    y: int
-    k: int
-    epsilon: Fraction | None
-    mode: str
-
-
-class FactorizationResult(_Factorization):
-    """An ordered bounded-part factorization together with its parameters,
-    checked at construction: the factors multiply to n.
-
-    mode KWAY: exactly k factors, each <= y.
-    mode RANGED: ell factors with k/2 < ell <= k, each in (y^epsilon, y].
-    mode THREEWAY: exactly 3 factors, each 1 or in (y^epsilon, y].
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, n, factors, y, k, epsilon, mode) -> FactorizationResult:
-        if math.prod(factors) != n:
-            raise InternalContradictionError(
-                f"factors {factors} do not multiply to {n}"
-            )
-        return super().__new__(cls, n, factors, y, k, epsilon, mode)
+def _checked(n: int, parts: list[int]) -> tuple[int, ...]:
+    """The factors, as a tuple, once they are checked to multiply to n."""
+    factors = tuple(parts)
+    if math.prod(factors) != n:
+        raise InternalContradictionError(f"factors {factors} do not multiply to {n}")
+    return factors
 
 
 def _greedy_fill(primes_desc: list[int], buckets_n: int, bound: int) -> list[int] | None:
@@ -121,7 +100,7 @@ def _greedy_fill(primes_desc: list[int], buckets_n: int, bound: int) -> list[int
     return buckets
 
 
-def greedy_k_factorization(n: int, y: int, k: int) -> FactorizationResult:
+def greedy_k_factorization(n: int, y: int, k: int) -> tuple[int, ...]:
     """Split a y-friable n <= y^((k+1)/2) into exactly k factors, each <= y.
 
     Primes go largest-first into the lowest-indexed bucket whose value v
@@ -140,9 +119,7 @@ def greedy_k_factorization(n: int, y: int, k: int) -> FactorizationResult:
         raise InternalContradictionError(
             f"greedy assignment stuck for n={n}, y={y}, k={k} within the size bound"
         )
-    return FactorizationResult(
-        n=n, factors=tuple(buckets), y=y, k=k, epsilon=None, mode="KWAY"
-    )
+    return _checked(n, buckets)
 
 
 def _epsilon_ratio(epsilon: int | Fraction) -> tuple[int, int]:
@@ -179,7 +156,7 @@ def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
     )
 
 
-def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult:
+def ranged_factorization(n: int, y: int, k: int, epsilon) -> tuple[int, ...]:
     """Split n into ell factors, k/2 < ell <= k, each in (y^epsilon, y].
 
     Hypotheses (decided exactly): epsilon an int or a Fraction (else
@@ -265,19 +242,14 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> FactorizationResult
     )
     if not ok:
         raise give_up(f"invalid split {parts}")
-    return FactorizationResult(
-        n=n, factors=tuple(parts), y=y, k=k, epsilon=epsilon, mode="RANGED"
-    )
+    return _checked(n, parts)
 
 
-def three_way_factorization(n: int, y: int, epsilon) -> FactorizationResult:
+def three_way_factorization(n: int, y: int, epsilon) -> tuple[int, ...]:
     """Split n with y^(3/2+eps) < n < y^2 into (c1, c2, c3), each factor
     either 1 or in (y^epsilon, y]; requires 0 < epsilon < 1/5."""
-    res = ranged_factorization(n, y, 3, epsilon)
-    factors = res.factors + (1,) * (3 - len(res.factors))
-    return FactorizationResult(
-        n=n, factors=factors, y=y, k=3, epsilon=res.epsilon, mode="THREEWAY"
-    )
+    factors = ranged_factorization(n, y, 3, epsilon)
+    return factors + (1,) * (3 - len(factors))
 
 
 def _splits(n: int, parts: list[int], fewest: int, most: int) -> bool:

@@ -322,16 +322,33 @@ def test_coverage_cli_huge_ymax_is_fast(tmp_path):
     assert read(out).splitlines()[1] == f"7,7,7,{10**12},"
 
 
-def test_factorize_cli(tmp_path):
-    out = tmp_path / "fact.json"
-    assert run_cli(
-        "factorize", "--n", "60", "--y", "10", "--k", "3",
-        "--epsilon", "19/100", "--mode", "ranged", "--format", "json",
-        "--out", str(out),
-    ) == 0
-    payload = json.loads(read(out))
-    assert payload["factors"] == [5, 6, 2]
-    assert payload["mode"] == "RANGED"
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, record, row",
+    [
+        # kway reads no epsilon: null in JSON, an empty CSV cell
+        (["--n", "30", "--y", "10", "--k", "2", "--mode", "kway"],
+         {"n": 30, "y": 10, "k": 2, "epsilon": None, "mode": "KWAY", "factors": [10, 3]},
+         "30,10,2,,KWAY,10 3"),
+        (["--n", "60", "--y", "10", "--k", "3", "--epsilon", "19/100", "--mode", "ranged"],
+         {"n": 60, "y": 10, "k": 3, "epsilon": "19/100", "mode": "RANGED",
+          "factors": [5, 6, 2]},
+         "60,10,3,19/100,RANGED,5 6 2"),
+        # threeway's k is 3, and a two-factor split is padded with a 1
+        (["--n", "3721", "--y", "100", "--epsilon", "1/10", "--mode", "threeway"],
+         {"n": 3721, "y": 100, "k": 3, "epsilon": "1/10", "mode": "THREEWAY",
+          "factors": [61, 61, 1]},
+         "3721,100,3,1/10,THREEWAY,61 61 1"),
+    ],
+    ids=["kway", "ranged", "threeway"],
+)
+def test_factorize_cli(tmp_path, argv, record, row, fmt):
+    out = tmp_path / f"fact.{fmt}"
+    assert run_cli("factorize", *argv, "--format", fmt, "--out", str(out)) == 0
+    if fmt == "json":
+        assert json.loads(read(out)) == {**record, "schema_version": 1}
+    else:
+        assert read(out) == f"{','.join(record)}\n{row}\n"
 
 
 def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
@@ -946,7 +963,10 @@ def test_fork_map_raises_a_worker_exception_as_in_process(workers, monkeypatch):
 
 def _start_pooled_sweep(out):
     """`spectrum --pmax 200000 --workers 2 --out out` in a new session, and
-    the pids of its two workers once both have started."""
+    the pids of its two workers once both have started.  The sweep gets
+    SIGINT's default action, as a shell gives a foreground job, even when
+    the tests run with SIGINT ignored (a program keeps an inherited
+    SIG_IGN, so it would ignore the test's SIGINT too)."""
     src = os.path.dirname(os.path.dirname(subproducts.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.Popen(
@@ -957,6 +977,7 @@ def _start_pooled_sweep(out):
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         start_new_session=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
     )
     deadline = time.monotonic() + 30
     while time.monotonic() < deadline and proc.poll() is None:
@@ -1148,11 +1169,9 @@ def _context_with_tables():
          ("max_magnitude", "violations")),
         (lambda: subsetprod.subset_product_counts(31, 6), ("p", "counts")),
         (lambda: subsetprod.CoverageState(modcore.build_context(31), 1), ("ctx", "mask")),
-        (lambda: friable.greedy_k_factorization(30, 10, 2), ("n", "factors")),
         (_context_with_tables, ("p", "order", "ind", "table")),
     ],
-    ids=["PartialSumScan", "SubsetProductCounts", "CoverageState",
-         "FactorizationResult", "PrimeContext"],
+    ids=["PartialSumScan", "SubsetProductCounts", "CoverageState", "PrimeContext"],
 )
 def test_frozen_records_refuse_assignment(make, fields):
     record = make()

@@ -14,7 +14,6 @@ from subproducts.friable import (
     BoundViolatedError,
     HypothesisViolatedError,
     InternalContradictionError,
-    FactorizationResult,
     greedy_k_factorization,
     kway_feasible,
     largest_prime_factor,
@@ -117,12 +116,9 @@ def test_psi_asymptotic_examples():
 
 
 def test_greedy_examples():
-    res = greedy_k_factorization(30, 10, 2)
-    assert res.factors == (10, 3)  # 5 -> b1; 3 -> b2 (15 > 10); 2 -> b1
-    assert res.mode == "KWAY"
-
-    res = greedy_k_factorization(1, 10, 3)
-    assert res.factors == (1, 1, 1)
+    # 5 -> b1; 3 -> b2 (15 > 10); 2 -> b1
+    assert greedy_k_factorization(30, 10, 2) == (10, 3)
+    assert greedy_k_factorization(1, 10, 3) == (1, 1, 1)
 
     with pytest.raises(BoundViolatedError):
         greedy_k_factorization(125, 10, 2)  # 125^2 > 10^3
@@ -138,11 +134,11 @@ def test_greedy_random_harness():
     rng = random.Random(17)
     for _ in range(2000):
         n, y, k = _random_kway_instance(rng)
-        res = greedy_k_factorization(n, y, k)
-        assert len(res.factors) == k
-        assert all(1 <= f <= y for f in res.factors)
+        factors = greedy_k_factorization(n, y, k)
+        assert len(factors) == k
+        assert all(1 <= f <= y for f in factors)
         prod = 1
-        for f in res.factors:
+        for f in factors:
             prod *= f
         assert prod == n
 
@@ -169,12 +165,12 @@ def test_kway_feasible_positive_cases():
 # --- ranged factorization ----------------------------------------------------
 
 
-def check_ranged_invariants(res, n, y, k, eps):
+def check_ranged_invariants(factors, n, y, k, eps):
     a, b = eps.numerator, eps.denominator
-    ell = len(res.factors)
+    ell = len(factors)
     assert 2 * ell > k and ell <= k
     prod = 1
-    for f in res.factors:
+    for f in factors:
         assert f <= y and f**b > y**a
         prod *= f
     assert prod == n
@@ -182,23 +178,23 @@ def check_ranged_invariants(res, n, y, k, eps):
 
 def test_ranged_example_trace():
     # greedy 4-way against 10^0.81 gives (5, 6, 2, 1); merging 1*2 = 2
-    res = ranged_factorization(60, 10, 3, Fraction(19, 100))
-    assert res.factors == (5, 6, 2)
-    check_ranged_invariants(res, 60, 10, 3, Fraction(19, 100))
+    factors = ranged_factorization(60, 10, 3, Fraction(19, 100))
+    assert factors == (5, 6, 2)
+    check_ranged_invariants(factors, 60, 10, 3, Fraction(19, 100))
 
 
 def test_ranged_primes_already_fit():
     # all prime factors inside (y^eps, y] and count in (k/2, k]
-    res = ranged_factorization(7 * 9, 10, 3, Fraction(19, 100))
-    check_ranged_invariants(res, 63, 10, 3, Fraction(19, 100))
+    factors = ranged_factorization(7 * 9, 10, 3, Fraction(19, 100))
+    check_ranged_invariants(factors, 63, 10, 3, Fraction(19, 100))
 
 
 def test_ranged_merged_factor_needs_pairing():
     # greedy leaves (41, 41, 2, 1); the merged factor 2 falls at or below
     # y^eps and must be paired with a partner <= y^(1-eps)
-    res = ranged_factorization(2 * 41 * 41, 100, 3, Fraction(19, 100))
-    assert res.factors == (82, 41)
-    check_ranged_invariants(res, 3362, 100, 3, Fraction(19, 100))
+    factors = ranged_factorization(2 * 41 * 41, 100, 3, Fraction(19, 100))
+    assert factors == (82, 41)
+    check_ranged_invariants(factors, 3362, 100, 3, Fraction(19, 100))
 
 
 @settings(max_examples=60, deadline=None)
@@ -300,8 +296,8 @@ def test_ranged_random_harness():
     rng = random.Random(23)
     for _ in range(2000):
         n, y, k, eps = _random_ranged_instance(rng)
-        res = ranged_factorization(n, y, k, eps)
-        check_ranged_invariants(res, n, y, k, eps)
+        factors = ranged_factorization(n, y, k, eps)
+        check_ranged_invariants(factors, n, y, k, eps)
 
 
 def test_ranged_feasible_oracle_positive():
@@ -369,7 +365,7 @@ def factorization_batch(seed, draws=1500):
                 ("threeway", lambda: three_way_factorization(n, y, eps)),
             ):
                 try:
-                    out = call().factors
+                    out = call()
                 except (ValueError, InternalContradictionError) as exc:
                     out = f"{type(exc).__name__}: {exc}"
                 lines.append(f"{mode} {n} {y} {k} {eps} {out}")
@@ -392,13 +388,10 @@ def test_factorization_batch_is_pinned():
 
 
 def test_three_way_examples():
-    res = three_way_factorization(60, 10, Fraction(19, 100))
-    assert res.factors == (5, 6, 2)
-    assert res.mode == "THREEWAY"
-
-    res = three_way_factorization(61 * 61, 100, Fraction(1, 10))
-    assert len(res.factors) == 3
-    assert sorted(res.factors) == [1, 61, 61]
+    assert three_way_factorization(60, 10, Fraction(19, 100)) == (5, 6, 2)
+    factors = three_way_factorization(61 * 61, 100, Fraction(1, 10))
+    assert len(factors) == 3
+    assert sorted(factors) == [1, 61, 61]
 
     with pytest.raises(HypothesisViolatedError):
         three_way_factorization(100 * 100, 100, Fraction(19, 100))  # n = y^2
@@ -409,8 +402,11 @@ def test_three_way_epsilon_cap():
         three_way_factorization(60, 10, Fraction(21, 100))  # 0.21 > 1/5
 
 
-def test_factorization_result_product_check():
-    with pytest.raises(InternalContradictionError):
-        FactorizationResult(
-            n=30, factors=(5, 5), y=10, k=2, epsilon=None, mode="KWAY"
-        )
+def test_factorization_result_product_check(monkeypatch):
+    import subproducts.friable as friable
+
+    # buckets that each fit under y but multiply to 25, not 30
+    monkeypatch.setattr(friable, "_greedy_fill", lambda primes, buckets_n, bound: [5, 5])
+    with pytest.raises(InternalContradictionError,
+                       match=r"^factors \(5, 5\) do not multiply to 30$"):
+        greedy_k_factorization(30, 10, 2)
