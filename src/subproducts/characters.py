@@ -303,7 +303,7 @@ def circle_lemma_bound(k_count: int, delta: float) -> float:
     return math.cos(theta)
 
 
-def z_lemma_failures(angle: Fraction | None, deltas: Iterable[float]) -> int:
+def z_lemma_check(angle: Fraction | None, deltas: Iterable[float]) -> int:
     """Count the deltas for which |z-1| >= delta but |1+z| > 2 e^{-delta^2/8}.
 
     z is encoded by its angle in turns (|z| = 1) or None (z = 0).  Both
@@ -321,12 +321,3 @@ def z_lemma_failures(angle: Fraction | None, deltas: Iterable[float]) -> int:
         1 for delta in deltas
         if not dist < delta and not one_plus <= 2.0 * math.exp(-delta * delta / 8.0)
     )
-
-
-def z_lemma_check(angle: Fraction | None, delta: float) -> bool:
-    """Check |1+z| <= 2 e^{-delta^2/8} whenever |z-1| >= delta.
-
-    Returns True when the implication holds for this pair, including
-    vacuously: `z_lemma_failures` of the one delta.
-    """
-    return not z_lemma_failures(angle, (delta,))

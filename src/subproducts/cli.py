@@ -385,7 +385,7 @@ def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
         y_small = subsetprod.theorem_y(p, QUARTER)
         ctx = modcore.build_context(p)
         ratio = {
-            dp.y: subsetprod.counts_error_report(dp)
+            dp.y: subsetprod.error_report(dp)
             for dp in subsetprod.subset_product_prefixes(ctx, (y_small, y_main))
         }
         r_main, r_small = ratio[y_main], ratio[y_small]
@@ -453,7 +453,7 @@ def check_lemma_z_grid(angles: int = 1000, deltas: int = 100) -> CheckRecord:
     from . import characters
     grid = [2.0 * j / (deltas + 1) for j in range(1, deltas + 1)]
     failures = sum(
-        characters.z_lemma_failures(None if i == 0 else Fraction(i, angles), grid)
+        characters.z_lemma_check(None if i == 0 else Fraction(i, angles), grid)
         for i in range(angles)
     )
     return CheckRecord(
@@ -690,7 +690,7 @@ def check_friable_count() -> CheckRecord:
     for y in (50, 100, 200):
         local = 0.0
         ts = [y + round(i * (y * y - y) / 19) for i in range(20)]
-        for t, exact in zip(ts, friable.psi_prefixes(ts, y)):
+        for t, exact in zip(ts, friable.psi_exact(ts, y)):
             approx = friable.psi_asymptotic(t, y)
             ratio = abs(exact - approx) / (t / math.log(t))
             local = max(local, ratio)
@@ -887,7 +887,7 @@ def parse_fraction(text: str) -> Fraction:
     try:
         value = Fraction(text)
     except ZeroDivisionError as exc:
-        raise ValueError(str(exc)) from exc
+        raise ValueError("zero denominator") from exc
     if max(abs(value.numerator), value.denominator) > MAX_FRACTION_TERM:
         raise ValueError(f"numerator or denominator above {MAX_FRACTION_TERM}")
     return value

@@ -37,7 +37,7 @@ def largest_prime_factor(n: int) -> int:
     return max(prime_factors_desc(n), default=1)
 
 
-def psi_prefixes(ts: Sequence[int], y: int) -> list[int]:
+def psi_exact(ts: Sequence[int], y: int) -> list[int]:
     """Psi(t, y), the number of y-friable integers in [1, t], for each t of ts.
 
     Psi(t, y) is t less the n <= t that some prime q in (y, max(ts)]
@@ -54,12 +54,6 @@ def psi_prefixes(ts: Sequence[int], y: int) -> list[int]:
     for q in primes_between(y + 1, top):
         rough[q::q] = b"\x01" * (top // q)
     return [t - rough.count(1, 0, t + 1) for t in ts]
-
-
-def psi_exact(t: int, y: int) -> int:
-    """Number of y-friable integers in [1, t]."""
-    (psi,) = psi_prefixes([t], y)
-    return psi
 
 
 def psi_asymptotic(t: int, y: int) -> float:

@@ -368,7 +368,7 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
     return out
 
 
-def counts_error_report(dp: SubsetProductCounts) -> float:
+def error_report(dp: SubsetProductCounts) -> float:
     """The normalized worst-case error max_b |S_y(b) - 2^y/(p-1)| * p^2 / 2^y
     of one snapshot of the counts: one exact rational, converted to float
     once."""
@@ -378,13 +378,6 @@ def counts_error_report(dp: SubsetProductCounts) -> float:
     # compare over integers: |S(b) (p-1) - 2^y| is (p-1) |S(b) - 2^y/(p-1)|
     max_scaled = max(abs(counts[b] * (p - 1) - (1 << y)) for b in range(1, p))
     return float(Fraction(max_scaled * p * p, (p - 1) << y))
-
-
-def error_report(p: int, y: int) -> float:
-    """`counts_error_report` of the subset-product counts S_y mod p."""
-    if not 1 <= y < p:
-        raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
-    return counts_error_report(subset_product_counts(p, y))
 
 
 def theorem_y(p: int, exponent: Fraction = Fraction(3, 5)) -> int:

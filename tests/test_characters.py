@@ -25,7 +25,6 @@ from subproducts.characters import (
     polya_vinogradov_scan,
     unit_roots,
     z_lemma_check,
-    z_lemma_failures,
 )
 from subproducts.cli import (
     SweepConfig,
@@ -549,13 +548,13 @@ def test_circle_check_verdicts_match_50_digit_arithmetic(monkeypatch):
 
 
 def test_z_lemma_examples():
-    assert z_lemma_check(Fraction(1, 2), 2.0)  # z = -1: |1+z| = 0
-    assert z_lemma_check(None, 1.0)  # 1 <= 2 e^{-1/8} ~ 1.765
-    assert z_lemma_check(Fraction(0), 0.5)  # hypothesis fails, vacuous
+    assert z_lemma_check(Fraction(1, 2), [2.0]) == 0  # z = -1: |1+z| = 0
+    assert z_lemma_check(None, [1.0]) == 0  # 1 <= 2 e^{-1/8} ~ 1.765
+    assert z_lemma_check(Fraction(0), [0.5]) == 0  # hypothesis fails, vacuous
 
 
 def z_lemma_verdict(angle, delta):
-    """`z_lemma_check` as first written, one (angle, delta) pair at a time."""
+    """The z-lemma verdict as first written, one (angle, delta) pair at a time."""
     bound = 2.0 * math.exp(-delta * delta / 8.0)
     if angle is None:
         return True if 1.0 < delta else 1.0 <= bound
@@ -583,17 +582,17 @@ Z_GRID = Z_DELTAS + [2.0 * j / 101 for j in range(1, 101)]
 @example(angle=Fraction(1, 3), deltas=Z_GRID)
 def test_z_lemma_failures_count_the_per_pair_verdicts(angle, deltas):
     verdicts = [z_lemma_verdict(angle, d) for d in deltas]
-    assert z_lemma_failures(angle, deltas) == verdicts.count(False)
-    assert [z_lemma_check(angle, d) for d in deltas] == verdicts
+    assert z_lemma_check(angle, deltas) == verdicts.count(False)
+    assert [z_lemma_check(angle, [d]) == 0 for d in deltas] == verdicts
 
 
 def test_z_lemma_grid():
     for i in range(200):
         angle = Fraction(i, 200)
         for j in range(1, 40):
-            assert z_lemma_check(angle, 2.0 * j / 41)
+            assert z_lemma_check(angle, [2.0 * j / 41]) == 0
     for j in range(1, 40):
-        assert z_lemma_check(None, 2.0 * j / 41)
+        assert z_lemma_check(None, [2.0 * j / 41]) == 0
 
 
 def test_z_lemma_verdicts_on_the_verify_grid_match_40_digit_arithmetic():
@@ -616,7 +615,7 @@ def test_z_lemma_verdicts_on_the_verify_grid_match_40_digit_arithmetic():
             for delta, bound in zip(grid, bounds):
                 exact_delta = mpmath.mpf(delta)
                 holds = dist < exact_delta or one_plus <= bound
-                assert z_lemma_check(angle, delta) == holds, (angle, delta)
+                assert (z_lemma_check(angle, [delta]) == 0) == holds, (angle, delta)
                 dist_gap = min(dist_gap, abs(dist - exact_delta) / exact_delta)
                 if dist >= exact_delta:
                     slack = min(slack, (bound - one_plus) / bound)

@@ -487,6 +487,19 @@ def test_verify_scans_golden_json(tmp_path):
     assert digest == "c4b389666859cdc64e1ee67d8076fa2055519421915c1bff2b12a074c1f342eb"
 
 
+@pytest.mark.parametrize("seed, digest", [
+    (0, "ea90ce9996d9a08f152f136f54ef97d196c53c5834fd5cdf0b8c715715cf0e5d"),
+    (1, "b0f69c936855eeac78e58af485ceb14f1336c39510daf265197feea51c8c2848"),
+    (2, "08184bec66496528c776c39502bc74e523b42c15dfc700edab02eebedc97e7c3"),
+    (3, "4baf66bdfbcd4d55b479c4dfb1205b3bb648b01480c8411fff28a5587f818ffb"),
+])
+def test_verify_default_golden_json(tmp_path, seed, digest):
+    # sha256 of the whole report of `verify` at every default but the seed
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--seed", str(seed), "--out", str(out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_near_one_scan_y_is_floor_p_07():
     # the scan's exact y = iroot(p^7, 10) agrees with the float floor(p**0.7)
     # at every prime it runs over (p <= 311), so its report cannot move
@@ -587,7 +600,8 @@ BAD_INPUTS = [
     pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "kway", "--epsilon", "1/7"],
                  "error: --epsilon is not read in kway mode\n", id="factorize-kway-epsilon"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/0"],
-                 "bad epsilon '1/0'", id="factorize-epsilon-zero-denominator"),
+                 "error: bad epsilon '1/0': zero denominator\n",
+                 id="factorize-epsilon-zero-denominator"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "ranged",
                   "--epsilon", "1e-400000"], "denominator above 10000",
                  id="factorize-epsilon-denominator"),
@@ -621,7 +635,8 @@ BAD_INPUTS = [
                  "would form powers of y above the cap", id="factorize-threeway-power-cap"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--k", "-2", "--mode", "ranged"],
                  "need n >= 1, y >= 2, k >= 1", id="factorize-ranged-k-negative"),
-    pytest.param(["verify", "--y-rule", "p^1/0"], "bad y-rule", id="verify-y-rule-zero-denominator"),
+    pytest.param(["verify", "--y-rule", "p^1/0"], "error: bad y-rule 'p^1/0': zero denominator\n",
+                 id="verify-y-rule-zero-denominator"),
     pytest.param(["verify", "--y-rule", "p^1/10001"], "above 10000",
                  id="verify-y-rule-denominator"),
     pytest.param(["verify", "--y-rule", "p^10001"], "above 10000", id="verify-y-rule-numerator"),
@@ -865,8 +880,9 @@ def test_theorem_error_one_fold_per_prime(monkeypatch):
     assert folds == [(101, [4, 16]), (211, [4, 25]), (401, [5, 37]), (1009, [6, 64])]
     assert shrinks.status == "PASS"
     for p, row in report.metrics.items():
-        assert row["ratio"] == subsetprod.error_report(int(p), row["y"])
-        assert row["ratio_small"] == subsetprod.error_report(int(p), row["y_small"])
+        counts = subsetprod.subset_product_counts
+        assert row["ratio"] == subsetprod.error_report(counts(int(p), row["y"]))
+        assert row["ratio_small"] == subsetprod.error_report(counts(int(p), row["y_small"]))
 
 
 def test_theorem_error_passes_a_level_ratio(tmp_path):
@@ -1141,7 +1157,7 @@ def test_package_root_loads_its_modules_on_first_use():
 import sys
 import subproducts
 assert [m for m in sys.modules if m.startswith("subproducts.")] == []
-assert callable(subproducts.friable.psi_prefixes)
+assert callable(subproducts.friable.psi_exact)
 assert callable(subproducts.characters.char_sum)
 assert callable(subproducts.cli.main)
 for name in ("modcore", "subsetprod"):

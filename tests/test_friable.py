@@ -19,7 +19,6 @@ from subproducts.friable import (
     largest_prime_factor,
     psi_asymptotic,
     psi_exact,
-    psi_prefixes,
     ranged_bounds,
     ranged_factorization,
     ranged_feasible,
@@ -37,13 +36,13 @@ def test_largest_prime_factor_examples():
 
 def test_lpf_sieve_matches_trial_division_and_sympy():
     # trial division agrees with sympy, and the windowed prime sieve behind
-    # psi_prefixes counts the same y-friable n <= 5000 as trial division does
+    # psi_exact counts the same y-friable n <= 5000 as trial division does
     lpf = [0] + [largest_prime_factor(n) for n in range(1, 5001)]
     for n in range(1, 5001):
         assert lpf[n] == max(sympy.factorint(n), default=1)
     ts = [1, 2, 97, 1000, 4999, 5000]
     for y in (2, 3, 10, 71, 5000):
-        assert psi_prefixes(ts, y) == [sum(1 for n in range(1, t + 1) if lpf[n] <= y) for t in ts]
+        assert psi_exact(ts, y) == [sum(1 for n in range(1, t + 1) if lpf[n] <= y) for t in ts]
 
 
 def test_prime_factors_desc():
@@ -62,17 +61,17 @@ def brute_psi(t, y):
 @example(ts=[5, 1, 5, 3], y=7)  # every t <= y: no sieve needed
 @example(ts=[300, 7, 300, 1, 41, 2], y=6)  # unsorted, repeated, t <= y and t = 1
 def test_psi_prefixes_match_brute_count(ts, y):
-    assert psi_prefixes(ts, y) == [brute_psi(t, y) for t in ts]
-    assert [psi_exact(t, y) for t in ts] == psi_prefixes(ts, y)
+    assert psi_exact(ts, y) == [brute_psi(t, y) for t in ts]
+    assert [psi_exact([t], y)[0] for t in ts] == psi_exact(ts, y)
 
 
 def test_psi_prefixes_domain():
-    assert psi_prefixes([], 5) == []
+    assert psi_exact([], 5) == []
     for ts, y in (([3, 0], 5), ([3], 0), ([-1], 5)):
         with pytest.raises(ValueError):
-            psi_prefixes(ts, y)
+            psi_exact(ts, y)
     with pytest.raises(ValueError):
-        psi_exact(0, 5)
+        psi_exact([0], 5)
 
 
 def test_psi_prefixes_sieve_once(monkeypatch):
@@ -83,23 +82,23 @@ def test_psi_prefixes_sieve_once(monkeypatch):
     monkeypatch.setattr(
         friable, "primes_between", lambda lo, hi: windows.append((lo, hi)) or sieve(lo, hi)
     )
-    assert psi_prefixes([90, 10, 50, 90], 3) == [brute_psi(t, 3) for t in (90, 10, 50, 90)]
+    assert psi_exact([90, 10, 50, 90], 3) == [brute_psi(t, 3) for t in (90, 10, 50, 90)]
     assert windows == [(4, 90)]  # the primes of (y, max ts] only
-    assert psi_prefixes([4, 2], 5) == [4, 2]  # every t <= y: no sieve
+    assert psi_exact([4, 2], 5) == [4, 2]  # every t <= y: no sieve
     assert windows == [(4, 90)]
 
 
 def test_psi_exact_examples():
-    assert psi_exact(8, 2) == 4  # {1, 2, 4, 8}
-    assert psi_exact(9, 3) == 7  # {1, 2, 3, 4, 6, 8, 9}
-    assert psi_exact(123, 123) == 123
-    assert psi_exact(123, 200) == 123
+    assert psi_exact([8], 2) == [4]  # {1, 2, 4, 8}
+    assert psi_exact([9], 3) == [7]  # {1, 2, 3, 4, 6, 8, 9}
+    assert psi_exact([123], 123) == [123]
+    assert psi_exact([123], 200) == [123]
 
 
 def test_psi_monotone():
     for t in (50, 80):
-        assert psi_exact(t, 10) <= psi_exact(t + 5, 10)
-        assert psi_exact(t, 10) <= psi_exact(t, 11)
+        assert psi_exact([t], 10) <= psi_exact([t + 5], 10)
+        assert psi_exact([t], 10) <= psi_exact([t], 11)
 
 
 def test_psi_asymptotic_examples():

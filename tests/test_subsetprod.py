@@ -15,7 +15,6 @@ from subproducts.subsetprod import (
     counts_via_characters,
     CoverageState,
     coverage_consume,
-    counts_error_report,
     coverage_threshold,
     enumerate_subset_counts,
     error_report,
@@ -603,17 +602,18 @@ def test_counts_via_characters_precision_guard():
 def test_error_report_examples():
     # S_3(b) mod 5 is 4, 2, 2, 0 for b = 1..4, about the mean 2^3/4 = 2: the
     # worst error is 2, so the ratio is 2 * 5^2 / 2^3
-    assert error_report(5, 3) == 6.25
-    assert error_report(3, 2) == 0.0
-    assert 0 < error_report(101, 60) < 1
+    assert error_report(subset_product_counts(5, 3)) == 6.25
+    assert error_report(subset_product_counts(3, 2)) == 0.0
+    assert 0 < error_report(subset_product_counts(101, 60)) < 1
 
 
 def test_error_report_recomputable():
     counts = subset_product_counts(13, 9).counts
     worst = max(abs(Fraction(c) - Fraction(2**9, 12)) for c in counts[1:])
-    assert error_report(13, 9) == float(worst * 13 * 13 / 2**9)
+    assert error_report(subset_product_counts(13, 9)) == float(worst * 13 * 13 / 2**9)
+    (dp,) = subset_product_prefixes(build_context(13), [13])
     with pytest.raises(ValueError, match="need 1 <= y < p, got y=13, p=13"):
-        error_report(13, 13)
+        error_report(dp)
 
 
 def test_error_report_from_fold_snapshots():
@@ -621,10 +621,10 @@ def test_error_report_from_fold_snapshots():
     for p in (5, 13, 101):
         ys = range(1, min(p, 40))
         for dp in subset_product_prefixes(build_context(p), ys):
-            assert counts_error_report(dp) == error_report(p, dp.y)
+            assert error_report(dp) == error_report(subset_product_counts(p, dp.y))
     (dp,) = subset_product_prefixes(build_context(5), [5])
     with pytest.raises(ValueError, match="need 1 <= y < p, got y=5, p=5"):
-        counts_error_report(dp)
+        error_report(dp)
 
 
 def test_theorem_y_is_exact_ceiling():
