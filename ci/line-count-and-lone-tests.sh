@@ -22,7 +22,8 @@ for t in \
   tests/test_subsetprod.py::test_prime_walk_goes_past_the_cached_primes \
   tests/test_modcore.py::test_iter_primes_is_primes_between_across_the_cache \
   tests/test_tracing_names.py \
-  tests/test_traced_run.py
+  tests/test_traced_run.py \
+  tests/test_traced_checks.py
 do
   PYTHONPATH=src python -m pytest -q -p no:cacheprovider "$t"
 done

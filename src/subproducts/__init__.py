@@ -1,6 +1,6 @@
 """Exact desk-scale toolkit for subset-product coverage of residue classes mod p."""
 
-_MODULES = frozenset({"characters", "cli", "friable", "modcore", "subsetprod"})
+_MODULES = frozenset({"characters", "checks", "cli", "friable", "modcore", "subsetprod"})
 
 
 def __getattr__(name: str):

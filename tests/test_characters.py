@@ -53,6 +53,13 @@ def test_char_angle_examples():
     assert angle_to_complex(Fraction(1, 2)) == pytest.approx(-1)
 
 
+@pytest.mark.parametrize("k", [-1, 6])
+def test_char_angle_refuses_an_index_outside_the_group_order(k):
+    # k = m = 6 would alias the principal character k = 0
+    with pytest.raises(ValueError, match=rf"^character index {k} outside \[0, 5\]$"):
+        char_angle(build_context(7), k, 3)
+
+
 def test_char_angle_multiplicative_exhaustive():
     for p in (5, 7, 31, 101):
         ctx = build_context(p)

@@ -627,7 +627,8 @@ BAD_INPUTS = [
     pytest.param(["factorize", "--n", str(10**40), "--y", "10", "--mode", "kway"],
                  "exceeds the size cap", id="factorize-n-huge"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--k", str(10**8), "--mode", "kway"],
-                 "would form powers of y above the cap", id="factorize-kway-k-cap"),
+                 "error: y=10, k=100000000 would form powers of y above the cap of 1000000 bits\n",
+                 id="factorize-kway-k-cap"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--k", "100", "--mode", "ranged",
                   "--epsilon", "1/10000"],
                  "would form powers of y above the cap", id="factorize-ranged-power-cap"),
@@ -856,6 +857,21 @@ def test_factorize_power_cap_is_inclusive(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.count("error: ") == 2
 
 
+def test_factorize_kway_power_cap_at_its_real_value(capsys, tmp_path):
+    # y = 2^999 has 1000 bits, so kway's y^(k+1) sits exactly at the 10^6-bit
+    # cap for k = 999 and above it for k = 1000
+    out = tmp_path / "out.csv"
+    argv = ["factorize", "--mode", "kway", "--n", "1", "--y", str(2**999), "--out", str(out)]
+    assert run_cli(*argv, "--k", "999") == 0
+    header, row = read(out).splitlines()
+    assert header == "n,y,k,epsilon,mode,factors"
+    assert row.split(",")[-1] == " ".join(["1"] * 999)
+    assert run_cli(*argv, "--k", "1000") == 2
+    assert capsys.readouterr().err == (
+        f"error: y={2**999}, k=1000 would form powers of y above the cap of 1000000 bits\n"
+    )
+
+
 def test_friable_count_sieves_once_per_y(monkeypatch):
     windows = []
     sieve = friable.primes_between
@@ -1070,9 +1086,10 @@ def spy(lo, hi):
     sieved.append((lo, hi))
     return real(lo, hi)
 modcore.primes_between = spy
-import subproducts.cli as cli
+import subproducts.cli
+import subproducts.checks as checks
 assert sieved == [], sieved
-assert cli.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
+assert checks.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
 """)
 
 

@@ -9,7 +9,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subproducts.cli import _kway_witness, _random_kway_instance, _random_ranged_instance
+from subproducts.checks import _kway_witness, _random_kway_instance, _random_ranged_instance
 from subproducts.friable import (
     BoundViolatedError,
     HypothesisViolatedError,
