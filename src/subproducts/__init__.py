@@ -1,6 +1,9 @@
 """Exact desk-scale toolkit for subset-product coverage of residue classes mod p."""
 
-_MODULES = frozenset({"characters", "checks", "cli", "friable", "modcore", "subsetprod"})
+_MODULES = frozenset({
+    "characters", "checks", "cli", "config", "friable", "modcore", "output", "subsetprod",
+    "sweep",
+})
 
 
 def __getattr__(name: str):

@@ -83,7 +83,8 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     O(t mod p) on top of its index lookups.  Each term is the root
     `unit_roots` would hold, computed as it is added.  Up to
     SMALL_PRIME_LIMIT remaining terms read the sparse index, which
-    splits every composite there; more read the dense table.
+    splits every composite there; more read the dense table.  A principal
+    sum past the float range is refused with ValueError.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -92,7 +93,10 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
         raise ValueError(f"character index {k} outside [0, {m - 1}]")
     # a full period n = 1..p sums to p-1 for the principal character, else 0
     periods, t0 = divmod(t, ctx.p)
-    total = complex(periods * m) if k == 0 else 0j
+    try:
+        total = complex(periods * m) if k == 0 else 0j
+    except OverflowError:
+        raise ValueError("t is too large: the principal sum passes the float range") from None
     step = 2.0 * math.pi / m
     ind = ctx.table if t0 > SMALL_PRIME_LIMIT else ctx.ind
     for n in range(1, t0 + 1):

@@ -16,13 +16,15 @@ import math
 import random
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import subproducts
 
-# characters and friable load in the checks that use them
+# characters, friable and fractions load in the checks that use them
 from . import modcore, subsetprod
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class CheckRecord(NamedTuple):
@@ -139,6 +141,8 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
 
 
 def check_lemma_z_grid(angles: int = 1000, deltas: int = 100) -> CheckRecord:
+    from fractions import Fraction
+
     from . import characters
     grid = [2.0 * j / (deltas + 1) for j in range(1, deltas + 1)]
     failures = sum(
@@ -258,14 +262,14 @@ def check_kway_random(seed: int, instances: int = 10_000) -> CheckRecord:
 
 def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction]:
     """Instance satisfying the ranged-factorization hypotheses exactly."""
-    # through the package root, which loads friable on first use: no
-    # import statement runs once per instance
+    import fractions  # once per draw: a from-import would cost five times as much
+    # through the package root, which loads friable on first use
     ranged_bounds = subproducts.friable.ranged_bounds
     while True:
         y = rng.randint(8, HARNESS_Y_MAX)
         k = rng.randint(1, 6)
         num_max = math.ceil(100 / (k + 2)) - 1
-        eps = Fraction(rng.randint(1, num_max), 100)
+        eps = fractions.Fraction(rng.randint(1, num_max), 100)
         lower_root, upper, work_root, _ = ranged_bounds(
             y, k, eps.numerator, eps.denominator
         )
@@ -343,6 +347,8 @@ def _kway_witness(y: int, k: int) -> int:
 
 
 def check_ranged_sharpness() -> CheckRecord:
+    from fractions import Fraction
+
     from . import friable
     bad = 0
     cases = []

@@ -1,4 +1,4 @@
-"""Batch front end: spectrum sweeps, the verification suite, serialization.
+"""Batch front end: the subcommands, their parser and the verification suite.
 
 Subcommands:
   spectrum   sweep primes, one row (p, n2, g, G, y, yprime) per prime
@@ -19,23 +19,19 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import marshal
-import math
 import os
-import re
-import stat
 import sys
-import tempfile
 import time
-from collections.abc import Iterable, Iterator
-from fractions import Fraction
-from itertools import chain, islice
-from typing import NamedTuple
+from collections.abc import Iterable
 
-# characters, friable and json load in the checks and commands that use
-# them, so a spectrum sweep and its workers carry none of them.  The checks
-# are imported eagerly, by name: the benchmark's tracer patches these names
-# before main runs (see _SUITE)
+# characters, friable, fractions and json load in the checks and commands
+# that use them, so a spectrum sweep and its workers carry none of them.
+# Every name that the benchmark's tracer patches on this module and that is
+# defined elsewhere (the checks, run_spectrum_sweep, spectrum_csv and
+# write_atomic) is imported eagerly, by name, and called through this
+# module's globals, so each call records its span.  The code lives in modules of its own because, without a bytecode
+# cache, the compiler's high-water for the largest module compiled stays in
+# the heap of the process and of every spectrum worker it forks.
 from . import modcore, subsetprod
 from .checks import (
     CheckRecord,
@@ -53,19 +49,18 @@ from .checks import (
     check_ranged_random,
     check_ranged_sharpness,
 )
+from .config import ALL_CHECKS, SweepConfig, check_theorem_error, parse_fraction
+from .output import _spooled, render_csv, render_json, write_atomic
+from .sweep import (
+    ChainViolationError,
+    WorkerLostError,
+    run_spectrum_sweep,
+    spectrum_csv,
+    spectrum_json,
+)
 
-SPECTRUM_COLUMNS = ("p", "n2", "g", "G", "y", "yprime")
-SCHEMA_VERSION = 1
-ALL_CHECKS = ("spectrum", "theorem", "lemmas", "factorization", "friable", "burgess")
 # factorize's default epsilon; the verify report's config echoes it.
-DEFAULT_EPSILON = Fraction(19, 100)
-# factorize --epsilon and a y-rule's exponent are exact rationals with
-# |numerator| and denominator at most this.  Fraction expands a decimal
-# exponent into a power of ten (1e999999 takes about 0.7 s, 1e9999999 does
-# not finish), so an exponent of more than six digits is refused before it
-# is expanded.
-MAX_FRACTION_TERM = 10**4
-_DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
+DEFAULT_EPSILON = "19/100"
 # `counts` folds y steps over p-1 slots of at most y bits and prints p-1
 # y-bit counts: (p-1) y^2 bounds its work (p = 10007, y = 999 takes about
 # half a second, the most the cap allows at that p).  It also holds all p-1
@@ -82,210 +77,12 @@ MAX_FACTORIZE_N = 10**14
 # (y^(k+1) in kway mode); (k b + 2a + 1) * bitlen(y) bounds their size in
 # bits.  At the cap the powers and their roots take about a fifth of a second.
 MAX_FACTORIZE_POWER_BITS = 10**6
-# The theorem check compares the rule's y against ceil(p^0.25) at these primes.
-THEOREM_PRIMES = (101, 211, 401, 1009)
-QUARTER = Fraction(1, 4)
-
-
-class ChainViolationError(AssertionError):
-    """A spectrum row violated n2 <= G <= g or G <= y."""
-
-
-class WorkerLostError(RuntimeError):
-    """A spectrum worker ended before it sent all of its rows."""
-
-
-def _check_range(p_min: int, p_max: int, workers: int) -> None:
-    """Refuse a prime range outside [3, MAX_TABLE_PRIME] or an empty pool."""
-    if not 3 <= p_min <= p_max:
-        raise ValueError(f"need 3 <= pmin <= pmax, got [{p_min}, {p_max}]")
-    if p_max > modcore.MAX_TABLE_PRIME:
-        raise ValueError(f"pmax={p_max} exceeds the index-table cap {modcore.MAX_TABLE_PRIME}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-
-
-class SweepConfig(NamedTuple):
-    """The config of a `verify` run."""
-
-    p_min: int = 3
-    p_max: int = 1009
-    checks: tuple[str, ...] = ALL_CHECKS
-    y_rule: str = "p^0.6"
-    workers: int = 1
-    seed: int = 0
-
-    def validate(self) -> None:
-        _check_range(self.p_min, self.p_max, self.workers)
-        unknown = set(self.checks) - set(ALL_CHECKS)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}")
-        try:
-            y_rule = parse_y_rule(self.y_rule)
-        except ValueError as exc:
-            raise ValueError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
-        if "theorem" in self.checks:
-            for p in THEOREM_PRIMES:
-                if p <= self.p_max and y_rule(p) <= subsetprod.theorem_y(p, QUARTER):
-                    raise ValueError(
-                        f"y-rule {self.y_rule!r} gives y={y_rule(p)} at p={p}; the "
-                        f"theorem check needs y above ceil(p^0.25)"
-                    )
-
-
-def parse_y_rule(rule: str):
-    """Parse a per-prime y choice: either 'p^<exponent>' or an integer constant.
-
-    The exponent is an exact rational a/b ('0.6', '3/5', '2', see
-    `parse_fraction`); y is then the least y with y^b >= p^a.  Results are
-    clamped to [1, p-1].
-    """
-    rule = rule.strip()
-    if rule.startswith("p^"):
-        exponent = parse_fraction(rule[2:])
-        return lambda p: subsetprod.theorem_y(p, exponent)
-    value = int(rule)
-    return lambda p: min(p - 1, max(1, value))
 
 
 # ---------------------------------------------------------------------------
-# spectrum sweep
-
-
-def _spectrum_row(p: int) -> tuple[int, int, int, int, int, int | None]:
-    """The row (p, n2, g, G, y, yprime) for p, checked against the chain
-    n2 <= G <= g, G <= y <= yprime as it is made."""
-    ctx = modcore.build_context(p)
-    n2 = modcore.least_nonresidue(p)
-    big_g = modcore.group_generation_bound(ctx)
-    y = subsetprod.coverage_threshold(ctx)
-    yp = subsetprod.prime_coverage_threshold(ctx)
-    if not (n2 <= big_g <= ctx.g and big_g <= y):
-        raise ChainViolationError(
-            f"chain violation at p={p}: n2={n2}, G={big_g}, g={ctx.g}, y={y}"
-        )
-    if yp is not None and yp < y:
-        raise ChainViolationError(f"y'={yp} < y={y} at p={p}")
-    return (p, n2, ctx.g, big_g, y, yp)
-
-
-def run_spectrum_sweep(p_min: int, p_max: int, workers: int = 1) -> Iterator[tuple]:
-    """One row per prime in [p_min, p_max], ascending, chain-checked.
-
-    The range and pool are checked at the call; each prime is sieved and
-    its row made as the row is read, by a pool of workers (`_fork_map`).
-    Rows arrive in prime order, so a ChainViolationError names the least
-    violating prime at any worker count.  A caller that may stop early
-    closes the generator, which stops the pool.
-    """
-    _check_range(p_min, p_max, workers)
-    return _fork_map(_spectrum_row, modcore.iter_primes(p_min, p_max), workers)
-
-
-def _fork_map(fn, items: Iterable, workers: int) -> Iterator:
-    """fn(item) for each of the items, in their order, from a pool of
-    forked processes with one pipe each.
-
-    The pool never gets more workers than there are CPUs or items; fn runs
-    in-process where fewer than two remain or os.fork is missing.  The
-    workers start at the first read, and worker w maps its own copy of the
-    items at w, w + workers, ..., writing each result whole to its pipe as
-    one marshal record.  An exception that fn raises goes as one tagged
-    record and ends the worker; the parent raises it again, with the type
-    and message it has in-process.  The parent reads result i from pipe
-    i % workers.  Whatever ends the read, the last result, an exception or
-    close(), every worker is killed and reaped and every pipe closed.  A
-    worker whose pipe ends before its results do raises WorkerLostError.
-    """
-    items = iter(items)
-    head = list(islice(items, min(workers, os.cpu_count() or 1)))
-    items = chain(head, items)
-    workers = len(head)
-    if workers < 2 or not hasattr(os, "fork"):
-        yield from map(fn, items)
-        return
-    import signal  # here, where the pool starts: an in-process run does not load it
-
-    pids: list[int] = []
-    pipes = []
-    try:
-        for w in range(workers):
-            read_fd, write_fd = os.pipe()
-            pipes.append(os.fdopen(read_fd, "rb"))
-            # SIGINT waits until the new worker is in pids, so a worker
-            # that starts is always killed and reaped; a worker keeps it
-            # blocked, since the parent decides how the pool ends
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    # the worker ends by os._exit: no exception, traceback or
-                    # inherited buffer leaves it.  With the inherited read
-                    # ends closed, a write fails once the parent is gone
-                    code = 1
-                    try:
-                        for pipe in pipes:
-                            os.close(pipe.fileno())
-                        for item in islice(items, w, None, workers):
-                            try:
-                                record = (True, fn(item))
-                            except Exception as exc:
-                                import pickle
-                                record = (False, pickle.dumps(exc))
-                            data = marshal.dumps(record)
-                            while data:  # a write may take only part of a record
-                                data = data[os.write(write_fd, data):]
-                            if not record[0]:
-                                break
-                        code = 0
-                    finally:
-                        os._exit(code)
-                pids.append(pid)
-            finally:
-                os.close(write_fd)
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for i, item in enumerate(items):
-            try:
-                ok, result = marshal.load(pipes[i % workers])
-            except EOFError:
-                raise WorkerLostError(
-                    f"spectrum worker {i % workers + 1} of {workers} ended before "
-                    f"its result for {item!r}"
-                ) from None
-            if not ok:
-                import pickle
-                raise pickle.loads(result)
-            yield result
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def spectrum_csv(rows: Iterable[tuple]) -> Iterator[str]:
-    return render_csv(SPECTRUM_COLUMNS, rows)
-
-
-def spectrum_json(rows: Iterable[tuple]) -> Iterator[str]:
-    """render_json({"rows": [...]}) of the rows, one chunk per row: each
-    row is dumped alone and indented to its depth in the payload."""
-    import json
-    head, tail = render_json({"rows": []}).split("[]")
-    yield head + "["
-    sep, close = "\n    ", "]"
-    for row in rows:
-        text = json.dumps(dict(zip(SPECTRUM_COLUMNS, row)), sort_keys=True, indent=2)
-        yield sep + text.replace("\n", "\n    ")
-        sep, close = ",\n    ", "\n  ]"
-    yield close + tail
-
-
-# ---------------------------------------------------------------------------
-# verification suite: the two checks that read the sweep and the y-rule
-# parser; the others are in checks.py
+# verification suite: the check that reads the sweep, the suite table and
+# the report; the y-rule and its theorem check are in config.py, the other
+# checks in checks.py
 
 
 def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
@@ -303,55 +100,10 @@ def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
     )
 
 
-def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
-    """The normalized error ratio at the rule's y and at ceil(p^0.25).
-
-    The check passes when the ratio at the rule's y is finite and at most
-    the ratio at the small y.  With D_y(b) = S_y(b) - 2^y/(p-1), taking or
-    skipping n = y+1 gives D_{y+1}(b) = D_y(b) + D_y(b/(y+1)), so
-    max |D_{y+1}| <= 2 max |D_y| and the ratio max |D_y| p^2 / 2^y never
-    increases in y; it can stay level (p = 401 at y = 5 and 6).
-    """
-    rule = parse_y_rule(y_rule)
-    ratios = {}
-    shrink_ok = True
-    for p in THEOREM_PRIMES:
-        if p > p_max:
-            continue
-        y_main = rule(p)
-        y_small = subsetprod.theorem_y(p, QUARTER)
-        ctx = modcore.build_context(p)
-        ratio = {
-            dp.y: subsetprod.error_report(dp)
-            for dp in subsetprod.subset_product_prefixes(ctx, (y_small, y_main))
-        }
-        r_main, r_small = ratio[y_main], ratio[y_small]
-        ratios[str(p)] = {
-            "y": y_main,
-            "ratio": r_main,
-            "y_small": y_small,
-            "ratio_small": r_small,
-        }
-        if not (math.isfinite(r_main) and r_main <= r_small):
-            shrink_ok = False
-    report = CheckRecord(
-        name="theorem_error_ratio",
-        params={"y_rule": y_rule, "y_small_rule": "p^0.25"},
-        status="REPORT",
-        metrics=ratios,
-    )
-    monotone = CheckRecord(
-        name="theorem_error_shrinks",
-        params={"primes": sorted(int(p) for p in ratios)},
-        status="PASS" if shrink_ok else "FAIL",
-        metrics={},
-    )
-    return [report, monotone]
-
-
 # Each group's checks in report order, with the arguments the config gives
 # them.  The lambdas call the checks through this module's names, never
-# through checks.py, so a tracer that patches those names sees every call.
+# through checks.py or config.py, so a tracer that patches those names sees
+# every call.
 _SUITE = {
     "spectrum": (lambda c: [check_spectrum_chain(c.p_min, c.p_max, c.workers)],),
     "theorem": (
@@ -404,7 +156,7 @@ def verification_report_json(config: SweepConfig, records: list[CheckRecord]) ->
             "p_max": config.p_max,
             "checks": sorted(set(config.checks)),
             "y_rule": config.y_rule,
-            "epsilon": str(DEFAULT_EPSILON),
+            "epsilon": DEFAULT_EPSILON,
             "seed": config.seed,
         },
         "records": [r.to_json() for r in records],
@@ -412,49 +164,7 @@ def verification_report_json(config: SweepConfig, records: list[CheckRecord]) ->
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
-
-
-def write_atomic(path: str, chunks: Iterable[str]) -> None:
-    """Write the text chunks to path by renaming a finished temporary file
-    over it; each chunk is written as it is made.
-
-    A symlink's target is what gets replaced, and a path that exists but is
-    not a regular file (a FIFO, a device) is written through, not replaced,
-    once every chunk is made.  A replaced file keeps its mode; a new one
-    gets the mode that open(path, "w") would give it, 0o666 less the umask.
-    """
-    path = os.path.realpath(path)
-    try:
-        mode = os.stat(path).st_mode
-    except FileNotFoundError:
-        umask = os.umask(0)
-        os.umask(umask)
-        mode = stat.S_IFREG | (0o666 & ~umask)
-    if not stat.S_ISREG(mode):
-        with _spooled(chunks) as spool, open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(spool)
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-", text=True)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-        os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-@contextlib.contextmanager
-def _spooled(chunks: Iterable[str]) -> Iterator[Iterable[str]]:
-    """The chunks written to an anonymous temporary file and read back: an
-    error while they are made leaves nothing to copy."""
-    with tempfile.TemporaryFile("w+", encoding="utf-8", newline="") as spool:
-        spool.writelines(chunks)
-        spool.seek(0)
-        yield spool
+# output: the rendering and the atomic write are in output.py
 
 
 def emit(chunks: Iterable[str], out_path: str | None) -> None:
@@ -464,30 +174,6 @@ def emit(chunks: Iterable[str], out_path: str | None) -> None:
     else:
         with _spooled(chunks) as spool:
             sys.stdout.writelines(spool)
-
-
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return " ".join(map(str, value))
-    return str(value)
-
-
-def render_json(fields: dict) -> str:
-    """`fields` with `schema_version` added, as indented JSON."""
-    import json
-    payload = {"schema_version": SCHEMA_VERSION, **fields}
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def render_csv(columns: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
-    """A header line of `columns`, then one line per tuple in `rows`, whose
-    values are in column order.  None is an empty cell and a list is its
-    items joined by spaces."""
-    yield ",".join(columns) + "\n"
-    for row in rows:
-        yield ",".join(map(_csv_cell, row)) + "\n"
 
 
 def emit_record(args: argparse.Namespace, fields: dict) -> None:
@@ -520,22 +206,6 @@ def _add_range(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pmin", type=int, default=3)
     sub.add_argument("--pmax", type=int, default=1009)
     sub.add_argument("--workers", type=int, default=1)
-
-
-def parse_fraction(text: str) -> Fraction:
-    """text ('19/100', '0.19', '2', '1e-3') as an exact fraction whose
-    |numerator| and denominator are at most MAX_FRACTION_TERM; ValueError
-    for anything else, including inf, nan and a zero denominator."""
-    exponent = _DECIMAL_EXPONENT.search(text)
-    if exponent and len(exponent.group(1)) > 6:
-        raise ValueError("decimal exponent of more than six digits")
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError("zero denominator") from exc
-    if max(abs(value.numerator), value.denominator) > MAX_FRACTION_TERM:
-        raise ValueError(f"numerator or denominator above {MAX_FRACTION_TERM}")
-    return value
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -595,7 +265,7 @@ def _cmd_factorize(args: argparse.Namespace) -> int:
         raise ValueError("--epsilon is not read in kway mode")
     if args.n > MAX_FACTORIZE_N:
         raise ValueError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
-    epsilon = str(DEFAULT_EPSILON) if args.epsilon is None else args.epsilon
+    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     try:
         eps = parse_fraction(epsilon)
     except ValueError as exc:

@@ -14,11 +14,14 @@ slot of the count vector, so the full vector always sums to 2^y.
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 from itertools import chain, repeat
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .modcore import PrimeContext, build_context, iroot, iter_primes
+
+# fractions loads where a Fraction is made, so coverage and the sweep never load it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +375,7 @@ def error_report(dp: SubsetProductCounts) -> float:
     """The normalized worst-case error max_b |S_y(b) - 2^y/(p-1)| * p^2 / 2^y
     of one snapshot of the counts: one exact rational, converted to float
     once."""
+    from fractions import Fraction
     p, y, counts = dp.p, dp.y, dp.counts
     if not 1 <= y < p:
         raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
@@ -380,13 +384,17 @@ def error_report(dp: SubsetProductCounts) -> float:
     return float(Fraction(max_scaled * p * p, (p - 1) << y))
 
 
-def theorem_y(p: int, exponent: Fraction = Fraction(3, 5)) -> int:
-    """ceil(p^exponent), clamped to [1, p-1], decided exactly.
+def theorem_y(p: int, exponent: int | Fraction | None = None) -> int:
+    """ceil(p^exponent), clamped to [1, p-1], decided exactly; the exponent
+    is 3/5 when none is given.
 
     For exponent = a/b that is the least y with y^b >= p^a, found from the
     integer root iroot(p^a, b).  The exponent must be exact (an int or a
     Fraction): a float's binary denominator would make p^a enormous.
     """
+    from fractions import Fraction
+    if exponent is None:
+        exponent = Fraction(3, 5)
     if not isinstance(exponent, (int, Fraction)):
         raise TypeError(f"exponent {exponent!r} must be an int or a Fraction")
     a, b = exponent.numerator, exponent.denominator

@@ -17,17 +17,17 @@ import pytest
 import sympy
 
 import subproducts
-from subproducts import characters, cli, friable, modcore, subsetprod
+from subproducts import characters, cli, friable, modcore, subsetprod, sweep
 from subproducts.cli import (
     ChainViolationError,
     SweepConfig,
     main,
-    parse_y_rule,
     run_spectrum_sweep,
     run_verification_suite,
     spectrum_csv,
     verification_report_json,
 )
+from subproducts.config import parse_y_rule
 
 
 def run_cli(*argv):
@@ -422,7 +422,7 @@ def test_spectrum_json_is_the_json_dumps_text(tmp_path, p_min, p_max):
                    "--format", "json", "--out", str(out)) == 0
     rows = list(run_spectrum_sweep(p_min, p_max))
     payload = {"schema_version": 1,
-               "rows": [dict(zip(cli.SPECTRUM_COLUMNS, row)) for row in rows]}
+               "rows": [dict(zip(sweep.SPECTRUM_COLUMNS, row)) for row in rows]}
     assert out.read_bytes().decode() == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -682,6 +682,10 @@ BAD_INPUTS = [
                  "4423-bit integer is above", id="charsum-p-mersenne-4423"),
     pytest.param(["charsum", "--p", "7", "--k", "1", "--t", "0"], "t must be >= 1",
                  id="charsum-t-0"),
+    # the principal character sums to about t, past the float range here
+    pytest.param(["charsum", "--p", "101", "--k", "0", "--t", "1" + "0" * 400],
+                 "error: t is too large: the principal sum passes the float range\n",
+                 id="charsum-principal-t-past-float-range"),
     pytest.param(["coverage", "--p", "7", "--a", "2", "--d", "14", "--ymax", "5"],
                  "difference 14 is a multiple of 7", id="coverage-d-multiple-of-p"),
     pytest.param(["counts", "--p", "7", "--y", "0"], "y=0 must be >= 1", id="counts-y-0"),
@@ -784,7 +788,7 @@ def test_out_naming_a_directory_is_refused_before_any_work(argv, monkeypatch, ca
     def spy(real):
         return lambda *args: calls.append(args) or real(*args)
 
-    monkeypatch.setattr(cli, "_spectrum_row", spy(cli._spectrum_row))
+    monkeypatch.setattr(sweep, "_spectrum_row", spy(sweep._spectrum_row))
     monkeypatch.setattr(cli, "run_verification_suite", spy(cli.run_verification_suite))
     monkeypatch.setattr(subsetprod, "_count_dp", spy(subsetprod._count_dp))
     if FORK:
@@ -926,7 +930,7 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
             forks.append(pid)
         return pid
 
-    def sweep(p_min, p_max, workers):
+    def pooled_rows(p_min, p_max, workers):
         forks.clear()
         rows = list(run_spectrum_sweep(p_min, p_max, workers))
         if forks:
@@ -935,18 +939,18 @@ def test_spectrum_pool_clamped_to_cpus_and_primes(monkeypatch):
 
     monkeypatch.setattr(cli.os, "fork", counting_fork)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    serial = sweep(3, 100, 1)
-    assert sweep(3, 100, 10**6) == serial
-    assert sweep(3, 7, 64) == serial[:3]
-    sweep(3, 3, 8)  # one prime: serial
+    serial = pooled_rows(3, 100, 1)
+    assert pooled_rows(3, 100, 10**6) == serial
+    assert pooled_rows(3, 7, 64) == serial[:3]
+    pooled_rows(3, 3, 8)  # one prime: serial
     assert sizes == [4, 3]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    sweep(3, 100, 8)
+    pooled_rows(3, 100, 8)
     assert sizes == [4, 3]
     # without os.fork the rows are made in-process
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     monkeypatch.delattr(cli.os, "fork")
-    assert sweep(3, 100, 8) == serial
+    assert pooled_rows(3, 100, 8) == serial
     assert sizes == [4, 3]
 
 
@@ -960,7 +964,7 @@ def _double_or_raise(n):
 def test_fork_map_keeps_item_order(monkeypatch):
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     items = range(1000)
-    assert list(cli._fork_map(_double_or_raise, items, 3)) == [2 * n for n in items]
+    assert list(sweep._fork_map(_double_or_raise, items, 3)) == [2 * n for n in items]
 
 
 @NEEDS_FORK
@@ -971,10 +975,10 @@ def test_fork_map_sends_a_result_above_pipe_buf_whole(monkeypatch):
     size = 100_000
     assert size > select.PIPE_BUF
     expected = [bytes([n]) * size for n in range(4)]
-    assert list(cli._fork_map(lambda n: bytes([n]) * size, range(4), 2)) == expected
+    assert list(sweep._fork_map(lambda n: bytes([n]) * size, range(4), 2)) == expected
     write = os.write
     monkeypatch.setattr(cli.os, "write", lambda fd, data: write(fd, data[:1000]))
-    assert list(cli._fork_map(lambda n: bytes([n]) * size, range(4), 2)) == expected
+    assert list(sweep._fork_map(lambda n: bytes([n]) * size, range(4), 2)) == expected
 
 
 @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=NEEDS_FORK)])
@@ -983,14 +987,14 @@ def test_fork_map_raises_a_worker_exception_as_in_process(workers, monkeypatch):
     # exception with the in-process type and message, after the results
     # before it
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-    results = cli._fork_map(_double_or_raise, [1, 2, 3, -3, 4, -5], workers)
+    results = sweep._fork_map(_double_or_raise, [1, 2, 3, -3, 4, -5], workers)
     assert [next(results) for _ in range(3)] == [2, 4, 6]
     with pytest.raises(ChainViolationError) as caught:
         next(results)
     assert type(caught.value) is ChainViolationError
     assert str(caught.value) == "negative item -3"
     with pytest.raises(ValueError, match="^invalid literal for int"):
-        list(cli._fork_map(int, ["7", "x"], workers))
+        list(sweep._fork_map(int, ["7", "x"], workers))
 
 
 def _start_pooled_sweep(out):
@@ -1125,13 +1129,13 @@ with tempfile.TemporaryDirectory() as tmp:
 
 
 def _run_fresh(code, *argv):
-    """Run `python -c code`, or `python *argv` when code is None, in a new
-    interpreter that imports this checkout's package, installed or not;
+    """Run `python -c code *argv`, or `python *argv` when code is None, in a
+    new interpreter that imports this checkout's package, installed or not;
     assert that it exits 0, and return the finished process."""
     src = os.path.dirname(os.path.dirname(subproducts.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, *(["-c", code] if code is not None else argv)],
+        [sys.executable, *(["-c", code] if code is not None else []), *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -1140,14 +1144,18 @@ def _run_fresh(code, *argv):
     return proc
 
 
-def test_each_command_loads_only_the_modules_it_runs():
-    # the sweep, its forked workers, counts and coverage load neither the
-    # character nor the factorization stack, nor json; factorize, charsum
-    # and verify load what they run and nothing more of these
-    _run_fresh("""
+# The sweep, its forked workers, counts and coverage load none of LAZY:
+# the character and factorization stacks, json, cmath, and fractions with
+# the decimal module it imports.  Given a comma-separated list of modules
+# and a command as its arguments, the script then runs the command and
+# checks that it loaded exactly those of LAZY.  It is plain Python, so
+# ci/stdlib-gates.sh runs it too, with no arguments, on interpreters that
+# have no pytest.
+SWEEP_PATH_LOADS = """
 import os, sys, tempfile
 import subproducts.cli as cli
-LAZY = ("subproducts.characters", "subproducts.friable", "json", "cmath")
+LAZY = ("subproducts.characters", "subproducts.friable", "json", "cmath",
+        "fractions", "decimal")
 def loaded():
     return [m for m in LAZY if m in sys.modules]
 assert loaded() == [], loaded()
@@ -1159,14 +1167,25 @@ with tempfile.TemporaryDirectory() as tmp:
                  ["coverage", "--p", "101", "--a", "1", "--d", "1", "--ymax", "100"]):
         assert cli.main(argv + ["--out", out]) == 0, argv
         assert loaded() == [], (argv, loaded())
-    assert cli.main(["factorize", "--mode", "kway", "--n", "30", "--y", "10", "--k", "2",
-                     "--out", out]) == 0
-    assert loaded() == ["subproducts.friable"], loaded()
-    assert cli.main(["charsum", "--p", "101", "--k", "3", "--t", "50", "--out", out]) == 0
-    assert loaded() == ["subproducts.characters", "subproducts.friable", "cmath"], loaded()
-    assert cli.main(["verify", "--pmax", "101", "--out", out]) == 0
-    assert loaded() == list(LAZY), loaded()
-""")
+    if len(sys.argv) > 1:
+        loads, argv = sys.argv[1].split(","), sys.argv[2:]
+        assert cli.main(argv + ["--out", out]) == 0, argv
+        assert loaded() == loads, (argv, loaded())
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs():
+    # factorize, charsum and verify, each in an interpreter of its own after
+    # the sweep path, load what they run and nothing more of LAZY
+    for loads, argv in (
+        ("subproducts.friable,fractions,decimal",
+         ["factorize", "--mode", "kway", "--n", "30", "--y", "10", "--k", "2"]),
+        ("subproducts.characters,cmath,fractions,decimal",
+         ["charsum", "--p", "101", "--k", "3", "--t", "50"]),
+        ("subproducts.characters,subproducts.friable,json,cmath,fractions,decimal",
+         ["verify", "--pmax", "101"]),
+    ):
+        _run_fresh(SWEEP_PATH_LOADS, loads, *argv)
 
 
 def test_package_root_loads_its_modules_on_first_use():

@@ -8,7 +8,7 @@ and five rows of the second are recomputed with no discrete log.
 
 import sympy
 
-from subproducts import cli
+from subproducts import cli, sweep
 from test_thresholds import prefix_covers, sympy_chain
 from window_digests import P_MAX, WINDOW, read_digests, window_digests
 
@@ -58,4 +58,4 @@ def test_rows_near_10_6_without_a_discrete_log():
         y = least_cover(p, range(1, p))
         y_prime = primes[least_cover(p, primes) - 1]
         assert (p, n2, g, big_g, y, y_prime) == row
-        assert cli._spectrum_row(p) == row
+        assert sweep._spectrum_row(p) == row

@@ -1,8 +1,9 @@
 """Every source and test file parses as Python 3.10, the oldest version
-that pyproject.toml's requires-python admits, every exception class of
-the package is one that some code catches, every module-level name of the
-package is one that some other code in it reads, and so is every method
-and property of its classes."""
+that pyproject.toml's requires-python admits, no module of the package
+passes MAX_MODULE_LINES, every exception class of the package is one that
+some code catches, every module-level name of the package is one that some
+other code in it reads, and so is every method and property of its
+classes."""
 
 import ast
 import builtins
@@ -19,6 +20,20 @@ def test_sources_parse_as_python_3_10():
     assert len(paths) > 10
     for path in paths:
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+# Without a bytecode cache each launch compiles every module it imports, and
+# the compiler's high-water for the largest one stays resident in the process
+# and in every spectrum worker it forks: peak RSS follows the largest module.
+MAX_MODULE_LINES = 420
+
+
+def test_no_module_passes_the_line_cap():
+    lines = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+             for path in (ROOT / "src" / "subproducts").glob("*.py")}
+    assert len(lines) > 5
+    over = {name: n for name, n in lines.items() if n > MAX_MODULE_LINES}
+    assert not over, over
 
 
 def _trees(pattern):
