@@ -7,7 +7,11 @@
 # - the verify report at seeds 0-3, and spectrum --pmax 30000 as CSV and as
 #   JSON at 1 and 2 workers, against the sha256 digests that
 #   tests/test_cli.py pins.  They are read from that file, so there is no
-#   second copy to drift;
+#   second copy to drift.  Each spectrum run is made under -X dev -W error,
+#   once to --out and once to stdout: the pooled sweep streams its rows
+#   into --out and spools them for stdout, and an unclosed pipe or file, or
+#   a row generator left to the garbage collector, prints a warning there,
+#   so both outputs must give the digest and stderr must stay empty;
 # - tests/test_cli.py's SWEEP_PATH_LOADS: the sweep, its workers, counts and
 #   coverage load neither fractions nor decimal, nor the character and
 #   factorization stacks.
@@ -58,16 +62,23 @@ runs += [(["spectrum", "--pmax", "30000", "--workers", str(workers), "--format",
          + parametrized("test_spectrum_golden_streamed_outputs")]
 assert len(runs) == 8, runs
 failed = 0
+out = os.path.join(tmp, "out")
 for argv, digest in runs:
-    out = os.path.join(tmp, "out")
-    proc = subprocess.run([sys.executable, "-m", "subproducts.cli", *argv, "--out", out],
-                          stdin=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
-    if proc.returncode:
-        sys.exit(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
-    with open(out, "rb") as fh:
-        got = hashlib.sha256(fh.read()).hexdigest()
-    print(("ok  " if got == digest else "BAD ") + " ".join(argv), flush=True)
-    failed += got != digest
+    dev = ["-X", "dev", "-W", "error"] if argv[0] == "spectrum" else []
+    for dest in (["--out", out], []) if dev else (["--out", out],):
+        cmd = [sys.executable, *dev, "-m", "subproducts.cli", *argv, *dest]
+        proc = subprocess.run(cmd, stdin=subprocess.DEVNULL, capture_output=True)
+        if proc.returncode or (dev and proc.stderr):
+            sys.exit(f"{' '.join(cmd[1:])} exited {proc.returncode}:\n{proc.stderr.decode()}")
+        if dest:
+            with open(out, "rb") as fh:
+                data = fh.read()
+        else:
+            data = proc.stdout
+        got = hashlib.sha256(data).hexdigest()
+        where = f" (-X dev, {'--out' if dest else 'stdout'})" if dev else ""
+        print(("ok  " if got == digest else "BAD ") + " ".join(argv) + where, flush=True)
+        failed += got != digest
 
 (loads,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
             and [t.id for t in node.targets] == ["SWEEP_PATH_LOADS"]]

@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-from .modcore import SMALL_PRIME_LIMIT, PrimeContext
+from .modcore import PrimeContext
 
 
 def char_angle(ctx: PrimeContext, k: int, n: int) -> Fraction | None:
@@ -82,9 +82,10 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     n <= t mod p are added in ascending order, so a character costs
     O(t mod p) on top of its index lookups.  Each term is the root
     `unit_roots` would hold, computed as it is added.  Up to
-    SMALL_PRIME_LIMIT remaining terms read the sparse index, which
-    splits every composite there; more read the dense table.  A principal
-    sum past the float range is refused with ValueError.
+    16 isqrt(p-1) remaining terms read the sparse index, whose misses above
+    SMALL_PRIME_LIMIT each walk baby-step giant-step; more read the dense
+    table, whose O(p) build costs about as much.  A principal sum past the
+    float range is refused with ValueError.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -98,7 +99,7 @@ def char_sum(ctx: PrimeContext, k: int, t: int) -> complex:
     except OverflowError:
         raise ValueError("t is too large: the principal sum passes the float range") from None
     step = 2.0 * math.pi / m
-    ind = ctx.table if t0 > SMALL_PRIME_LIMIT else ctx.ind
+    ind = ctx.table if t0 > 16 * math.isqrt(m) else ctx.ind
     for n in range(1, t0 + 1):
         total += cmath.rect(1.0, step * (k * ind[n] % m))
     return total

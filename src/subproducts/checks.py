@@ -1,5 +1,4 @@
-"""The verification checks that need nothing of `cli`, and the random
-instances of the factorization harnesses.
+"""The verification checks that need nothing of `cli`.
 
 Each check takes its seed, p cap and sizes, and returns its record.  `cli`
 imports every check by name and its suite table calls them through those
@@ -11,20 +10,15 @@ every spectrum worker it forks.
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 from collections import Counter, defaultdict
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, NamedTuple
-
-import subproducts
+from typing import NamedTuple
 
 # characters, friable and fractions load in the checks that use them
 from . import modcore, subsetprod
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .config import SMALL_Y_RULE, theorem_y, theorem_ys
 
 
 class CheckRecord(NamedTuple):
@@ -101,6 +95,47 @@ def check_mass_conservation(seed: int, p_cap: int, pairs: int = 1000) -> CheckRe
         status="PASS" if failures == 0 else "FAIL",
         metrics={"failures": failures},
     )
+
+
+def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
+    """The normalized error ratio at the rule's y and at ceil(p^0.25).
+
+    The check passes when the ratio at the rule's y is finite and at most
+    the ratio at the small y.  With D_y(b) = S_y(b) - 2^y/(p-1), taking or
+    skipping n = y+1 gives D_{y+1}(b) = D_y(b) + D_y(b/(y+1)), so
+    max |D_{y+1}| <= 2 max |D_y| and the ratio max |D_y| p^2 / 2^y never
+    increases in y; it can stay level (p = 401 at y = 5 and 6).
+    """
+    ratios = {}
+    shrink_ok = True
+    for p, y_main, y_small in theorem_ys(y_rule, p_max):
+        ctx = modcore.build_context(p)
+        ratio = {
+            dp.y: subsetprod.error_report(dp)
+            for dp in subsetprod.subset_product_prefixes(ctx, (y_small, y_main))
+        }
+        r_main, r_small = ratio[y_main], ratio[y_small]
+        ratios[str(p)] = {
+            "y": y_main,
+            "ratio": r_main,
+            "y_small": y_small,
+            "ratio_small": r_small,
+        }
+        if not (math.isfinite(r_main) and r_main <= r_small):
+            shrink_ok = False
+    report = CheckRecord(
+        name="theorem_error_ratio",
+        params={"y_rule": y_rule, "y_small_rule": SMALL_Y_RULE},
+        status="REPORT",
+        metrics=ratios,
+    )
+    monotone = CheckRecord(
+        name="theorem_error_shrinks",
+        params={"primes": sorted(int(p) for p in ratios)},
+        status="PASS" if shrink_ok else "FAIL",
+        metrics={},
+    )
+    return [report, monotone]
 
 
 def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
@@ -207,7 +242,7 @@ def check_burgess_ratio(p_max: int) -> CheckRecord:
         if p > p_max:
             continue
         ctx = modcore.build_context(p)
-        t = subsetprod.theorem_y(p)  # ceil(p^0.6), comfortably above p^(1/4+eps)
+        t = theorem_y(p)  # ceil(p^0.6), comfortably above p^(1/4+eps)
         mag = characters.max_nonprincipal_sum(ctx, t)
         out[str(p)] = {"t": t, "max_ratio": mag / t}
     return CheckRecord(
@@ -218,37 +253,12 @@ def check_burgess_ratio(p_max: int) -> CheckRecord:
     )
 
 
-# The random harnesses draw y <= HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT.
-HARNESS_Y_MAX = 200
-
-
-def _primes_to(y: int) -> tuple[int, ...]:
-    """Primes <= y, for y <= HARNESS_Y_MAX: a slice of the cached small primes."""
-    primes = modcore.small_primes()
-    return primes[: bisect.bisect_right(primes, y)]
-
-
-def _random_kway_instance(rng: random.Random) -> tuple[int, int, int]:
-    """(n, y, k) with n y-friable and n^2 <= y^(k+1) (n = 1 possible)."""
-    y = rng.randint(4, HARNESS_Y_MAX)
-    k = rng.randint(1, 6)
-    primes = _primes_to(y)
-    n_sq_limit = y ** (k + 1)
-    n = 1
-    while rng.random() < 0.9:
-        q = rng.choice(primes)
-        if (n * q) ** 2 > n_sq_limit:
-            break
-        n *= q
-    return n, y, k
-
-
 def check_kway_random(seed: int, instances: int = 10_000) -> CheckRecord:
     from . import friable
     rng = random.Random(seed)
     failures = 0
     for _ in range(instances):
-        n, y, k = _random_kway_instance(rng)
+        n, y, k = friable._random_kway_instance(rng)
         factors = friable.greedy_k_factorization(n, y, k)
         if len(factors) != k or any(f > y for f in factors):
             failures += 1
@@ -260,37 +270,13 @@ def check_kway_random(seed: int, instances: int = 10_000) -> CheckRecord:
     )
 
 
-def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction]:
-    """Instance satisfying the ranged-factorization hypotheses exactly."""
-    import fractions  # once per draw: a from-import would cost five times as much
-    # through the package root, which loads friable on first use
-    ranged_bounds = subproducts.friable.ranged_bounds
-    while True:
-        y = rng.randint(8, HARNESS_Y_MAX)
-        k = rng.randint(1, 6)
-        num_max = math.ceil(100 / (k + 2)) - 1
-        eps = fractions.Fraction(rng.randint(1, num_max), 100)
-        lower_root, upper, work_root, _ = ranged_bounds(
-            y, k, eps.numerator, eps.denominator
-        )
-        usable = _primes_to(work_root)  # work_root <= y <= HARNESS_Y_MAX
-        if not usable:
-            continue
-        for _ in range(50):
-            n = 1
-            while n <= lower_root:
-                n *= rng.choice(usable)
-            if n * n < upper:
-                return n, y, k, eps
-
-
 def check_ranged_random(seed: int, instances: int = 10_000) -> CheckRecord:
     from . import friable
     rng = random.Random(seed)
     failures = 0
     contradictions = 0
     for _ in range(instances):
-        n, y, k, eps = _random_ranged_instance(rng)
+        n, y, k, eps = friable._random_ranged_instance(rng)
         a, b = eps.numerator, eps.denominator
         try:
             factors = friable.ranged_factorization(n, y, k, eps)

@@ -48,8 +48,9 @@ from .checks import (
     check_polya_vinogradov,
     check_ranged_random,
     check_ranged_sharpness,
+    check_theorem_error,
 )
-from .config import ALL_CHECKS, SweepConfig, check_theorem_error, parse_fraction
+from .config import ALL_CHECKS, SweepConfig, parse_fraction
 from .output import _spooled, render_csv, render_json, write_atomic
 from .sweep import (
     ChainViolationError,
@@ -81,8 +82,7 @@ MAX_FACTORIZE_POWER_BITS = 10**6
 
 # ---------------------------------------------------------------------------
 # verification suite: the check that reads the sweep, the suite table and
-# the report; the y-rule and its theorem check are in config.py, the other
-# checks in checks.py
+# the report; the y-rule is in config.py, the other checks in checks.py
 
 
 def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
@@ -102,8 +102,7 @@ def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
 
 # Each group's checks in report order, with the arguments the config gives
 # them.  The lambdas call the checks through this module's names, never
-# through checks.py or config.py, so a tracer that patches those names sees
-# every call.
+# through checks.py, so a tracer that patches those names sees every call.
 _SUITE = {
     "spectrum": (lambda c: [check_spectrum_chain(c.p_min, c.p_max, c.workers)],),
     "theorem": (
@@ -201,11 +200,11 @@ def _add_output(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None)
 
 
-def _add_range(sub: argparse.ArgumentParser) -> None:
+def _add_range(sub: argparse.ArgumentParser, defaults: SweepConfig) -> None:
     """The flags `spectrum` and `verify` share: a prime range and a pool."""
-    sub.add_argument("--pmin", type=int, default=3)
-    sub.add_argument("--pmax", type=int, default=1009)
-    sub.add_argument("--workers", type=int, default=1)
+    sub.add_argument("--pmin", type=int, default=defaults.p_min)
+    sub.add_argument("--pmax", type=int, default=defaults.p_max)
+    sub.add_argument("--workers", type=int, default=defaults.workers)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -327,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Subset-product coverage toolkit: sweeps and verification.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    defaults = SweepConfig()
 
     sp = subs.add_parser("spectrum", help="sweep (p, n2, g, G, y, yprime) rows")
-    _add_range(sp)
+    _add_range(sp, defaults)
     _add_output(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
@@ -366,9 +366,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the verification report is always JSON (nested metrics): no --format
     sy = subs.add_parser("verify", help="run the verification suite")
-    _add_range(sy)
-    sy.add_argument("--y-rule", default="p^0.6")
-    sy.add_argument("--seed", type=int, default=0)
+    _add_range(sy, defaults)
+    sy.add_argument("--y-rule", default=defaults.y_rule)
+    sy.add_argument("--seed", type=int, default=defaults.seed)
     sy.add_argument("--out", default=None)
     sy.add_argument("--checks", default=None,
                     help="comma-separated subset of: " + ",".join(ALL_CHECKS))

@@ -1,19 +1,17 @@
 """The `verify` config and its y-rule: the check groups, the exact
 rationals that a y-rule's exponent and `factorize --epsilon` are read as,
-and the theorem check, the one check that reads the y-rule.
+and the y each rule gives at the theorem primes.
 
-`fractions` loads in `parse_fraction`, where the first Fraction is made, so
-a spectrum sweep and its workers never load it.
+`fractions` loads in `parse_fraction` and `theorem_y`, where a Fraction is
+first made, so a spectrum sweep and its workers never load it.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
-from . import modcore, subsetprod
-from .checks import CheckRecord
+from .modcore import iroot
 from .sweep import _check_range
 
 if TYPE_CHECKING:
@@ -49,15 +47,14 @@ class SweepConfig(NamedTuple):
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         try:
-            y_rule = parse_y_rule(self.y_rule)
+            parse_y_rule(self.y_rule)
         except ValueError as exc:
             raise ValueError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
         if "theorem" in self.checks:
-            y_small = parse_y_rule(SMALL_Y_RULE)
-            for p in THEOREM_PRIMES:
-                if p <= self.p_max and y_rule(p) <= y_small(p):
+            for p, y, y_small in theorem_ys(self.y_rule, self.p_max):
+                if y <= y_small:
                     raise ValueError(
-                        f"y-rule {self.y_rule!r} gives y={y_rule(p)} at p={p}; the "
+                        f"y-rule {self.y_rule!r} gives y={y} at p={p}; the "
                         f"theorem check needs y above ceil(p^0.25)"
                     )
 
@@ -72,9 +69,40 @@ def parse_y_rule(rule: str):
     rule = rule.strip()
     if rule.startswith("p^"):
         exponent = parse_fraction(rule[2:])
-        return lambda p: subsetprod.theorem_y(p, exponent)
+        return lambda p: theorem_y(p, exponent)
     value = int(rule)
     return lambda p: min(p - 1, max(1, value))
+
+
+def theorem_y(p: int, exponent: int | Fraction | None = None) -> int:
+    """ceil(p^exponent), clamped to [1, p-1], decided exactly; the exponent
+    is 3/5 when none is given.
+
+    For exponent = a/b that is the least y with y^b >= p^a, found from the
+    integer root iroot(p^a, b).  The exponent must be exact (an int or a
+    Fraction): a float's binary denominator would make p^a enormous.
+    """
+    from fractions import Fraction
+    if exponent is None:
+        exponent = Fraction(3, 5)
+    if not isinstance(exponent, (int, Fraction)):
+        raise TypeError(f"exponent {exponent!r} must be an int or a Fraction")
+    a, b = exponent.numerator, exponent.denominator
+    if a <= 0:
+        y = 1  # p^exponent <= 1
+    elif a >= b:
+        y = p  # p^exponent >= p: clamped below
+    else:
+        y = iroot(p**a, b)
+        y += y**b < p**a
+    return min(p - 1, max(1, y))
+
+
+def theorem_ys(y_rule: str, p_max: int) -> list[tuple[int, int, int]]:
+    """(p, y, y_small) at each of THEOREM_PRIMES up to p_max: the y that
+    y_rule gives and the y of SMALL_Y_RULE, ceil(p^0.25)."""
+    rule, small_rule = parse_y_rule(y_rule), parse_y_rule(SMALL_Y_RULE)
+    return [(p, rule(p), small_rule(p)) for p in THEOREM_PRIMES if p <= p_max]
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -92,49 +120,3 @@ def parse_fraction(text: str) -> Fraction:
     if max(abs(value.numerator), value.denominator) > MAX_FRACTION_TERM:
         raise ValueError(f"numerator or denominator above {MAX_FRACTION_TERM}")
     return value
-
-
-def check_theorem_error(y_rule: str, p_max: int) -> list[CheckRecord]:
-    """The normalized error ratio at the rule's y and at ceil(p^0.25).
-
-    The check passes when the ratio at the rule's y is finite and at most
-    the ratio at the small y.  With D_y(b) = S_y(b) - 2^y/(p-1), taking or
-    skipping n = y+1 gives D_{y+1}(b) = D_y(b) + D_y(b/(y+1)), so
-    max |D_{y+1}| <= 2 max |D_y| and the ratio max |D_y| p^2 / 2^y never
-    increases in y; it can stay level (p = 401 at y = 5 and 6).
-    """
-    rule, small_rule = parse_y_rule(y_rule), parse_y_rule(SMALL_Y_RULE)
-    ratios = {}
-    shrink_ok = True
-    for p in THEOREM_PRIMES:
-        if p > p_max:
-            continue
-        y_main = rule(p)
-        y_small = small_rule(p)
-        ctx = modcore.build_context(p)
-        ratio = {
-            dp.y: subsetprod.error_report(dp)
-            for dp in subsetprod.subset_product_prefixes(ctx, (y_small, y_main))
-        }
-        r_main, r_small = ratio[y_main], ratio[y_small]
-        ratios[str(p)] = {
-            "y": y_main,
-            "ratio": r_main,
-            "y_small": y_small,
-            "ratio_small": r_small,
-        }
-        if not (math.isfinite(r_main) and r_main <= r_small):
-            shrink_ok = False
-    report = CheckRecord(
-        name="theorem_error_ratio",
-        params={"y_rule": y_rule, "y_small_rule": SMALL_Y_RULE},
-        status="REPORT",
-        metrics=ratios,
-    )
-    monotone = CheckRecord(
-        name="theorem_error_shrinks",
-        params={"primes": sorted(int(p) for p in ratios)},
-        status="PASS" if shrink_ok else "FAIL",
-        metrics={},
-    )
-    return [report, monotone]

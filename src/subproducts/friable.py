@@ -1,5 +1,6 @@
-"""Smooth-number machinery: friability tests, exact Psi(t, y) counts, and
-constructive bounded-part factorizations.
+"""Smooth-number machinery: friability tests, exact Psi(t, y) counts,
+constructive bounded-part factorizations, and the random instances that
+verify's factorization harnesses split.
 
 All exponent comparisons against fractional powers (n versus y^(a/b)) are
 decided in exact integer arithmetic: n <= y^(a/b) iff n^b <= y^a iff
@@ -10,12 +11,14 @@ Floats never decide a boundary here.
 
 from __future__ import annotations
 
+import bisect
 import math
+import random
 from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
-from .modcore import divisors, iroot, prime_factors_desc, primes_between
+from .modcore import divisors, iroot, prime_factors_desc, primes_between, small_primes
 
 
 class BoundViolatedError(ValueError):
@@ -286,3 +289,51 @@ def ranged_feasible(n: int, y: int, k: int, epsilon) -> bool:
     small_bound = y**a
     good = [d for d in divisors(n) if 1 < d <= y and d**b > small_bound]
     return _splits(n, good, k // 2 + 1, k)
+
+
+# ---------------------------------------------------------------------------
+# The random instances of verify's factorization harnesses.  They draw
+# y <= HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT.
+HARNESS_Y_MAX = 200
+
+
+def _primes_to(y: int) -> tuple[int, ...]:
+    """Primes <= y, for y <= HARNESS_Y_MAX: a slice of the cached small primes."""
+    primes = small_primes()
+    return primes[: bisect.bisect_right(primes, y)]
+
+
+def _random_kway_instance(rng: random.Random) -> tuple[int, int, int]:
+    """(n, y, k) with n y-friable and n^2 <= y^(k+1) (n = 1 possible)."""
+    y = rng.randint(4, HARNESS_Y_MAX)
+    k = rng.randint(1, 6)
+    primes = _primes_to(y)
+    n_sq_limit = y ** (k + 1)
+    n = 1
+    while rng.random() < 0.9:
+        q = rng.choice(primes)
+        if (n * q) ** 2 > n_sq_limit:
+            break
+        n *= q
+    return n, y, k
+
+
+def _random_ranged_instance(rng: random.Random) -> tuple[int, int, int, Fraction]:
+    """Instance satisfying the ranged-factorization hypotheses exactly."""
+    while True:
+        y = rng.randint(8, HARNESS_Y_MAX)
+        k = rng.randint(1, 6)
+        num_max = math.ceil(100 / (k + 2)) - 1
+        eps = Fraction(rng.randint(1, num_max), 100)
+        lower_root, upper, work_root, _ = ranged_bounds(
+            y, k, eps.numerator, eps.denominator
+        )
+        usable = _primes_to(work_root)  # work_root <= y <= HARNESS_Y_MAX
+        if not usable:
+            continue
+        for _ in range(50):
+            n = 1
+            while n <= lower_root:
+                n *= rng.choice(usable)
+            if n * n < upper:
+                return n, y, k, eps

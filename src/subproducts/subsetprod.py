@@ -4,7 +4,7 @@ The central objects: the least y such that subset products of {1..y}
 reach every reduced residue class, its prime-only and arithmetic-
 progression variants, the exact count vector S_y(b) of subsets of
 {1..y} with product congruent to b, and the deviation of S_y(b) from
-its average 2^y/(p-1) measured in exact rational arithmetic.
+its average 2^y/(p-1) measured in exact integer arithmetic.
 
 Counts include the empty subset (product 1).  Subsets containing a
 multiple of p have product congruent to 0; those land in the residue-0
@@ -15,13 +15,9 @@ from __future__ import annotations
 
 import struct
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .modcore import PrimeContext, build_context, iroot, iter_primes
-
-# fractions loads where a Fraction is made, so coverage and the sweep never load it
-if TYPE_CHECKING:
-    from fractions import Fraction
+from .modcore import PrimeContext, build_context, iter_primes
 
 
 # ---------------------------------------------------------------------------
@@ -373,36 +369,11 @@ def counts_via_characters(ctx: PrimeContext, y: int) -> list[float]:
 
 def error_report(dp: SubsetProductCounts) -> float:
     """The normalized worst-case error max_b |S_y(b) - 2^y/(p-1)| * p^2 / 2^y
-    of one snapshot of the counts: one exact rational, converted to float
-    once."""
-    from fractions import Fraction
+    of one snapshot of the counts: one quotient of exact integers, which
+    int division rounds to the nearest float."""
     p, y, counts = dp.p, dp.y, dp.counts
     if not 1 <= y < p:
         raise ValueError(f"need 1 <= y < p, got y={y}, p={p}")
     # compare over integers: |S(b) (p-1) - 2^y| is (p-1) |S(b) - 2^y/(p-1)|
     max_scaled = max(abs(counts[b] * (p - 1) - (1 << y)) for b in range(1, p))
-    return float(Fraction(max_scaled * p * p, (p - 1) << y))
-
-
-def theorem_y(p: int, exponent: int | Fraction | None = None) -> int:
-    """ceil(p^exponent), clamped to [1, p-1], decided exactly; the exponent
-    is 3/5 when none is given.
-
-    For exponent = a/b that is the least y with y^b >= p^a, found from the
-    integer root iroot(p^a, b).  The exponent must be exact (an int or a
-    Fraction): a float's binary denominator would make p^a enormous.
-    """
-    from fractions import Fraction
-    if exponent is None:
-        exponent = Fraction(3, 5)
-    if not isinstance(exponent, (int, Fraction)):
-        raise TypeError(f"exponent {exponent!r} must be an int or a Fraction")
-    a, b = exponent.numerator, exponent.denominator
-    if a <= 0:
-        y = 1  # p^exponent <= 1
-    elif a >= b:
-        y = p  # p^exponent >= p: clamped below
-    else:
-        y = iroot(p**a, b)
-        y += y**b < p**a
-    return min(p - 1, max(1, y))
+    return max_scaled * p * p / ((p - 1) << y)

@@ -35,7 +35,6 @@ from subproducts.cli import (
     check_polya_vinogradov,
 )
 from subproducts.modcore import (
-    SMALL_PRIME_LIMIT,
     build_context,
     iroot,
     primes_between,
@@ -157,31 +156,36 @@ def test_char_sum_equals_direct_sum_exactly():
 
 
 def test_char_sum_either_side_of_the_sparse_cutoff():
-    # up to SMALL_PRIME_LIMIT = 4096 remaining terms go through the sparse
+    # up to 16 isqrt(p-1) = 1600 remaining terms go through the sparse
     # index, more through the dense table: both add the same roots in order
-    assert SMALL_PRIME_LIMIT == 4096
     p = 10007
+    assert 16 * math.isqrt(p - 1) == 1600
     ctx = build_context(p)
     m = ctx.order
     roots = unit_roots(m)
     for k in (0, 1, 7, 5003, 10005):
         direct = 0j
-        for n in range(1, 4094):
+        for n in range(1, 1598):
             direct += roots[k * ctx.table[n] % m]
         periods = complex(2 * m) if k == 0 else 0j
-        for t in range(4094, 4100):
+        for t in range(1598, 1604):
             direct += roots[k * ctx.table[t] % m]
-            assert char_sum(ctx, k, t) == direct
+            fresh = build_context(p)  # ctx has its table already
+            assert char_sum(fresh, k, t) == direct
+            assert ("table" in fresh.__dict__) == (t > 1600)
             assert char_sum(ctx, k, 2 * p + t) == periods + direct
 
 
 def test_char_sum_at_the_table_cap_reads_only_its_terms(monkeypatch):
     calls = []
     monkeypatch.setattr(characters, "unit_roots", calls.append)
-    # the sums the dense table and the p-1 cached roots gave (13-15 s, 725 MB)
+    # the sums the dense table and the p-1 cached roots gave (13-15 s, 725 MB);
+    # 4097's is the dense table's alone (about 4 s), with each root computed
+    # as it is added
     for t, expected in (
         (5, complex(2.7280730414005916, -0.658468483427072)),
         (4096, complex(36.859184425393615, 34.27082140808196)),
+        (4097, complex(37.689712314815104, 33.713844366460776)),
     ):
         start = time.perf_counter()
         ctx = build_context(16_777_213)  # the largest prime below 2^24

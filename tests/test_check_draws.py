@@ -3,7 +3,7 @@
 A check reports only how many of its draws failed, so one that silently
 draws nothing (every k-way instance n = 1) passes with the same report.
 Each test draws at the seed `verify` gives the check by default, with the
-check's own generator from `subproducts.checks`, or with the check itself
+check's own generator from `subproducts.friable`, or with the check itself
 and a spy on the function its draws go to.  It pins a digest of the draws
 and a few facts about their spread: the share of trivial draws, the
 largest k, and how close the draws come to their size bound.  None of it
@@ -24,7 +24,7 @@ def digest(draws):
 
 def test_kway_harness_draws_at_seed_2():
     rng = random.Random(2)
-    draws = [checks._random_kway_instance(rng) for _ in range(10_000)]
+    draws = [friable._random_kway_instance(rng) for _ in range(10_000)]
     assert digest(draws) == "7e8671a5ea0379f25f16544b430d9b9ef6126aba44917887a9e71ad8fe2a5536"
     # n = 1 has nothing to split
     assert sum(n == 1 for n, _, _ in draws) == 976
@@ -35,7 +35,7 @@ def test_kway_harness_draws_at_seed_2():
 
 def test_ranged_harness_draws_at_seed_3():
     rng = random.Random(3)
-    draws = [checks._random_ranged_instance(rng) for _ in range(10_000)]
+    draws = [friable._random_ranged_instance(rng) for _ in range(10_000)]
     assert digest(draws) == "31fd06f4614c7a18b222cf91e582a242f12649633e8e7586a93a23cce387234e"
     # k = 1 admits only the split (n,)
     assert sum(k == 1 for _, _, k, _ in draws) == 1659

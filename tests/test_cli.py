@@ -1091,9 +1091,9 @@ def spy(lo, hi):
     return real(lo, hi)
 modcore.primes_between = spy
 import subproducts.cli
-import subproducts.checks as checks
+import subproducts.friable as friable
 assert sieved == [], sieved
-assert checks.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
+assert friable.HARNESS_Y_MAX <= modcore.SMALL_PRIME_LIMIT
 """)
 
 

@@ -9,11 +9,13 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from subproducts.checks import _kway_witness, _random_kway_instance, _random_ranged_instance
+from subproducts.checks import _kway_witness
 from subproducts.friable import (
     BoundViolatedError,
     HypothesisViolatedError,
     InternalContradictionError,
+    _random_kway_instance,
+    _random_ranged_instance,
     greedy_k_factorization,
     kway_feasible,
     largest_prime_factor,

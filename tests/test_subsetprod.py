@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from subproducts import modcore, subsetprod
 from subproducts.cli import check_dp_vs_characters
+from subproducts.config import theorem_y
 from subproducts.modcore import SMALL_PRIME_LIMIT, build_context, primes_up_to
 from subproducts.subsetprod import (
     counts_via_characters,
@@ -22,7 +23,6 @@ from subproducts.subsetprod import (
     subset_product_prefixes,
     prime_coverage_threshold,
     progression_coverage_threshold,
-    theorem_y,
 )
 
 
@@ -622,6 +622,9 @@ def test_error_report_from_fold_snapshots():
         ys = range(1, min(p, 40))
         for dp in subset_product_prefixes(build_context(p), ys):
             assert error_report(dp) == error_report(subset_product_counts(p, dp.y))
+            # the exact rational max |S(b) - 2^y/(p-1)| p^2 / 2^y, rounded once
+            max_scaled = max(abs(dp.counts[b] * (p - 1) - (1 << dp.y)) for b in range(1, p))
+            assert error_report(dp) == float(Fraction(max_scaled * p * p, (p - 1) << dp.y))
     (dp,) = subset_product_prefixes(build_context(5), [5])
     with pytest.raises(ValueError, match="need 1 <= y < p, got y=5, p=5"):
         error_report(dp)
