@@ -12,6 +12,12 @@
 #   into --out and spools them for stdout, and an unclosed pipe or file, or
 #   a row generator left to the garbage collector, prints a warning there,
 #   so both outputs must give the digest and stderr must stay empty;
+# - every row of tests/test_cli.py's BAD_INPUTS whose argv and message are
+#   literals: each must exit 2 with no stdout and one "error: " line on
+#   stderr that holds the row's message;
+# - counts --p 3 --y 50000 as CSV and as JSON: both nonzero residues count
+#   2^33333 subsets, 10035 digits, past the 4300 digits that int and str
+#   convert by default;
 # - tests/test_cli.py's SWEEP_PATH_LOADS: the sweep, its workers, counts and
 #   coverage load neither fractions nor decimal, nor the character and
 #   factorization stacks.
@@ -26,6 +32,7 @@ for py in ${STDLIB_GATE_PYTHONS:-python}; do
   PYTHONPATH=src "$py" - "$tmp" <<'EOF'
 import ast
 import hashlib
+import json
 import os
 import pathlib
 import py_compile
@@ -80,8 +87,47 @@ for argv, digest in runs:
         print(("ok  " if got == digest else "BAD ") + " ".join(argv) + where, flush=True)
         failed += got != digest
 
-(loads,) = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
-            and [t.id for t in node.targets] == ["SWEEP_PATH_LOADS"]]
+
+def assigned(name):
+    """The value of tests/test_cli.py's module-level `name = ...`, unevaluated."""
+    (value,) = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == [name]]
+    return value
+
+
+def cli(*argv):
+    return subprocess.run([sys.executable, "-m", "subproducts.cli", *argv],
+                          stdin=subprocess.DEVNULL, capture_output=True, text=True)
+
+
+rows = assigned("BAD_INPUTS").elts
+refusals = []
+for row in rows:
+    try:
+        refusals.append([ast.literal_eval(arg) for arg in row.args])
+    except ValueError:
+        pass  # argv or message built by an expression: only pytest runs the row
+assert (len(refusals), len(rows)) == (52, 65), (len(refusals), len(rows))
+for argv, message in refusals:
+    proc = cli(*argv)
+    ok = (proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")
+          and proc.stderr.count("\n") == 1 and message in proc.stderr)
+    print(("ok  " if ok else "BAD ") + " ".join(argv) + " exits 2", flush=True)
+    failed += not ok
+
+getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)
+count = str(2**33333)
+assert len(count) == 10035
+for fmt, want in [
+    ("csv", f"b,count\n1,{count}\n2,{count}\n"),
+    ("json", {"counts": {"1": count, "2": count}, "p": 3, "schema_version": 1, "y": 50000}),
+]:
+    proc = cli("counts", "--p", "3", "--y", "50000", "--format", fmt)
+    ok = proc.returncode == 0 and (json.loads(proc.stdout) if fmt == "json" else proc.stdout) == want
+    print(("ok  " if ok else "BAD ") + f"counts --p 3 --y 50000 --format {fmt}", flush=True)
+    failed += not ok
+
+loads = ast.literal_eval(assigned("SWEEP_PATH_LOADS"))
 subprocess.run([sys.executable, "-c", loads], stdin=subprocess.DEVNULL, check=True)
 print("ok  the sweep path loads none of LAZY", flush=True)
 sys.exit(1 if failed else 0)

@@ -308,7 +308,7 @@ def circle_lemma_bound(k_count: int, delta: float) -> float:
     return math.cos(theta)
 
 
-def z_lemma_check(angle: Fraction | None, deltas: Iterable[float]) -> int:
+def z_lemma_check(angle: float | None, deltas: Iterable[float]) -> int:
     """Count the deltas for which |z-1| >= delta but |1+z| > 2 e^{-delta^2/8}.
 
     z is encoded by its angle in turns (|z| = 1) or None (z = 0).  Both

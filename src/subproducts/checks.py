@@ -176,12 +176,10 @@ def check_lemma_circle(seed: int, tuples: int = 2000) -> CheckRecord:
 
 
 def check_lemma_z_grid(angles: int = 1000, deltas: int = 100) -> CheckRecord:
-    from fractions import Fraction
-
     from . import characters
     grid = [2.0 * j / (deltas + 1) for j in range(1, deltas + 1)]
     failures = sum(
-        characters.z_lemma_check(None if i == 0 else Fraction(i, angles), grid)
+        characters.z_lemma_check(None if i == 0 else i / angles, grid)
         for i in range(angles)
     )
     return CheckRecord(

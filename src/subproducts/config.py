@@ -51,6 +51,9 @@ class SweepConfig(NamedTuple):
         except ValueError as exc:
             raise ValueError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
         if "theorem" in self.checks:
+            if self.p_max < THEOREM_PRIMES[0]:
+                raise ValueError(f"the theorem check needs pmax >= {THEOREM_PRIMES[0]}, "
+                                 f"its least prime; got pmax={self.p_max}")
             for p, y, y_small in theorem_ys(self.y_rule, self.p_max):
                 if y <= y_small:
                     raise ValueError(

@@ -38,7 +38,6 @@ from subproducts.modcore import (
     build_context,
     iroot,
     primes_between,
-    primes_up_to,
 )
 
 
@@ -144,7 +143,7 @@ def test_char_sum_huge_t_is_one_period_of_work():
 def test_char_sum_equals_direct_sum_exactly():
     # below one period char_sum adds the same roots in the same order as a
     # direct sum read through the sparse index (baby-step giant-step)
-    for p in primes_up_to(61):
+    for p in primes_between(2, 61):
         ctx = build_context(p)
         m = ctx.order
         roots = unit_roots(m)
@@ -233,7 +232,7 @@ def test_max_nonprincipal_sum_equals_every_k_summed(p, data):
 
 
 def test_polya_vinogradov_scan_small():
-    for p in primes_up_to(101):
+    for p in primes_between(2, 101):
         if p < 3:
             continue
         scan = polya_vinogradov_scan(build_context(p))
@@ -274,12 +273,12 @@ def scan_by_value_table(ctx):
 
 
 def test_polya_vinogradov_scan_equals_value_table_scan(monkeypatch):
-    for p in primes_up_to(311):
+    for p in primes_between(2, 311):
         ctx = build_context(p)
         assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
     # A zero bound makes every character a violation, since |chi(1)|^2 = 1
     monkeypatch.setattr(characters, "polya_vinogradov_bound", lambda p: 0.0)
-    for p in primes_up_to(101)[1:]:
+    for p in primes_between(3, 101):
         ctx = build_context(p)
         scan = polya_vinogradov_scan(ctx)
         assert scan.bound == 0.0 and scan.violations == ctx.order - 1
@@ -287,7 +286,7 @@ def test_polya_vinogradov_scan_equals_value_table_scan(monkeypatch):
 
 
 @settings(max_examples=4, deadline=None)
-@given(p=st.sampled_from(primes_up_to(1009)))
+@given(p=st.sampled_from(primes_between(2, 1009)))
 def test_polya_vinogradov_scan_equals_value_table_scan_drawn(p):
     ctx = build_context(p)
     assert polya_vinogradov_scan(ctx) == scan_by_value_table(ctx)
@@ -446,7 +445,7 @@ def near_one_exceptions_by_loop(ctx, k, y, delta):
 
 
 @settings(max_examples=200, deadline=None)
-@given(p=st.sampled_from(primes_up_to(1009)), data=st.data())
+@given(p=st.sampled_from(primes_between(2, 1009)), data=st.data())
 @example(p=2, data=None)
 @example(p=3, data=None)
 def test_near_one_exceptions_equals_the_per_n_loop(p, data):

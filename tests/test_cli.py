@@ -27,7 +27,7 @@ from subproducts.cli import (
     spectrum_csv,
     verification_report_json,
 )
-from subproducts.config import parse_y_rule
+from subproducts.config import ALL_CHECKS, parse_y_rule
 
 
 def run_cli(*argv):
@@ -51,7 +51,7 @@ def test_parse_y_rule():
 
 def test_parse_y_rule_is_exact():
     # p^(a/b) is the least y with y^b >= p^a, clamped to [1, p-1]
-    for p in modcore.primes_up_to(2000):
+    for p in modcore.primes_between(2, 2000):
         assert parse_y_rule("p^3/5")(p) == parse_y_rule("p^0.6")(p)
         assert parse_y_rule("p^0.6")(p) == min(p - 1, max(1, math.ceil(p**0.6)))
     assert parse_y_rule("p^2")(101) == parse_y_rule("p^1")(101) == 100
@@ -84,7 +84,9 @@ def test_sweep_config_validation():
         with pytest.raises(ValueError, match=gives + ".*; the theorem check needs y above"):
             SweepConfig(y_rule=rule).validate()
     SweepConfig(y_rule="0", checks=("spectrum", "lemmas")).validate()
-    SweepConfig(y_rule="0", p_max=100).validate()  # no theorem prime <= 100
+    # a y-rule is judged only where the theorem check runs
+    SweepConfig(y_rule="0", p_max=100,
+                checks=tuple(c for c in ALL_CHECKS if c != "theorem")).validate()
     SweepConfig(y_rule="p^2").validate()  # clamped to p - 1
     # pmax is capped before anything is sieved
     SweepConfig(p_max=modcore.MAX_TABLE_PRIME).validate()
@@ -138,6 +140,7 @@ def test_spectrum_empty_range_header_only():
 
 
 @pytest.mark.parametrize("window", [1, 7, 64])
+@pytest.mark.usefixtures("cold_prime_caches")
 def test_sweep_sieves_its_range_window_by_window(monkeypatch, window):
     # windows narrower than the range: every prime once, in order, and the
     # pool's rows are the serial rows.  The sweep's primes come from
@@ -359,10 +362,11 @@ def test_spectrum_sweep_builds_no_dense_table(monkeypatch):
     assert len(list(run_spectrum_sweep(3, 2000))) == 302
 
 
+@pytest.mark.usefixtures("cold_prime_caches")
 def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
     # the per-process small-prime caches are built on first use, by a sieve
-    # of (2, 4096); build them before the sieve is recorded, so the windows
-    # are the sweep's alone whether or not an earlier test built them
+    # of (2, 4096); build them again before the sieve is recorded, so the
+    # windows are the sweep's alone
     modcore.small_primes()
     modcore._least_factors()
     windows = []
@@ -503,7 +507,7 @@ def test_verify_default_golden_json(tmp_path, seed, digest):
 def test_near_one_scan_y_is_floor_p_07():
     # the scan's exact y = iroot(p^7, 10) agrees with the float floor(p**0.7)
     # at every prime it runs over (p <= 311), so its report cannot move
-    for p in modcore.primes_up_to(311):
+    for p in modcore.primes_between(2, 311):
         assert modcore.iroot(p**7, 10) == math.floor(p**0.7)
 
 
@@ -588,6 +592,9 @@ BAD_INPUTS = [
                  "bad y-rule", id="verify-y-rule-overflow"),
     pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "0"],
                  "theorem check needs y above", id="verify-y-rule-below-comparison"),
+    # a theorem check with no theorem prime up to pmax would check nothing
+    pytest.param(["verify", "--pmax", "100"], "the theorem check needs pmax >= 101",
+                 id="verify-pmax-below-theorem-primes"),
     pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
     pytest.param(["verify", "--checks", ""], "unknown checks: ['']", id="verify-checks-empty"),

@@ -39,7 +39,7 @@ def test_largest_prime_factor_examples():
 def test_lpf_sieve_matches_trial_division_and_sympy():
     # trial division agrees with sympy, and the windowed prime sieve behind
     # psi_exact counts the same y-friable n <= 5000 as trial division does
-    lpf = [0] + [largest_prime_factor(n) for n in range(1, 5001)]
+    lpf = [0] + [max(prime_factors_desc(n), default=1) for n in range(1, 5001)]
     for n in range(1, 5001):
         assert lpf[n] == max(sympy.factorint(n), default=1)
     ts = [1, 2, 97, 1000, 4999, 5000]
@@ -54,7 +54,7 @@ def test_prime_factors_desc():
 
 
 def brute_psi(t, y):
-    return sum(1 for n in range(1, t + 1) if largest_prime_factor(n) <= y)
+    return sum(1 for n in range(1, t + 1) if max(prime_factors_desc(n), default=1) <= y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -268,7 +268,7 @@ def test_ranged_large_prime_factor_unsupported():
     # 2 * 503^2 sits in the window for y=1000, k=3 yet admits no valid split
     n = 2 * 503 * 503
     eps = Fraction(19, 100)
-    assert largest_prime_factor(n) <= 1000
+    assert max(prime_factors_desc(n), default=1) <= 1000
     with pytest.raises(HypothesisViolatedError):
         ranged_factorization(n, 1000, 3, eps)
     assert not ranged_feasible(n, 1000, 3, eps)

@@ -160,7 +160,7 @@ def test_primes_up_to_matches_sympy(n):
 def test_primes_between_examples():
     assert primes_between(-10, 1) == []
     assert primes_between(2, 2) == [2]
-    assert primes_between(0, 13) == primes_up_to(13)
+    assert primes_between(0, 13) == [2, 3, 5, 7, 11, 13]
     assert primes_between(49, 49) == []  # 7^2
     assert primes_between(14, 13) == []
     window = primes_between(16_776_000, MAX_TABLE_PRIME)
@@ -186,6 +186,7 @@ def test_primes_between_matches_sympy_primerange(lo, width):
 
 
 @pytest.mark.parametrize("window", [1, 7, modcore.PRIME_WINDOW])
+@pytest.mark.usefixtures("cold_prime_caches")
 def test_iter_primes_is_primes_between_across_the_cache(monkeypatch, window):
     # the cached small primes end at 4093 < SMALL_PRIME_LIMIT = 4096, the
     # windows start at 4097, and 4099 is the first prime in them
@@ -270,7 +271,7 @@ def test_least_nonresidue_examples():
 
 
 def test_least_nonresidue_is_prime():
-    for p in primes_up_to(2000):
+    for p in primes_between(2, 2000):
         if p > 2:
             assert trial_division_prime(least_nonresidue(p))
 
@@ -283,7 +284,7 @@ def test_least_primitive_root_examples():
 
 
 def test_least_primitive_root_order_oracle():
-    for p in primes_up_to(300):
+    for p in primes_between(2, 300):
         if p == 2:
             continue
         g = least_primitive_root(p)
@@ -311,7 +312,7 @@ def test_group_generation_bound_definition():
 
 
 def test_spectrum_chain_small():
-    for p in primes_up_to(1000):
+    for p in primes_between(2, 1000):
         if p < 3:
             continue
         ctx = build_context(p)

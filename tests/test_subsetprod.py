@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from subproducts import modcore, subsetprod
 from subproducts.cli import check_dp_vs_characters
 from subproducts.config import theorem_y
-from subproducts.modcore import SMALL_PRIME_LIMIT, build_context, primes_up_to
+from subproducts.modcore import SMALL_PRIME_LIMIT, build_context, primes_between
 from subproducts.subsetprod import (
     counts_via_characters,
     CoverageState,
@@ -141,12 +141,12 @@ def test_y_of_p_against_brute():
 
 
 def test_y_prime_against_brute():
-    for p in primes_up_to(31):
+    for p in primes_between(2, 31):
         expected = next(
             (
                 y
                 for y in range(1, p)
-                if brute_reachable(p, primes_up_to(y)) == set(range(1, p))
+                if brute_reachable(p, primes_between(2, y)) == set(range(1, p))
             ),
             None,
         )
@@ -163,6 +163,7 @@ def test_y_prime_examples():
     assert prime_coverage_threshold(build_context(11)) == 7
 
 
+@pytest.mark.usefixtures("cold_prime_caches")
 def test_prime_walk_goes_past_the_cached_primes(monkeypatch):
     # no y' found so far reaches SMALL_PRIME_LIMIT, so only this test walks
     # into the sieve windows above the cached primes, as the walk at p reads
@@ -170,17 +171,17 @@ def test_prime_walk_goes_past_the_cached_primes(monkeypatch):
     for window in (modcore.PRIME_WINDOW, 7):
         monkeypatch.setattr(modcore, "PRIME_WINDOW", window)
         for p in (2, 3, 4091, SMALL_PRIME_LIMIT + 1, SMALL_PRIME_LIMIT + 2, 10007):
-            assert list(modcore.iter_primes(2, p - 1)) == primes_up_to(p - 1)
+            assert list(modcore.iter_primes(2, p - 1)) == primes_between(2, p - 1)
 
 
 def test_y_prime_at_least_y():
-    for p in primes_up_to(300):
+    for p in primes_between(2, 300):
         if p < 3:
             continue
         ctx = build_context(p)
         yp = None
         state = CoverageState(ctx, 1)
-        primes = set(primes_up_to(p - 1))
+        primes = set(primes_between(2, p - 1))
         for v in range(1, p):
             if v in primes:
                 state = coverage_consume(state, v)
@@ -228,7 +229,7 @@ def test_progression_equals_y_of_p():
 
 @settings(max_examples=60, deadline=None)
 @given(
-    p=st.sampled_from(primes_up_to(13)),
+    p=st.sampled_from(primes_between(2, 13)),
     a=st.integers(min_value=-40, max_value=40),
     d=st.integers(min_value=-40, max_value=40),
     y_max=st.integers(min_value=1, max_value=12),
@@ -269,7 +270,7 @@ def test_counts_match_enumeration():
 
 def test_counts_match_residue_walk_random():
     rng = random.Random(11)
-    ps = primes_up_to(1009)
+    ps = primes_between(2, 1009)
     for _ in range(40):
         p = rng.choice(ps)
         y = rng.randint(1, p - 1)
@@ -304,7 +305,7 @@ def test_counts_reject_non_prime_modulus():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    p=st.sampled_from(primes_up_to(211)),
+    p=st.sampled_from(primes_between(2, 211)),
     ys=st.lists(st.integers(min_value=1, max_value=300), min_size=1, max_size=4),
 )
 @example(p=13, ys=[200, 13, 1, 64, 12, 13])
@@ -318,8 +319,8 @@ def test_prefix_snapshots_match_single_folds(p, ys):
         assert s.counts == subset_product_counts(p, s.y).counts
 
 
-PRIMES_1_MOD_3 = [q for q in primes_up_to(400) if q % 3 == 1]
-PRIMES_2_MOD_3 = [q for q in primes_up_to(400) if q % 3 == 2]
+PRIMES_1_MOD_3 = [q for q in primes_between(2, 400) if q % 3 == 1]
+PRIMES_2_MOD_3 = [q for q in primes_between(2, 400) if q % 3 == 2]
 
 
 @st.composite
@@ -486,7 +487,7 @@ def test_prefix_fold_requests():
 
 
 @settings(max_examples=80, deadline=None)
-@given(p=st.sampled_from(primes_up_to(211)), data=st.data())
+@given(p=st.sampled_from(primes_between(2, 211)), data=st.data())
 def test_counts_reached_equals_coverage(p, data):
     y = data.draw(st.integers(min_value=1, max_value=2 * p + 5))
     state = CoverageState(build_context(p), 1)
@@ -499,7 +500,7 @@ def test_counts_reached_equals_coverage(p, data):
 def test_counts_mass_conservation():
     rng = random.Random(0)
     for _ in range(60):
-        p = rng.choice([q for q in primes_up_to(211) if q >= 3])
+        p = rng.choice(primes_between(3, 211))
         y = rng.randint(1, p - 1)
         counts = subset_product_counts(p, y)
         assert counts.unit_mass() == 2**y
@@ -525,7 +526,7 @@ def test_positivity_boundary_matches_coverage():
 
 
 @settings(max_examples=21, deadline=None)
-@given(p=st.sampled_from(primes_up_to(10**5)))
+@given(p=st.sampled_from(primes_between(2, 10**5)))
 @example(p=2)
 @example(p=3)
 @example(p=99991)
@@ -575,9 +576,9 @@ def test_dp_vs_characters_verdicts_are_far_from_their_tolerance(monkeypatch):
     monkeypatch.setattr(subsetprod, "counts_via_characters", recorded)
     record = check_dp_vs_characters(31)
     assert record.metrics["failures"] == 0
-    assert sorted(approxes) == [(p, y) for p in primes_up_to(31)[1:] for y in range(1, 31)]
+    assert sorted(approxes) == [(p, y) for p in primes_between(3, 31) for y in range(1, 31)]
     worst = Fraction(0)
-    for p in primes_up_to(31)[1:]:
+    for p in primes_between(3, 31):
         counts = [0, 1] + [0] * (p - 2)  # the empty product is 1
         for y in range(1, 31):
             if y % p:
@@ -632,7 +633,7 @@ def test_error_report_from_fold_snapshots():
 
 def test_theorem_y_is_exact_ceiling():
     # least y with y^b >= p^a, clamped to [1, p-1]
-    for p in primes_up_to(3000):
+    for p in primes_between(2, 3000):
         for exponent in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 5), Fraction(7, 10)):
             y = theorem_y(p, exponent)
             a, b = exponent.numerator, exponent.denominator

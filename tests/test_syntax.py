@@ -8,7 +8,6 @@ classes."""
 import ast
 import builtins
 import importlib
-import importlib.util
 import pathlib
 from collections import Counter
 
@@ -67,17 +66,6 @@ def test_every_exception_class_is_caught_by_name():
     assert defined and not defined - caught, sorted(defined - caught)
 
 
-def _traced_names():
-    """The module.function names that bench/tracing.py looks up by string,
-    with the tracer loaded from its file as the benchmark loads it; none
-    once it has no TRACED table."""
-    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    traced = getattr(tracing, "TRACED", {})
-    return {f"{module}.{name}" for module, names in traced.items() for name in names}
-
-
 def _defined_names(statement):
     """The names a module-level function, class or assignment binds."""
     if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -105,7 +93,7 @@ TRACER_ONLY = {"friable.largest_prime_factor", "modcore.primes_up_to",
                "subsetprod.coverage_consume"}
 
 
-def test_every_helper_has_a_caller_in_src():
+def test_every_helper_has_a_caller_in_src(tracing):
     # a name that only tests read is dead code to the program: a reference
     # inside the name's own definition (recursion, a method naming its class)
     # does not count; the names the benchmark's tracer looks up by string
@@ -114,7 +102,10 @@ def test_every_helper_has_a_caller_in_src():
     statements = [(path.stem, statement, _read_names(statement))
                   for path in sorted((ROOT / "src" / "subproducts").glob("*.py"))
                   for statement in ast.parse(path.read_text(encoding="utf-8")).body]
-    spared = _traced_names()
+    # the module.function names that bench/tracing.py looks up by string;
+    # none once it has no TRACED table
+    spared = {f"{module}.{name}" for module, names in getattr(tracing, "TRACED", {}).items()
+              for name in names}
     unread = []
     for module, statement, _ in statements:
         for name in _defined_names(statement):

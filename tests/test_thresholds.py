@@ -21,7 +21,7 @@ from subproducts.modcore import (
     build_context,
     group_generation_bound,
     least_nonresidue,
-    primes_up_to,
+    primes_between,
 )
 from subproducts.subsetprod import (
     coverage_threshold,
@@ -110,5 +110,5 @@ def test_thresholds_match_residue_walk(p, a, d, y_max):
 
 def test_thresholds_match_residue_walk_small_primes():
     # includes the primes with no prime-only cover (y' = None), such as 7
-    for p in primes_up_to(400)[1:]:
+    for p in primes_between(3, 400):
         check_all_thresholds(p, 2, 3, 2 * p)
