@@ -15,6 +15,8 @@
 # - every row of tests/test_cli.py's BAD_INPUTS whose argv and message are
 #   literals: each must exit 2 with no stdout and one "error: " line on
 #   stderr that holds the row's message;
+# - every subcommand's --help: each must exit 0 and list every flag that
+#   the command table in src/subproducts/cli.py gives it;
 # - counts --p 3 --y 50000 as CSV and as JSON: both nonzero residues count
 #   2^33333 subsets, 10035 digits, past the 4300 digits that int and str
 #   convert by default;
@@ -107,12 +109,21 @@ for row in rows:
         refusals.append([ast.literal_eval(arg) for arg in row.args])
     except ValueError:
         pass  # argv or message built by an expression: only pytest runs the row
-assert (len(refusals), len(rows)) == (52, 65), (len(refusals), len(rows))
+assert (len(refusals), len(rows)) == (58, 71), (len(refusals), len(rows))
 for argv, message in refusals:
     proc = cli(*argv)
     ok = (proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")
           and proc.stderr.count("\n") == 1 and message in proc.stderr)
     print(("ok  " if ok else "BAD ") + " ".join(argv) + " exits 2", flush=True)
+    failed += not ok
+
+import subproducts.cli
+
+for command, (_, _, required, optional) in subproducts.cli._COMMANDS.items():
+    proc = cli(command, "--help")
+    listed = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", proc.stdout))
+    ok = proc.returncode == 0 and listed >= {*required, *optional}
+    print(("ok  " if ok else "BAD ") + f"{command} --help", flush=True)
     failed += not ok
 
 getattr(sys, "set_int_max_str_digits", lambda maxdigits: None)(0)

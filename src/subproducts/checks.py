@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 # characters, friable and fractions load in the checks that use them
 from . import modcore, subsetprod
-from .config import SMALL_Y_RULE, theorem_y, theorem_ys
+from .config import BURGESS_PRIMES, SMALL_Y_RULE, theorem_y, theorem_ys
 
 
 class CheckRecord(NamedTuple):
@@ -236,7 +236,7 @@ def check_polya_vinogradov(p_cap: int) -> CheckRecord:
 def check_burgess_ratio(p_max: int) -> CheckRecord:
     from . import characters
     out = {}
-    for p in (101, 211, 311, 1009):
+    for p in BURGESS_PRIMES:
         if p > p_max:
             continue
         ctx = modcore.build_context(p)

@@ -1,12 +1,7 @@
 """Batch front end: the subcommands, their parser and the verification suite.
 
-Subcommands:
-  spectrum   sweep primes, one row (p, n2, g, G, y, yprime) per prime
-  counts     exact subset-product counts for one (p, y)
-  coverage   arithmetic-progression coverage threshold
-  factorize  bounded-part factorizations (kway | ranged | threeway)
-  charsum    a single character partial sum
-  verify     run the verification suite, emit a JSON report
+`_COMMANDS` lists the six subcommands and their flags, and `_PARTS` the
+flags that each `factorize` mode and `verify` group reads.
 
 Exit codes: 0 all pass, 1 any FAIL, 2 usage or I/O error or a lost
 spectrum worker, 130 interrupted (SIGINT).  Reports are
@@ -29,9 +24,10 @@ from collections.abc import Iterable
 # Every name that the benchmark's tracer patches on this module and that is
 # defined elsewhere (the checks, run_spectrum_sweep, spectrum_csv and
 # write_atomic) is imported eagerly, by name, and called through this
-# module's globals, so each call records its span.  The code lives in modules of its own because, without a bytecode
-# cache, the compiler's high-water for the largest module compiled stays in
-# the heap of the process and of every spectrum worker it forks.
+# module's globals, so each call records its span.  The code lives in
+# modules of its own because, without a bytecode cache, the compiler's
+# high-water for the largest module compiled stays in the heap of the
+# process and of every spectrum worker it forks.
 from . import modcore, subsetprod
 from .checks import (
     CheckRecord,
@@ -100,33 +96,35 @@ def check_spectrum_chain(p_min: int, p_max: int, workers: int) -> CheckRecord:
     )
 
 
-# Each group's checks in report order, with the arguments the config gives
-# them.  The lambdas call the checks through this module's names, never
-# through checks.py, so a tracer that patches those names sees every call.
+# Each group's flags, then its checks in report order with the arguments the
+# config gives them; a group reads only the flags it lists.  The lambdas call
+# the checks through this module's names, never through checks.py, so a
+# tracer that patches those names sees every call.
 _SUITE = {
-    "spectrum": (lambda c: [check_spectrum_chain(c.p_min, c.p_max, c.workers)],),
-    "theorem": (
+    "spectrum": (("--pmin", "--pmax", "--workers"),
+                 (lambda c: [check_spectrum_chain(c.p_min, c.p_max, c.workers)],)),
+    "theorem": (("--pmax", "--y-rule", "--seed"), (
         lambda c: [check_dp_vs_enumeration()],
         lambda c: [check_dp_vs_characters(min(31, c.p_max))],
         lambda c: [check_mass_conservation(c.seed, min(1009, c.p_max))],
         lambda c: check_theorem_error(c.y_rule, c.p_max),
-    ),
-    "lemmas": (
+    )),
+    "lemmas": (("--pmax", "--seed"), (
         lambda c: [check_lemma_circle(c.seed + 1)],
         lambda c: [check_lemma_z_grid()],
         lambda c: [check_lemma_near_one(min(311, c.p_max))],
-    ),
-    "factorization": (
+    )),
+    "factorization": (("--seed",), (
         lambda c: [check_kway_random(c.seed + 2)],
         lambda c: [check_kway_sharpness()],
         lambda c: [check_ranged_random(c.seed + 3)],
         lambda c: [check_ranged_sharpness()],
-    ),
-    "friable": (lambda c: [check_friable_count()],),
-    "burgess": (
+    )),
+    "friable": ((), (lambda c: [check_friable_count()],)),
+    "burgess": (("--pmax",), (
         lambda c: [check_polya_vinogradov(min(311, c.p_max))],
         lambda c: [check_burgess_ratio(c.p_max)],
-    ),
+    )),
 }
 
 
@@ -140,7 +138,7 @@ def run_verification_suite(config: SweepConfig) -> list[CheckRecord]:
     for group in ALL_CHECKS:
         if group not in config.checks:
             continue
-        for run in _SUITE[group]:
+        for run in _SUITE[group][1]:
             t0 = time.perf_counter()
             first, *rest = run(config)
             records.append(first._replace(elapsed=time.perf_counter() - t0))
@@ -195,18 +193,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_output(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
-
-
-def _add_range(sub: argparse.ArgumentParser, defaults: SweepConfig) -> None:
-    """The flags `spectrum` and `verify` share: a prime range and a pool."""
-    sub.add_argument("--pmin", type=int, default=defaults.p_min)
-    sub.add_argument("--pmax", type=int, default=defaults.p_max)
-    sub.add_argument("--workers", type=int, default=defaults.workers)
-
-
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     render = spectrum_csv if args.format == "csv" else spectrum_json
     with contextlib.closing(run_spectrum_sweep(args.pmin, args.pmax, args.workers)) as rows:
@@ -257,37 +243,30 @@ def _cmd_coverage(args: argparse.Namespace) -> int:
 
 def _cmd_factorize(args: argparse.Namespace) -> int:
     from . import friable
-    # a flag the mode does not read is refused, as argparse refuses unknown ones
-    if args.mode == "threeway" and args.k is not None:
-        raise ValueError("--k is not read in threeway mode, whose k is 3")
-    if args.mode == "kway" and args.epsilon is not None:
-        raise ValueError("--epsilon is not read in kway mode")
     if args.n > MAX_FACTORIZE_N:
         raise ValueError(f"n={args.n} exceeds the size cap {MAX_FACTORIZE_N}")
-    epsilon = DEFAULT_EPSILON if args.epsilon is None else args.epsilon
     try:
-        eps = parse_fraction(epsilon)
+        eps = parse_fraction(args.epsilon)
     except ValueError as exc:
-        raise ValueError(f"bad epsilon {epsilon!r}: {exc}") from exc
+        raise ValueError(f"bad epsilon {args.epsilon!r}: {exc}") from exc
     # kway forms y^(k+1); ranged and threeway (k = 3) form y^(k b + 2a)
-    k = 3 if args.k is None else args.k
     a, b = (0, 1) if args.mode == "kway" else (eps.numerator, eps.denominator)
-    if (k * b + 2 * a + 1) * args.y.bit_length() > MAX_FACTORIZE_POWER_BITS:
+    if (args.k * b + 2 * a + 1) * args.y.bit_length() > MAX_FACTORIZE_POWER_BITS:
         read = "" if args.mode == "kway" else f", epsilon={eps}"  # kway reads none
         raise ValueError(
-            f"y={args.y}, k={k}{read} would form powers of y above "
+            f"y={args.y}, k={args.k}{read} would form powers of y above "
             f"the cap of {MAX_FACTORIZE_POWER_BITS} bits"
         )
     if args.mode == "kway":
-        factors = friable.greedy_k_factorization(args.n, args.y, k)
+        factors = friable.greedy_k_factorization(args.n, args.y, args.k)
     elif args.mode == "ranged":
-        factors = friable.ranged_factorization(args.n, args.y, k, eps)
+        factors = friable.ranged_factorization(args.n, args.y, args.k, eps)
     else:
         factors = friable.three_way_factorization(args.n, args.y, eps)
     emit_record(args, {
         "n": args.n,
         "y": args.y,
-        "k": k,
+        "k": args.k,
         "epsilon": None if args.mode == "kway" else str(eps),
         "mode": args.mode.upper(),
         "factors": list(factors),
@@ -306,9 +285,8 @@ def _cmd_charsum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    checks = ALL_CHECKS if args.checks is None else tuple(args.checks.split(","))
-    cfg = SweepConfig(p_min=args.pmin, p_max=args.pmax, checks=checks, y_rule=args.y_rule,
-                      workers=args.workers, seed=args.seed)
+    cfg = SweepConfig(p_min=args.pmin, p_max=args.pmax, checks=tuple(args.checks.split(",")),
+                      y_rule=args.y_rule, workers=args.workers, seed=args.seed)
     records = run_verification_suite(cfg)
     for rec in records:
         print(f"{rec.status:6s} {rec.name}  [{rec.elapsed:.2f}s]", file=sys.stderr)
@@ -320,73 +298,89 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="subproducts",
-        description="Subset-product coverage toolkit: sweeps and verification.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    defaults = SweepConfig()
-
-    sp = subs.add_parser("spectrum", help="sweep (p, n2, g, G, y, yprime) rows")
-    _add_range(sp, defaults)
-    _add_output(sp)
-    sp.set_defaults(func=_cmd_spectrum)
-
-    sc = subs.add_parser("counts", help="exact subset-product counts for one (p, y)")
-    _add_output(sc)
-    sc.add_argument("--p", type=int, required=True)
-    sc.add_argument("--y", type=int, required=True)
-    sc.set_defaults(func=_cmd_counts)
-
-    sv = subs.add_parser("coverage", help="progression coverage threshold")
-    _add_output(sv)
-    sv.add_argument("--p", type=int, required=True)
-    sv.add_argument("--a", type=int, required=True)
-    sv.add_argument("--d", type=int, required=True)
-    sv.add_argument("--ymax", type=int, required=True)
-    sv.set_defaults(func=_cmd_coverage)
-
-    sf = subs.add_parser("factorize", help="bounded-part factorization")
-    # None until _cmd_factorize, which refuses a flag the mode does not read
-    sf.add_argument("--epsilon", default=None)
-    _add_output(sf)
-    sf.add_argument("--n", type=int, required=True)
-    sf.add_argument("--y", type=int, required=True)
-    sf.add_argument("--k", type=int, default=None)
-    sf.add_argument("--mode", choices=("kway", "ranged", "threeway"), default="threeway")
-    sf.set_defaults(func=_cmd_factorize)
-
-    ss = subs.add_parser("charsum", help="one character partial sum")
-    _add_output(ss)
-    ss.add_argument("--p", type=int, required=True)
-    ss.add_argument("--k", type=int, required=True)
-    ss.add_argument("--t", type=int, required=True)
-    ss.set_defaults(func=_cmd_charsum)
-
+_DEFAULTS = SweepConfig()
+_OUTPUT = {"--format": "csv", "--out": None}
+_RANGE = {"--pmin": _DEFAULTS.p_min, "--pmax": _DEFAULTS.p_max, "--workers": _DEFAULTS.workers}
+# The command table, from which the parser is built: each subcommand's
+# function, help, required flags (integers) and optional flags with their
+# defaults.  An optional flag has its default's type (str for None), and the
+# further argparse settings of _SETTINGS.
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "sweep (p, n2, g, G, y, yprime) rows", (), {**_RANGE, **_OUTPUT}),
+    "counts": (_cmd_counts, "exact subset-product counts for one (p, y)", ("--p", "--y"), _OUTPUT),
+    "coverage": (_cmd_coverage, "progression coverage threshold", ("--p", "--a", "--d", "--ymax"),
+                 _OUTPUT),
+    "factorize": (_cmd_factorize, "bounded-part factorization", ("--n", "--y"),
+                  {"--k": 3, "--epsilon": DEFAULT_EPSILON, "--mode": "threeway", **_OUTPUT}),
+    "charsum": (_cmd_charsum, "one character partial sum", ("--p", "--k", "--t"), _OUTPUT),
     # the verification report is always JSON (nested metrics): no --format
-    sy = subs.add_parser("verify", help="run the verification suite")
-    _add_range(sy, defaults)
-    sy.add_argument("--y-rule", default=defaults.y_rule)
-    sy.add_argument("--seed", type=int, default=defaults.seed)
-    sy.add_argument("--out", default=None)
-    sy.add_argument("--checks", default=None,
-                    help="comma-separated subset of: " + ",".join(ALL_CHECKS))
-    sy.set_defaults(func=_cmd_verify)
+    "verify": (_cmd_verify, "run the verification suite", (),
+               {**_RANGE, "--y-rule": _DEFAULTS.y_rule, "--seed": _DEFAULTS.seed,
+                "--out": None, "--checks": ",".join(_DEFAULTS.checks)}),
+}
+_SETTINGS = {
+    "--format": {"choices": ("csv", "json")},
+    "--mode": {"choices": ("kway", "ranged", "threeway")},
+    "--checks": {"help": "comma-separated subset of: " + ",".join(ALL_CHECKS)},
+}
+# The flag that selects a command's modes or groups, and the flags that each
+# of those reads; the command reads its other flags whatever is selected.
+_PARTS = {
+    "factorize": ("--mode", {"kway": ("--k",), "ranged": ("--k", "--epsilon"),
+                             "threeway": ("--epsilon",)}),
+    "verify": ("--checks", {group: flags for group, (flags, _) in _SUITE.items()}),
+}
 
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="subproducts",
+                     description="Subset-product coverage toolkit: sweeps and verification.")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, required, optional) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for flag in required:
+            sub.add_argument(flag, type=int, required=True)
+        for flag, default in optional.items():  # absent unless given: main fills it in
+            sub.add_argument(flag, type=int if isinstance(default, int) else str,
+                             default=argparse.SUPPRESS, **_SETTINGS.get(flag, {}))
     return parser
+
+
+def _refuse_unread(args: argparse.Namespace, given: list[str]) -> None:
+    """Refuse the given flags that no selected mode or group reads, as
+    argparse refuses a flag that the subcommand does not take."""
+    if args.command not in _PARTS:
+        return
+    selector, parts = _PARTS[args.command]
+    chosen = getattr(args, _dest(selector))
+    if not set(chosen.split(",")) <= parts.keys():
+        return  # SweepConfig.validate names the unknown groups
+    read = set().union(*(parts[part] for part in chosen.split(",")))
+    unread = [flag for flag in given if flag in set().union(*parts.values()) - read]
+    if unread:
+        raise ValueError(f"{', '.join(unread)} {'is' if len(unread) == 1 else 'are'} not "
+                         f"read by {args.command} {selector} {chosen}")
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        run, _, _, optional = _COMMANDS[args.command]
+        given = [flag for flag in optional if _dest(flag) in vars(args)]
+        for flag, default in optional.items():
+            vars(args).setdefault(_dest(flag), default)
+        _refuse_unread(args, given)
         if args.out == "":  # refused before any work, as are the two below
             raise FileNotFoundError("--out '' names no file")
         if args.out and os.path.isdir(args.out):
             raise IsADirectoryError(f"--out {args.out!r} is a directory")
         if args.out and not os.path.isdir(os.path.dirname(os.path.realpath(args.out))):
             raise FileNotFoundError(f"--out {args.out!r} is not in an existing directory")
-        return args.func(args)
+        return run(args)
     except (ValueError, WorkerLostError) as exc:  # parser and range errors too
         print(f"error: {exc}", file=sys.stderr)
         return 2

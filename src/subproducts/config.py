@@ -26,8 +26,9 @@ ALL_CHECKS = ("spectrum", "theorem", "lemmas", "factorization", "friable", "burg
 MAX_FRACTION_TERM = 10**4
 _DECIMAL_EXPONENT = re.compile(r"[eE][+-]?0*(\d+)")
 # The theorem check compares the rule's y against this rule's, ceil(p^0.25),
-# at these primes.
+# at THEOREM_PRIMES; the burgess check bounds character sums at BURGESS_PRIMES.
 THEOREM_PRIMES = (101, 211, 401, 1009)
+BURGESS_PRIMES = (101, 211, 311, 1009)
 SMALL_Y_RULE = "p^0.25"
 
 
@@ -50,10 +51,12 @@ class SweepConfig(NamedTuple):
             parse_y_rule(self.y_rule)
         except ValueError as exc:
             raise ValueError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
-        if "theorem" in self.checks:
-            if self.p_max < THEOREM_PRIMES[0]:
-                raise ValueError(f"the theorem check needs pmax >= {THEOREM_PRIMES[0]}, "
+        # a group with none of its primes up to pmax would check nothing
+        for group, primes in (("theorem", THEOREM_PRIMES), ("burgess", BURGESS_PRIMES)):
+            if group in self.checks and self.p_max < primes[0]:
+                raise ValueError(f"the {group} check needs pmax >= {primes[0]}, "
                                  f"its least prime; got pmax={self.p_max}")
+        if "theorem" in self.checks:
             for p, y, y_small in theorem_ys(self.y_rule, self.p_max):
                 if y <= y_small:
                     raise ValueError(

@@ -86,7 +86,12 @@ def test_sweep_config_validation():
     SweepConfig(y_rule="0", checks=("spectrum", "lemmas")).validate()
     # a y-rule is judged only where the theorem check runs
     SweepConfig(y_rule="0", p_max=100,
-                checks=tuple(c for c in ALL_CHECKS if c != "theorem")).validate()
+                checks=tuple(c for c in ALL_CHECKS if c not in ("theorem", "burgess"))).validate()
+    # the burgess check, like the theorem check, needs its least prime up to pmax
+    with pytest.raises(ValueError, match=r"^the burgess check needs pmax >= 101, its least "
+                                         r"prime; got pmax=100$"):
+        SweepConfig(p_max=100, checks=("burgess",)).validate()
+    SweepConfig(p_max=101, checks=("burgess",)).validate()
     SweepConfig(y_rule="p^2").validate()  # clamped to p - 1
     # pmax is capped before anything is sieved
     SweepConfig(p_max=modcore.MAX_TABLE_PRIME).validate()
@@ -551,9 +556,7 @@ def test_verify_report_deterministic():
 
 def test_verify_cli_exit_code(tmp_path):
     out = tmp_path / "report.json"
-    code = run_cli(
-        "verify", "--checks", "friable", "--pmax", "61", "--out", str(out)
-    )
+    code = run_cli("verify", "--checks", "friable", "--out", str(out))
     assert code == 0
     payload = json.loads(read(out))
     names = [r["name"] for r in payload["records"]]
@@ -563,10 +566,8 @@ def test_verify_cli_exit_code(tmp_path):
 
 def test_verify_duplicate_checks_write_the_same_report(tmp_path):
     once, twice = tmp_path / "once.json", tmp_path / "twice.json"
-    assert run_cli("verify", "--checks", "friable", "--pmax", "61", "--out", str(once)) == 0
-    assert run_cli(
-        "verify", "--checks", "friable,friable", "--pmax", "61", "--out", str(twice)
-    ) == 0
+    assert run_cli("verify", "--checks", "friable", "--out", str(once)) == 0
+    assert run_cli("verify", "--checks", "friable,friable", "--out", str(twice)) == 0
     assert twice.read_bytes() == once.read_bytes()
     assert json.loads(read(once))["config"]["checks"] == ["friable"]
 
@@ -592,20 +593,41 @@ BAD_INPUTS = [
                  "bad y-rule", id="verify-y-rule-overflow"),
     pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "0"],
                  "theorem check needs y above", id="verify-y-rule-below-comparison"),
-    # a theorem check with no theorem prime up to pmax would check nothing
+    # a theorem or burgess check with none of its primes up to pmax would
+    # check nothing
     pytest.param(["verify", "--pmax", "100"], "the theorem check needs pmax >= 101",
                  id="verify-pmax-below-theorem-primes"),
+    pytest.param(["verify", "--checks", "burgess", "--pmax", "100"],
+                 "error: the burgess check needs pmax >= 101, its least prime; got pmax=100\n",
+                 id="verify-pmax-below-burgess-primes"),
     pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
     pytest.param(["verify", "--checks", ""], "unknown checks: ['']", id="verify-checks-empty"),
     pytest.param(["verify", "--y-rule", "p^abc"], "bad y-rule", id="verify-y-rule-abc"),
-    # only factorize reads --epsilon, and only in the modes that read it;
-    # threeway mode reads no --k
+    # a given flag that no selected factorize mode or verify group reads,
+    # even at its default: threeway mode reads no --k (its k is 3), kway mode
+    # no --epsilon, and each verify group only the flags that _SUITE lists
     pytest.param(["factorize", "--n", "60", "--y", "10", "--k", "5"],
-                 "error: --k is not read in threeway mode, whose k is 3\n",
+                 "error: --k is not read by factorize --mode threeway\n",
                  id="factorize-threeway-k"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--mode", "kway", "--epsilon", "1/7"],
-                 "error: --epsilon is not read in kway mode\n", id="factorize-kway-epsilon"),
+                 "error: --epsilon is not read by factorize --mode kway\n",
+                 id="factorize-kway-epsilon"),
+    pytest.param(["verify", "--pmin", "1100", "--pmax", "2000", "--checks", "theorem"],
+                 "error: --pmin is not read by verify --checks theorem\n",
+                 id="verify-theorem-pmin"),
+    pytest.param(["verify", "--checks", "lemmas", "--y-rule", "p^0.3", "--workers", "2"],
+                 "error: --workers, --y-rule are not read by verify --checks lemmas\n",
+                 id="verify-lemmas-y-rule-workers"),
+    pytest.param(["verify", "--checks", "friable", "--seed", "3"],
+                 "error: --seed is not read by verify --checks friable\n",
+                 id="verify-friable-seed"),
+    pytest.param(["verify", "--checks", "spectrum", "--seed", "1"],
+                 "error: --seed is not read by verify --checks spectrum\n",
+                 id="verify-spectrum-seed"),
+    pytest.param(["verify", "--checks", "friable", "--pmax", "1009"],
+                 "error: --pmax is not read by verify --checks friable\n",
+                 id="verify-friable-pmax-at-its-default"),
     pytest.param(["factorize", "--n", "60", "--y", "10", "--epsilon", "1/0"],
                  "error: bad epsilon '1/0': zero denominator\n",
                  id="factorize-epsilon-zero-denominator"),
@@ -730,6 +752,29 @@ def test_bad_input_exits_2(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+# the SweepConfig field that each verify flag of _SUITE sets
+VERIFY_FIELDS = {"--pmin": "p_min", "--pmax": "p_max", "--workers": "workers",
+                 "--y-rule": "y_rule", "--seed": "seed"}
+
+
+def test_each_verify_group_lists_the_config_fields_its_checks_read():
+    # a check that starts reading another config field cannot leave its
+    # group's flags stale: a group lists exactly the fields its lambdas name
+    assert list(cli._SUITE) == list(ALL_CHECKS)
+    for group, (flags, runs) in cli._SUITE.items():
+        named = {name for run in runs for name in run.__code__.co_names}
+        assert {VERIFY_FIELDS[flag] for flag in flags} == named & set(SweepConfig._fields), group
+
+
+def test_help_lists_the_flags_of_the_command_table(capsys):
+    for command, (_, _, required, optional) in cli._COMMANDS.items():
+        with pytest.raises(SystemExit) as stop:
+            run_cli(command, "--help")
+        assert stop.value.code == 0, command
+        listed = re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out)
+        assert set(listed) == {"--help", *required, *optional}, command
 
 
 def test_out_replaces_the_target_of_a_symlink(tmp_path):
