@@ -109,7 +109,7 @@ for row in rows:
         refusals.append([ast.literal_eval(arg) for arg in row.args])
     except ValueError:
         pass  # argv or message built by an expression: only pytest runs the row
-assert (len(refusals), len(rows)) == (58, 71), (len(refusals), len(rows))
+assert (len(refusals), len(rows)) == (60, 73), (len(refusals), len(rows))
 for argv, message in refusals:
     proc = cli(*argv)
     ok = (proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: ")

@@ -18,15 +18,18 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .modcore import PrimeContext
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def char_angle(ctx: PrimeContext, k: int, n: int) -> Fraction | None:
     """Exact angle of chi_k(n) in turns, or None when p divides n."""
+    from fractions import Fraction  # loaded here: charsum makes no Fraction
     m = ctx.order
     if not 0 <= k < m:
         raise ValueError(f"character index {k} outside [0, {m - 1}]")

@@ -22,22 +22,14 @@ from .config import BURGESS_PRIMES, SMALL_Y_RULE, theorem_y, theorem_ys
 
 
 class CheckRecord(NamedTuple):
-    """One verification item.  FAIL is reserved for theorem-backed
-    invariants; measured quantities with unspecified constants are
-    REPORT.  elapsed is console-only metadata (see to_json)."""
+    """One verification item, exactly as the report lists it.  FAIL is
+    reserved for theorem-backed invariants; measured quantities with
+    unspecified constants are REPORT."""
 
     name: str
     params: dict
     status: str  # PASS | FAIL | REPORT
     metrics: dict
-    elapsed: float = 0.0
-
-    def to_json(self) -> dict:
-        # elapsed intentionally excluded: reports must be byte-identical
-        # across runs with the same config and seed
-        record = self._asdict()
-        del record["elapsed"]
-        return record
 
 
 def check_dp_vs_enumeration() -> CheckRecord:

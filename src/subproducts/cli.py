@@ -131,7 +131,7 @@ _SUITE = {
 def run_verification_suite(config: SweepConfig) -> list[CheckRecord]:
     """Run the selected checks in a fixed order; deterministic given seed.
 
-    A check's wall time goes to the first record it returns.
+    Each record's stderr line is printed as soon as its check returns.
     """
     config.validate()
     records: list[CheckRecord] = []
@@ -140,9 +140,10 @@ def run_verification_suite(config: SweepConfig) -> list[CheckRecord]:
             continue
         for run in _SUITE[group][1]:
             t0 = time.perf_counter()
-            first, *rest = run(config)
-            records.append(first._replace(elapsed=time.perf_counter() - t0))
-            records.extend(rest)
+            for i, rec in enumerate(run(config)):  # the check's time on its first record
+                seconds = 0.0 if i else time.perf_counter() - t0
+                print(f"{rec.status:6s} {rec.name}  [{seconds:.2f}s]", file=sys.stderr)
+                records.append(rec)
     return records
 
 
@@ -156,7 +157,7 @@ def verification_report_json(config: SweepConfig, records: list[CheckRecord]) ->
             "epsilon": DEFAULT_EPSILON,
             "seed": config.seed,
         },
-        "records": [r.to_json() for r in records],
+        "records": [r._asdict() for r in records],
     })
 
 
@@ -288,8 +289,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = SweepConfig(p_min=args.pmin, p_max=args.pmax, checks=tuple(args.checks.split(",")),
                       y_rule=args.y_rule, workers=args.workers, seed=args.seed)
     records = run_verification_suite(cfg)
-    for rec in records:
-        print(f"{rec.status:6s} {rec.name}  [{rec.elapsed:.2f}s]", file=sys.stderr)
     emit([verification_report_json(cfg, records)], args.out)
     failed = [r for r in records if r.status == "FAIL"]
     if failed:

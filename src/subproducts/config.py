@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
-from .modcore import iroot
+from .modcore import iroot, iter_primes
 from .sweep import _check_range
 
 if TYPE_CHECKING:
@@ -51,11 +51,15 @@ class SweepConfig(NamedTuple):
             parse_y_rule(self.y_rule)
         except ValueError as exc:
             raise ValueError(f"bad y-rule {self.y_rule!r}: {exc}") from exc
-        # a group with none of its primes up to pmax would check nothing
-        for group, primes in (("theorem", THEOREM_PRIMES), ("burgess", BURGESS_PRIMES)):
-            if group in self.checks and self.p_max < primes[0]:
-                raise ValueError(f"the {group} check needs pmax >= {primes[0]}, "
+        # a group with none of its primes in range would check nothing (the
+        # lemmas' near-one scan first meets the lemma's hypothesis at p = 5)
+        for group, least in (("theorem", THEOREM_PRIMES[0]), ("lemmas", 5),
+                             ("burgess", BURGESS_PRIMES[0])):
+            if group in self.checks and self.p_max < least:
+                raise ValueError(f"the {group} check needs pmax >= {least}, "
                                  f"its least prime; got pmax={self.p_max}")
+        if "spectrum" in self.checks and next(iter_primes(self.p_min, self.p_max), None) is None:
+            raise ValueError(f"the spectrum check needs a prime in [{self.p_min}, {self.p_max}]")
         if "theorem" in self.checks:
             for p, y, y_small in theorem_ys(self.y_rule, self.p_max):
                 if y <= y_small:

@@ -92,6 +92,18 @@ def test_sweep_config_validation():
                                          r"prime; got pmax=100$"):
         SweepConfig(p_max=100, checks=("burgess",)).validate()
     SweepConfig(p_max=101, checks=("burgess",)).validate()
+    # and so do the lemmas: below p = 5 the near-one scan has no hypothesis hit
+    with pytest.raises(ValueError, match=r"^the lemmas check needs pmax >= 5, its least "
+                                         r"prime; got pmax=3$"):
+        SweepConfig(p_max=3, checks=("lemmas",)).validate()
+    SweepConfig(p_max=5, checks=("lemmas",)).validate()
+    # the spectrum check needs a prime in its range, which may be one prime
+    for p_min, p_max in ((4, 4), (24, 28), (1328, 1360)):
+        with pytest.raises(ValueError,
+                           match=rf"^the spectrum check needs a prime in \[{p_min}, {p_max}\]$"):
+            SweepConfig(p_min=p_min, p_max=p_max, checks=("spectrum",)).validate()
+    for p_min, p_max in ((3, 3), (1327, 1327), (1328, 1361)):
+        SweepConfig(p_min=p_min, p_max=p_max, checks=("spectrum",)).validate()
     SweepConfig(y_rule="p^2").validate()  # clamped to p - 1
     # pmax is capped before anything is sieved
     SweepConfig(p_max=modcore.MAX_TABLE_PRIME).validate()
@@ -572,6 +584,46 @@ def test_verify_duplicate_checks_write_the_same_report(tmp_path):
     assert json.loads(read(once))["config"]["checks"] == ["friable"]
 
 
+def test_verify_prints_each_check_as_it_finishes(monkeypatch, capsys, tmp_path):
+    # a check that raises ends the run with exit 2, after the lines of the
+    # checks before it; none is printed for it or for the checks after it
+    def broken():
+        raise ValueError("the friable check broke")
+
+    monkeypatch.setattr(cli, "check_friable_count", broken)
+    out = tmp_path / "report.json"
+    assert run_cli("verify", "--checks", "lemmas,friable,burgess", "--pmax", "101",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    *lines, error = captured.err.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["PASS", "lemma_circle_bound"], ["PASS", "lemma_z_grid"],
+        ["PASS", "lemma_near_one_scan"],
+    ]
+    assert all(re.fullmatch(r"PASS   \w+  \[\d+\.\d\ds\]", line) for line in lines)
+    assert error == "error: the friable check broke"
+
+
+def test_verify_puts_a_checks_seconds_on_its_first_record(monkeypatch, capsys):
+    # check_theorem_error returns two records: the second reads 0.00s
+    theorem_error = cli.check_theorem_error
+
+    def slow(*args):
+        time.sleep(0.02)
+        return theorem_error(*args)
+
+    monkeypatch.setattr(cli, "check_theorem_error", slow)
+    records = run_verification_suite(SweepConfig(p_max=101, checks=("theorem",)))
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[1] for line in lines] == [r.name for r in records] == [
+        "dp_vs_enumeration", "dp_vs_characters", "mass_conservation",
+        "theorem_error_ratio", "theorem_error_shrinks",
+    ]
+    seconds = [float(line.rsplit("[", 1)[1][:-2]) for line in lines]
+    assert seconds[3] >= 0.02 and seconds[4] == 0.0
+
+
 # Bad input to each subcommand: exit 2, nothing on stdout, one error line.
 ABOVE_CAP = modcore.MAX_TABLE_PRIME + 1
 PSI_12 = 399165290221 * 798330580441  # a strong pseudoprime to every base 2..37
@@ -593,13 +645,19 @@ BAD_INPUTS = [
                  "bad y-rule", id="verify-y-rule-overflow"),
     pytest.param(["verify", "--checks", "theorem", "--pmax", "211", "--y-rule", "0"],
                  "theorem check needs y above", id="verify-y-rule-below-comparison"),
-    # a theorem or burgess check with none of its primes up to pmax would
-    # check nothing
+    # a theorem, lemmas, burgess or spectrum check with none of its primes in
+    # range would check nothing
     pytest.param(["verify", "--pmax", "100"], "the theorem check needs pmax >= 101",
                  id="verify-pmax-below-theorem-primes"),
     pytest.param(["verify", "--checks", "burgess", "--pmax", "100"],
                  "error: the burgess check needs pmax >= 101, its least prime; got pmax=100\n",
                  id="verify-pmax-below-burgess-primes"),
+    pytest.param(["verify", "--checks", "lemmas", "--pmax", "4"],
+                 "error: the lemmas check needs pmax >= 5, its least prime; got pmax=4\n",
+                 id="verify-pmax-below-lemma-primes"),
+    pytest.param(["verify", "--checks", "spectrum", "--pmin", "24", "--pmax", "28"],
+                 "error: the spectrum check needs a prime in [24, 28]\n",
+                 id="verify-spectrum-range-without-primes"),
     pytest.param(["verify", "--workers", "-1"], "workers must be >= 1", id="verify-workers"),
     pytest.param(["verify", "--checks", "nonsense"], "unknown checks", id="verify-checks"),
     pytest.param(["verify", "--checks", ""], "unknown checks: ['']", id="verify-checks-empty"),
@@ -1232,7 +1290,7 @@ def test_each_command_loads_only_the_modules_it_runs():
     for loads, argv in (
         ("subproducts.friable,fractions,decimal",
          ["factorize", "--mode", "kway", "--n", "30", "--y", "10", "--k", "2"]),
-        ("subproducts.characters,cmath,fractions,decimal",
+        ("subproducts.characters,cmath",
          ["charsum", "--p", "101", "--k", "3", "--t", "50"]),
         ("subproducts.characters,subproducts.friable,json,cmath,fractions,decimal",
          ["verify", "--pmax", "101"]),
