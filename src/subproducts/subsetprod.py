@@ -152,14 +152,22 @@ def _widen(c: int, m: int, wb: int, wb2: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _slots(c: int, m: int, wb: int) -> list[int]:
-    """The m slots of wb bytes in c, lowest first, split at C speed: 4- and
-    8-byte slots unpack straight to ints, others to byte strings first."""
-    raw = c.to_bytes(m * wb, "little")
+def _slot_decoder(m: int, wb: int) -> struct.Struct:
+    """The decoder `_slots` reads m slots of wb bytes with.  A fold builds
+    one per slot width and drops it when it widens or ends, so no format
+    it compiles stays in `struct`'s module cache."""
     code = _SLOT_CODES.get(wb)
-    if code is not None:
-        return list(struct.unpack(f"<{m}{code}", raw))
-    return list(map(int.from_bytes, struct.unpack(f"{wb}s" * m, raw), repeat("little")))
+    return struct.Struct(f"<{m}{code}" if code else f"{wb}s" * m)
+
+
+def _slots(c: int, m: int, wb: int, decoder: struct.Struct) -> list[int]:
+    """The m slots of wb bytes in c, lowest first, split at C speed by
+    `_slot_decoder(m, wb)`: 4- and 8-byte slots unpack straight to ints,
+    wider ones to one byte string per slot, each then read as an int."""
+    raw = decoder.unpack(c.to_bytes(m * wb, "little"))
+    if wb in _SLOT_CODES:
+        return list(raw)
+    return list(map(int.from_bytes, raw, repeat("little")))
 
 
 def _spread(ks: list[int], wb: int, q: int) -> int:
@@ -228,6 +236,7 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
     d = 3 if m % 3 == 0 else 1
     q, wb = m // d, SLOT_BYTES
     w, bits, full, t, high = _layout(m, wb, interval)
+    decoder = _slot_decoder(m, wb)
     # the empty subset has S(1) = 1, so A = (1, 0, ...)
     A = [1] + [0] * (d - 1)
     L = [a // q for a in A]
@@ -247,6 +256,7 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
                     c = _widen(c, m, wb, wb + SLOT_BYTES)
                     wb += SLOT_BYTES
                     w, bits, full, t, high = _layout(m, wb, interval)
+                    decoder = _slot_decoder(m, wb)
                     c += _spread([(1 << t) - bias], wb, m)
                     bias = 1 << t
                     cut = _rebias(c, lift, bias, t, wb, q)
@@ -257,7 +267,7 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
             bias += bias
             A = [A[j] + A[j - s % d] for j in range(d)]
             L = [L[j] + L[j - s % d] for j in range(d)]
-        slots = _slots(c, m, wb)
+        slots = _slots(c, m, wb, decoder)
         for j, low in enumerate(L):
             slots[j::d] = map((low - bias).__add__, slots[j::d])
         # of the 2^n subsets, the 2^units of units alone have products prime to p

@@ -1,5 +1,8 @@
+import gc
 import math
 import random
+import struct
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations
@@ -435,7 +438,8 @@ def test_headroom_test_passes_exactly_inside_the_bound(case):
     fits = all(-(1 << t) <= dev < 1 << t for dev in ts)
     assert (not cut & high) == fits
     if fits:
-        assert subsetprod._slots(cut, m, 2) == [dev + (1 << t) for dev in ts]
+        decoder = subsetprod._slot_decoder(m, 2)
+        assert subsetprod._slots(cut, m, 2, decoder) == [dev + (1 << t) for dev in ts]
 
 
 def cubic_coset_deviations(p, ys):
@@ -464,9 +468,9 @@ def test_deviation_slots_stay_narrow():
     widths = {}
     slots = subsetprod._slots
 
-    def spy(c, m, wb):
+    def spy(c, m, wb, decoder):
         widths[m + 1] = 8 * wb
-        return slots(c, m, wb)
+        return slots(c, m, wb, decoder)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subsetprod, "_slots", spy)
@@ -477,6 +481,32 @@ def test_deviation_slots_stay_narrow():
     (s,) = subset_product_prefixes(build_context(1009), [1008])
     mu = 2**1008 // 1008
     assert max(abs(c - mu) for c in s.counts[1:]).bit_length() == 328
+
+
+def test_count_folds_leave_no_slot_format_behind():
+    # these folds snapshot 12- and 20-byte slots, each decoded by a format of
+    # about a thousand codes.  A fold keeps its decoders to itself, so once it
+    # ends nothing of them stays: not in struct's module cache either, which
+    # is cleared first, as an earlier test may have filled it to its
+    # 100-format limit, where it empties itself
+    cases = ((1009, 504), (1009, 1008), (1013, 506), (1013, 1012), (997, 498), (997, 996))
+
+    def fold():
+        for p, y in cases:
+            subset_product_counts(p, y)
+
+    fold()  # fills the caches that modcore keeps on purpose
+    struct._clearcache()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fold()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert left < 4096, left
 
 
 def test_prefix_fold_requests():
