@@ -2,8 +2,8 @@
 rationals that a y-rule's exponent and `factorize --epsilon` are read as,
 and the y each rule gives at the theorem primes.
 
-`fractions` loads in `parse_fraction` and `theorem_y`, where a Fraction is
-first made, so a spectrum sweep and its workers never load it.
+`fractions` loads in `parse_fraction` and `exact_ratio`, where a Fraction
+is first made or tested, so a spectrum sweep and its workers never load it.
 """
 
 from __future__ import annotations
@@ -84,20 +84,27 @@ def parse_y_rule(rule: str):
     return lambda p: min(p - 1, max(1, value))
 
 
-def theorem_y(p: int, exponent: int | Fraction | None = None) -> int:
-    """ceil(p^exponent), clamped to [1, p-1], decided exactly; the exponent
-    is 3/5 when none is given.
+def exact_ratio(value: int | Fraction, name: str) -> tuple[int, int]:
+    """(a, b) with value = a/b in lowest terms, for an int or a Fraction.
 
-    For exponent = a/b that is the least y with y^b >= p^a, found from the
-    integer root iroot(p^a, b).  The exponent must be exact (an int or a
-    Fraction): a float's binary denominator would make p^a enormous.
+    Any other type raises TypeError, naming the value as name, before a
+    power is formed: a float's binary denominator (2^54 for 0.19) would
+    make p^a or y^b enormous.
     """
     from fractions import Fraction
-    if exponent is None:
-        exponent = Fraction(3, 5)
-    if not isinstance(exponent, (int, Fraction)):
-        raise TypeError(f"exponent {exponent!r} must be an int or a Fraction")
-    a, b = exponent.numerator, exponent.denominator
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{name} {value!r} must be an int or a Fraction")
+    return value.numerator, value.denominator
+
+
+def theorem_y(p: int, exponent: int | Fraction | None = None) -> int:
+    """ceil(p^exponent), clamped to [1, p-1], decided exactly; the exponent
+    is 3/5 when none is given, and otherwise read by `exact_ratio`.
+
+    For exponent = a/b that is the least y with y^b >= p^a, found from the
+    integer root iroot(p^a, b).
+    """
+    a, b = (3, 5) if exponent is None else exact_ratio(exponent, "exponent")
     if a <= 0:
         y = 1  # p^exponent <= 1
     elif a >= b:

@@ -18,6 +18,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
+from .config import exact_ratio
 from .modcore import divisors, iroot, prime_factors_desc, primes_between, small_primes
 
 
@@ -119,17 +120,6 @@ def greedy_k_factorization(n: int, y: int, k: int) -> tuple[int, ...]:
     return _checked(n, buckets)
 
 
-def _epsilon_ratio(epsilon: int | Fraction) -> tuple[int, int]:
-    """(a, b) with epsilon = a/b in lowest terms, for an int or a Fraction.
-
-    Any other type raises TypeError before a power of y is formed: a
-    float's binary denominator (2^54 for 0.19) would make y^b enormous.
-    """
-    if not isinstance(epsilon, (int, Fraction)):
-        raise TypeError(f"epsilon {epsilon!r} must be an int or a Fraction")
-    return epsilon.numerator, epsilon.denominator
-
-
 @lru_cache(maxsize=256)
 def ranged_bounds(y: int, k: int, a: int, b: int) -> tuple[int, int, int, int]:
     """The size bounds of a ranged split with epsilon = a/b, each exact:
@@ -180,7 +170,7 @@ def ranged_factorization(n: int, y: int, k: int, epsilon) -> tuple[int, ...]:
     """
     if n < 1 or y < 2 or k < 1:
         raise ValueError("need n >= 1, y >= 2, k >= 1")
-    a, b = _epsilon_ratio(epsilon)
+    a, b = exact_ratio(epsilon, "epsilon")
     if not (0 < a and a * (k + 2) < b):  # 0 < a/b < 1/(k+2), b > 0
         raise HypothesisViolatedError(
             f"epsilon={epsilon} outside (0, 1/{k + 2}) for k={k}"
@@ -285,7 +275,7 @@ def kway_feasible(n: int, y: int, k: int) -> bool:
 def ranged_feasible(n: int, y: int, k: int, epsilon) -> bool:
     """Exhaustive check: does any split into ell in (k/2, k] factors, each
     in (y^epsilon, y], exist?  Bounds decided exactly."""
-    a, b = _epsilon_ratio(epsilon)
+    a, b = exact_ratio(epsilon, "epsilon")
     small_bound = y**a
     good = [d for d in divisors(n) if 1 < d <= y and d**b > small_bound]
     return _splits(n, good, k // 2 + 1, k)

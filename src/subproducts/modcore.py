@@ -89,8 +89,8 @@ def primes_up_to(n: int) -> list[int]:
 def primes_between(lo: int, hi: int) -> list[int]:
     """All primes p with lo <= p <= hi, ascending, by a windowed sieve.
 
-    The base primes up to isqrt(hi) come from this sieve itself (the
-    recursion is about log log hi deep); they then mark their multiples
+    The base primes come from `primes_up_to(isqrt(hi))`, this sieve again
+    (the recursion is about log log hi deep); they then mark their multiples
     inside [lo, hi], so the memory is one byte per integer of the window
     rather than of [0, hi].
     """
@@ -98,7 +98,7 @@ def primes_between(lo: int, hi: int) -> list[int]:
     if hi < lo:
         return []
     window = bytearray([1]) * (hi - lo + 1)
-    for q in primes_between(2, isqrt(hi)):
+    for q in primes_up_to(isqrt(hi)):
         start = max(q * q, -(-lo // q) * q)  # q itself, if in the window, stays
         if start <= hi:
             window[start - lo :: q] = bytes((hi - start) // q + 1)
@@ -115,8 +115,8 @@ SMALL_PRIME_LIMIT = isqrt(MAX_TABLE_PRIME)
 
 @cache
 def small_primes() -> tuple[int, ...]:
-    """The primes up to SMALL_PRIME_LIMIT, ascending: one `primes_between`."""
-    return tuple(primes_between(2, SMALL_PRIME_LIMIT))
+    """The primes up to SMALL_PRIME_LIMIT, ascending: one `primes_up_to`."""
+    return tuple(primes_up_to(SMALL_PRIME_LIMIT))
 
 
 # `iter_primes` sieves above SMALL_PRIME_LIMIT this many integers at a time,

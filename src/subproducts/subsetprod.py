@@ -152,18 +152,11 @@ def _widen(c: int, m: int, wb: int, wb2: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _slot_decoder(m: int, wb: int) -> struct.Struct:
-    """The decoder `_slots` reads m slots of wb bytes with.  A fold builds
-    one per slot width and drops it when it widens or ends, so no format
-    it compiles stays in `struct`'s module cache."""
-    code = _SLOT_CODES.get(wb)
-    return struct.Struct(f"<{m}{code}" if code else f"{wb}s" * m)
-
-
 def _slots(c: int, m: int, wb: int, decoder: struct.Struct) -> list[int]:
     """The m slots of wb bytes in c, lowest first, split at C speed by
-    `_slot_decoder(m, wb)`: 4- and 8-byte slots unpack straight to ints,
-    wider ones to one byte string per slot, each then read as an int."""
+    the decoder of `_layout(m, wb, ...)`: 4- and 8-byte slots unpack
+    straight to ints, wider ones to one byte string per slot, each then
+    read as an int."""
     raw = decoder.unpack(c.to_bytes(m * wb, "little"))
     if wb in _SLOT_CODES:
         return list(raw)
@@ -177,13 +170,17 @@ def _spread(ks: list[int], wb: int, q: int) -> int:
     return int.from_bytes(period * q, "little")
 
 
-def _layout(m: int, wb: int, interval: int) -> tuple[int, ...]:
-    """Constants of m slots of w = 8 wb bits: (w, bits, full, t, high) for
-    t = w - 1 - interval, where high masks every slot's bits at or above
-    t+1."""
+def _layout(m: int, wb: int, interval: int) -> tuple:
+    """Constants of m slots of w = 8 wb bits: (w, bits, full, t, high,
+    decoder) for t = w - 1 - interval, where high masks every slot's bits
+    at or above t+1 and decoder is what `_slots` reads them with.  A fold
+    builds one decoder per slot width and drops it when it widens or ends,
+    so no format it compiles stays in `struct`'s module cache."""
     w = 8 * wb
     t = w - 1 - interval
-    return w, w * m, (1 << w * m) - 1, t, _spread([(1 << w) - (2 << t)], wb, m)
+    code = _SLOT_CODES.get(wb)
+    return (w, w * m, (1 << w * m) - 1, t, _spread([(1 << w) - (2 << t)], wb, m),
+            struct.Struct(f"<{m}{code}" if code else f"{wb}s" * m))
 
 
 def _rebias(c: int, lift: list[int], bias: int, t: int, wb: int, q: int) -> int:
@@ -235,8 +232,7 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
     p, m, ind, interval = ctx.p, ctx.order, ctx.table, HEADROOM_INTERVAL
     d = 3 if m % 3 == 0 else 1
     q, wb = m // d, SLOT_BYTES
-    w, bits, full, t, high = _layout(m, wb, interval)
-    decoder = _slot_decoder(m, wb)
+    w, bits, full, t, high, decoder = _layout(m, wb, interval)
     # the empty subset has S(1) = 1, so A = (1, 0, ...)
     A = [1] + [0] * (d - 1)
     L = [a // q for a in A]
@@ -255,8 +251,7 @@ def _count_dp(ctx: PrimeContext, ys: list[int]) -> Iterator[tuple[int, ...]]:
                 while cut & high:
                     c = _widen(c, m, wb, wb + SLOT_BYTES)
                     wb += SLOT_BYTES
-                    w, bits, full, t, high = _layout(m, wb, interval)
-                    decoder = _slot_decoder(m, wb)
+                    w, bits, full, t, high, decoder = _layout(m, wb, interval)
                     c += _spread([(1 << t) - bias], wb, m)
                     bias = 1 << t
                     cut = _rebias(c, lift, bias, t, wb, q)

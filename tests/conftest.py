@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from subproducts import modcore
+from subproducts import cli, modcore
 
 TRACING = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -26,3 +26,13 @@ def cold_prime_caches():
     # as it would in a process of its own
     modcore.small_primes.cache_clear()
     modcore._least_factors.cache_clear()
+
+
+@pytest.fixture(scope="session")
+def spectrum_csv(tmp_path_factory):
+    """The bytes of `spectrum --pmin 3 --pmax 30000`, the pinned CSV, made
+    once for the test that pins its digest and the test that checks its
+    rows."""
+    out = tmp_path_factory.mktemp("spectrum") / "spectrum.csv"
+    assert cli.main(["spectrum", "--pmin", "3", "--pmax", "30000", "--out", str(out)]) == 0
+    return out.read_bytes()

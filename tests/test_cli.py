@@ -402,11 +402,9 @@ def test_spectrum_sweep_sieves_only_its_window(monkeypatch):
     assert all(hi <= 1000 for _, hi in windows[1:])
 
 
-def test_spectrum_golden_csv(tmp_path):
+def test_spectrum_golden_csv(spectrum_csv):
     # sha256 of the rows for every prime in [3, 30000]
-    out = tmp_path / "spectrum.csv"
-    assert run_cli("spectrum", "--pmin", "3", "--pmax", "30000", "--out", str(out)) == 0
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    digest = hashlib.sha256(spectrum_csv).hexdigest()
     assert digest == "b40a5a82d396237ffb7089572616227b45e2b1b3109db87a3931053ee5877e55"
 
 

@@ -430,7 +430,7 @@ def test_headroom_test_passes_exactly_inside_the_bound(case):
     # the rebiased slots hold exactly T + 2^t
     bias, lift, vs = case
     d, m = len(lift), len(vs)
-    w, _, _, t, high = subsetprod._layout(m, 2, 3)
+    w, _, _, t, high, decoder = subsetprod._layout(m, 2, 3)
     assert (w, t) == (16, 12)
     c = sum(v << w * i for i, v in enumerate(vs))
     cut = subsetprod._rebias(c, lift, bias, t, 2, m // d)
@@ -438,7 +438,6 @@ def test_headroom_test_passes_exactly_inside_the_bound(case):
     fits = all(-(1 << t) <= dev < 1 << t for dev in ts)
     assert (not cut & high) == fits
     if fits:
-        decoder = subsetprod._slot_decoder(m, 2)
         assert subsetprod._slots(cut, m, 2, decoder) == [dev + (1 << t) for dev in ts]
 
 

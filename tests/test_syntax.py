@@ -89,8 +89,7 @@ def _read_names(statement):
 
 # the traced names that nothing in src/ reads: the tracer's wrapping is
 # their only use, and each goes once the tracer stops looking names up
-TRACER_ONLY = {"friable.largest_prime_factor", "modcore.primes_up_to",
-               "subsetprod.coverage_consume"}
+TRACER_ONLY = {"friable.largest_prime_factor", "subsetprod.coverage_consume"}
 
 
 def test_every_helper_has_a_caller_in_src(tracing):

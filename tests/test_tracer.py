@@ -62,6 +62,19 @@ def test_traced_verify_and_spectrum_runs(traced):
     # the tracer counts (order - 1) p: p terms for each nonprincipal character
     terms = tracer.summary()["characters.polya_vinogradov_scan.terms"]
     assert terms == sum((p - 2) * p for p in primes_between(3, 101)) == 73_675
+    # primes_between takes its base primes from primes_up_to, so the sieve
+    # layer reads the sieves that the checks run.  How many depends on the
+    # prime caches the process already holds, so no figure is pinned
+    spans = tracer.spans
+
+    def under_a_check(i):
+        while i >= 0 and not spans[i][0].startswith("cli.check_"):
+            i = spans[i][3]
+        return i >= 0
+
+    sieves = [span for i, span in enumerate(spans)
+              if span[0] == "modcore.primes_up_to" and under_a_check(i)]
+    assert len(sieves) > 0 and sum(span[4] for span in sieves) > 0
 
 
 def test_traced_verify_has_a_span_for_every_check(tracing, traced):
@@ -73,3 +86,4 @@ def test_traced_verify_has_a_span_for_every_check(tracing, traced):
     assert len(tracing.CHECKS) == 15 and missing == [], missing
     missing = [name for name in CLI_SPANS if spans[name] < 1]
     assert missing == [], missing
+
